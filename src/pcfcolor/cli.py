@@ -3,7 +3,9 @@
 Subcommands: color, verify, gen, check, refute.  Exactly one JSON document
 goes to stdout; progress notes go to stderr.  Exit codes: 0 for a
 satisfiable result or a passing suite, 1 for unsat/obstruction/violations
-or a failing suite, 2 for input errors, 3 when a search budget ran out.
+or a failing suite, 2 for input errors, 3 when a search budget ran out, 4
+when a solver or structure invariant failed (a bug, reported as
+{"status": "internal_error", "message": ...}).
 
 Graphs are read from a file path or "-" (stdin), in either of two formats,
 detected from the first line: an edge list ("n m" header then one "u v"
@@ -19,12 +21,13 @@ import random
 import sys
 
 from . import families, oracle, solver
-from .graphs import Graph, parse_edge_list, parse_graph6, path_graph, write_graph6
+from .graphs import Graph, cycle_graph, parse_edge_list, parse_graph6, path_graph, write_graph6
 from .kernel import ListAssignment, coloring_from_json, degree_plus_k_lists, verify
 from .structure import (
     chain_is_good,
     ear_is_good,
     Ear,
+    StructureError,
     find_good_ear_or_chain,
     outer_embedding,
 )
@@ -33,6 +36,7 @@ EXIT_SAT = 0
 EXIT_UNSAT = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _log(msg: str) -> None:
@@ -64,13 +68,6 @@ def load_lists(path: str) -> ListAssignment:
     return ListAssignment.from_json(json.loads(_read_text(path)))
 
 
-def _trace_json(trace) -> list:
-    return [
-        {"case": s.case, "removed": list(s.removed), "colors": {str(v): c for v, c in sorted(s.colors.items())}}
-        for s in trace
-    ]
-
-
 def _graph_doc(g: Graph) -> dict:
     return {"n": g.n, "graph6": write_graph6(g), "edges": [list(e) for e in g.edges()]}
 
@@ -100,7 +97,7 @@ def cmd_color(args) -> tuple[int, dict]:
     if res.ok:
         doc = {"status": "sat", "engine": "constructive", "coloring": res.coloring}
         if args.trace:
-            doc["trace"] = _trace_json(res.trace)
+            doc["trace"] = [step.to_json() for step in res.trace]
         return EXIT_SAT, doc
     return EXIT_UNSAT, {
         "status": "obstruction",
@@ -137,7 +134,7 @@ def _instance_doc(inst: families.NamedInstance) -> dict:
 
 def cmd_gen(args) -> tuple[int, dict]:
     if args.family == "cycle":
-        g = families.cycle(args.length)
+        g = cycle_graph(args.length)
         if args.length == 5 and args.hard_lists:
             return EXIT_SAT, _instance_doc(families.c5_uniform())
         doc = {"status": "ok", "name": f"cycle-{args.length}"}
@@ -444,6 +441,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         print(json.dumps({"status": "error", "message": str(exc)}))
         return EXIT_INPUT
+    except (solver.SolverInternalError, StructureError) as exc:
+        print(json.dumps({"status": "internal_error", "message": str(exc)}))
+        return EXIT_INTERNAL
     print(json.dumps(doc, sort_keys=True))
     return code
 

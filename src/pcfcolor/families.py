@@ -38,10 +38,6 @@ class NamedInstance:
     expected: str
 
 
-def cycle(length: int) -> Graph:
-    return cycle_graph(length)
-
-
 def c5_uniform(palette=(1, 2, 3, 4)) -> NamedInstance:
     """The obstruction: a 5-cycle whose five lists are one 4-element set."""
     pal = frozenset(palette)

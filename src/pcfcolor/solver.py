@@ -3,10 +3,18 @@
 Every connected outerplanar graph except one obstruction family admits a
 proper coloring from lists of size degree+2 in which each non-isolated
 vertex sees some color exactly once in its neighborhood.  `solve` builds
-such a coloring by peeling an end block and handling it by case: a pendant
-edge, a whole or attached cycle, a good ear, a long ear, or an ear chain.
-The only true obstruction among connected outerplanar inputs is the
-5-cycle whose five lists are one identical 4-set.
+such a coloring the way the induction proves it exists: peel an end block,
+color the rest, then extend the coloring over the block, by case: a
+pendant edge, an attached cycle, a good ear, a long ear, or an ear chain.
+It runs as two loops, not as recursion.  The peel pass records the case
+of each end block in turn until at most 3 vertices or a whole cycle
+remain; the coloring pass colors that base and then walks the recorded
+cases backwards over the host graph, filling one coloring.  So `solve`
+has no recursion-depth limit; its time still grows quadratically in the
+number of vertices, because each peel step rebuilds the remaining graph
+and its block structure.  The only true obstruction among connected
+outerplanar inputs is the 5-cycle whose five lists are one identical
+4-set.
 
 Colors are chosen by minimum value at every free choice, so the output is
 deterministic.  A `SolveResult` carries either a verified coloring or an
@@ -20,17 +28,17 @@ own list-size preconditions.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph, cycle_graph, path_graph
-from .kernel import Coloring, ListAssignment, verify
+from .kernel import Coloring, ListAssignment, unique_colors, verify
 from .structure import (
     KIND_CYCLE,
     KIND_EAR_CHAIN,
     KIND_GOOD_EAR,
     KIND_K2,
     KIND_LONG_EAR,
+    EndBlockCase,
     classify_end_block,
     is_outerplanar,
 )
@@ -56,6 +64,13 @@ class TraceStep:
     removed: tuple[int, ...]
     colors: dict[int, int]
 
+    def to_json(self) -> dict:
+        return {
+            "case": self.case,
+            "removed": list(self.removed),
+            "colors": {str(v): c for v, c in sorted(self.colors.items())},
+        }
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -77,18 +92,7 @@ class SolverInternalError(Exception):
 
 
 def trace_to_json_lines(trace) -> str:
-    lines = [
-        json.dumps(
-            {
-                "case": step.case,
-                "removed": list(step.removed),
-                "colors": {str(v): c for v, c in sorted(step.colors.items())},
-            },
-            sort_keys=True,
-        )
-        for step in trace
-    ]
-    return "".join(line + "\n" for line in lines)
+    return "".join(json.dumps(step.to_json(), sort_keys=True) + "\n" for step in trace)
 
 
 def trace_from_json_lines(text: str) -> tuple[TraceStep, ...]:
@@ -237,18 +241,17 @@ def color_constrained_path(lists) -> list[int]:
         if len(x) < k:
             raise ValueError(f"path vertex {i} needs {k} colors, has {len(x)}")
 
-    if s == 3:
-        phi = _path_base(ls)
-    else:
-        # fix the far end to its smallest color, strip it from the two
-        # vertices adjacent or at distance 2, and recurse on the prefix
-        alpha = min(ls[s])
-        inner = list(ls[:s])
-        inner[s - 2] = inner[s - 2] - {alpha}
-        inner[s - 1] = inner[s - 1] - {alpha}
-        phi = color_constrained_path(inner) + [alpha]
+    # from the far end inward: fix the end to its smallest color and strip
+    # that color from the two vertices adjacent or at distance 2, which
+    # leaves the shorter prefix path with lists of the required sizes
+    work = list(ls)
+    for k in range(s, 3, -1):
+        alpha = min(work[k])
+        work[k - 1] = work[k - 1] - {alpha}
+        work[k - 2] = work[k - 2] - {alpha}
+    phi = _path_base(work) + [min(work[k]) for k in range(4, s + 1)]
 
-    verdict = verify(path_graph(s + 1), list(phi), ListAssignment(ls))
+    verdict = verify(path_graph(s + 1), phi, ListAssignment(ls))
     if not verdict.ok:
         raise SolverInternalError("path coloring failed verification")
     return phi
@@ -294,33 +297,22 @@ def extend_ear(host: Graph, colors, ear_vertices, lists) -> Coloring:
         raise ValueError("an ear has at least 3 vertices")
     out = list(colors)
     ls = lists.lists if isinstance(lists, ListAssignment) else tuple(frozenset(x) for x in lists)
-    _extend_ear(host, tuple(range(host.n)), out, ls, seq, None, "EarExtension", ())
+    _extend_ear(host, out, ls, seq, None, "EarExtension", ())
     return out
 
 
-def _unique_nb_colors(sub: Graph, ids, colors, v: int) -> set[int]:
-    seen: Counter = Counter()
-    for w in sub.neighbors(v):
-        c = colors[ids[w]]
-        if c is not None:
-            seen[c] += 1
-    return {c for c, k in seen.items() if k == 1}
-
-
-def _extend_ear(sub, ids, colors, lists, seq, trace, tag, removed) -> None:
+def _extend_ear(g, colors, lists, seq, trace, tag, removed) -> None:
     r = len(seq)
     u1, ur = seq[0], seq[-1]
-    c1 = colors[ids[u1]]
-    cr = colors[ids[ur]]
+    c1 = colors[u1]
+    cr = colors[ur]
     if c1 is None or cr is None:
         raise SolverInternalError("ear root must be colored before extension")
-    kept = _unique_nb_colors(sub, ids, colors, u1)
+    kept = unique_colors(g, colors, u1)
     if kept:
         c2 = min(kept)
     else:
-        palette = {
-            colors[ids[w]] for w in sub.neighbors(u1) if colors[ids[w]] is not None
-        }
+        palette = {colors[w] for w in g.neighbors(u1) if colors[w] is not None}
         if len(palette) != 1:
             raise SolverInternalError(
                 "ear extension needs a unique or unanimous color at the near root"
@@ -329,22 +321,22 @@ def _extend_ear(sub, ids, colors, lists, seq, trace, tag, removed) -> None:
     assigned: dict[int, int] = {}
     for i in range(2, r):  # cycle positions u_2 .. u_{r-1}
         v = seq[i - 1]
-        if colors[ids[v]] is not None:
+        if colors[v] is not None:
             raise SolverInternalError("ear interior already colored")
         if i == 2:
             forb = {c1, c2}
         else:
-            forb = {colors[ids[seq[i - 2]]], colors[ids[seq[i - 3]]]}
+            forb = {colors[seq[i - 2]], colors[seq[i - 3]]}
         if i >= r - 2:
             forb.add(cr)
-        c = _min_excluding(lists[v], forb, f"ear vertex {ids[v]}")
-        colors[ids[v]] = c
-        assigned[ids[v]] = c
+        c = _min_excluding(lists[v], forb, f"ear vertex {v}")
+        colors[v] = c
+        assigned[v] = c
     if trace is not None:
         trace.append(TraceStep(tag, removed, assigned))
 
 
-# -- the main recursion ---------------------------------------------------------
+# -- the peel pass and the coloring pass ---------------------------------------
 
 
 def solve(g: Graph, lists) -> SolveResult:
@@ -385,9 +377,16 @@ def solve(g: Graph, lists) -> SolveResult:
                 (),
             )
 
+    work = list(la)
+    plan, rest = _peel(g, work)
     colors: Coloring = [None] * g.n
     trace: list[TraceStep] = []
-    _solve(g, tuple(la[v] for v in range(g.n)), tuple(range(g.n)), colors, trace)
+    if len(rest) <= 3:
+        _color_trivial(g, work, rest, colors, trace)
+    else:
+        _color_whole_cycle(work, rest, colors, trace)
+    for case in reversed(plan):
+        _STEPS[case.kind](g, work, colors, trace, case)
     verdict = verify(g, colors, la)
     if not verdict.ok:
         raise SolverInternalError(
@@ -398,92 +397,94 @@ def solve(g: Graph, lists) -> SolveResult:
     return SolveResult(colors, None, tuple(trace))
 
 
-def _solve(sub: Graph, lists, ids, colors, trace) -> None:
-    n = sub.n
-    if n <= 3:
-        # rainbow within radius 2: trivially proper and conflict-free
-        for v in range(n):
-            forb = set()
-            for w in sub.neighbors(v):
-                if colors[ids[w]] is not None:
-                    forb.add(colors[ids[w]])
-                for z in sub.neighbors(w):
-                    if colors[ids[z]] is not None:
-                        forb.add(colors[ids[z]])
-            colors[ids[v]] = _min_excluding(lists[v], forb, f"vertex {ids[v]}", trace)
-        trace.append(
-            TraceStep("Trivial", tuple(ids), {ids[v]: colors[ids[v]] for v in range(n)})
-        )
-        return
+def _peel(g: Graph, lists: list) -> "tuple[list[EndBlockCase], tuple[int, ...]]":
+    """Cut end blocks until at most 3 vertices or a whole cycle remain.
 
-    case = classify_end_block(sub)
-    if case.kind == KIND_K2:
-        _case_pendant(sub, lists, ids, colors, trace, case)
-    elif case.kind == KIND_CYCLE:
-        _case_cycle(sub, lists, ids, colors, trace, case)
-    elif case.kind == KIND_GOOD_EAR:
-        _case_good_ear(sub, lists, ids, colors, trace, case)
-    elif case.kind == KIND_LONG_EAR:
-        _case_long_ear(sub, lists, ids, colors, trace, case)
-    elif case.kind == KIND_EAR_CHAIN:
-        _case_ear_chain(sub, lists, ids, colors, trace, case)
-    else:
-        raise SolverInternalError(f"unknown end-block case {case.kind}", tuple(trace))
-
-
-def _recurse(sub, lists, ids, keep, colors, trace):
-    """Solve the kept induced subgraph; returns it with id translation maps."""
-    sub2, kept = sub.subgraph(keep)
-    ids2 = tuple(ids[w] for w in kept)
-    lists2 = tuple(lists[w] for w in kept)
-    _solve(sub2, lists2, ids2, colors, trace)
-    loc2 = {w: i for i, w in enumerate(kept)}
-    return sub2, ids2, loc2
+    Returns the cases in peel order and the remaining vertices (sorted, or
+    in cycle order), in host ids.  Reserved colors are removed from the
+    host-indexed `lists` in place: a reservation touches only vertices that
+    survive the step, and only the step removing a vertex reads its list.
+    """
+    plan = []
+    sub, ids = g, tuple(range(g.n))
+    while sub.n > 3:
+        case = classify_end_block(sub)
+        if case.kind == KIND_CYCLE and len(case.cycle_order) == sub.n:
+            return plan, tuple(ids[v] for v in case.cycle_order)
+        if case.kind not in _STEPS:
+            raise SolverInternalError(f"unknown end-block case {case.kind}")
+        step = case.relabel(ids)
+        chain = step.chain
+        if chain is not None and len(chain.spine) == 3 and chain.ears[-1].size() == 4:
+            # reserve a color of the first closing-ear interior so the rest
+            # of the graph cannot hand it to either chain endpoint
+            u2, u3 = chain.ears[-1].interior
+            t2 = frozenset(sorted(lists[u2])[:4])
+            t3 = frozenset(sorted(lists[u3])[:4])
+            gamma = min(t2 - t3) if t2 - t3 else min(t2)
+            for v in (chain.spine[0], chain.spine[-1]):
+                lists[v] = lists[v] - {gamma}
+        plan.append(step)
+        cut = set(case.removed())
+        sub, kept = sub.subgraph(w for w in range(sub.n) if w not in cut)
+        ids = tuple(ids[w] for w in kept)
+    return plan, ids
 
 
-def _min_unique(sub2, ids2, colors, v2, what, trace) -> int:
-    kept = _unique_nb_colors(sub2, ids2, colors, v2)
+def _color_trivial(g, lists, rest, colors, trace) -> None:
+    # rainbow within radius 2 of the remaining vertices: trivially proper
+    # and conflict-free; peeled vertices are not walked through
+    inside = set(rest)
+    for v in rest:
+        forb = set()
+        for w in g.neighbors(v):
+            if w not in inside:
+                continue
+            if colors[w] is not None:
+                forb.add(colors[w])
+            for z in g.neighbors(w):
+                if colors[z] is not None:
+                    forb.add(colors[z])
+        colors[v] = _min_excluding(lists[v], forb, f"vertex {v}", trace)
+    trace.append(TraceStep("Trivial", tuple(rest), {v: colors[v] for v in rest}))
+
+
+def _color_whole_cycle(lists, order, colors, trace) -> None:
+    res = color_cycle([lists[v] for v in order])
+    if isinstance(res, Obstruction):
+        # reachable only if the top-level uniform-C5 screen were skipped
+        raise SolverInternalError("uniform 5-cycle reached the cycle case", tuple(trace))
+    for v, c in zip(order, res):
+        colors[v] = c
+    trace.append(TraceStep("CycleProp", tuple(order), dict(zip(order, res))))
+
+
+def _min_unique(g, colors, v, what, trace) -> int:
+    kept = unique_colors(g, colors, v)
     if not kept:
         raise SolverInternalError(f"no unique neighborhood color at {what}", tuple(trace))
     return min(kept)
 
 
-def _case_pendant(sub, lists, ids, colors, trace, case) -> None:
+def _step_pendant(g, lists, colors, trace, case) -> None:
     v, x = case.pendant, case.anchor
-    keep = [w for w in range(sub.n) if w != v]
-    sub2, ids2, loc2 = _recurse(sub, lists, ids, keep, colors, trace)
-    alpha = _min_unique(sub2, ids2, colors, loc2[x], f"anchor {ids[x]}", trace)
-    c = _min_excluding(lists[v], {colors[ids[x]], alpha}, f"pendant {ids[v]}", trace)
-    colors[ids[v]] = c
-    trace.append(TraceStep("K2", (ids[v],), {ids[v]: c}))
+    alpha = _min_unique(g, colors, x, f"anchor {x}", trace)
+    c = _min_excluding(lists[v], {colors[x], alpha}, f"pendant {v}", trace)
+    colors[v] = c
+    trace.append(TraceStep("K2", (v,), {v: c}))
 
 
-def _case_cycle(sub, lists, ids, colors, trace, case) -> None:
-    order = case.cycle_order
-    if len(order) == sub.n:
-        res = color_cycle([lists[v] for v in order])
-        if isinstance(res, Obstruction):
-            # reachable only if the top-level uniform-C5 screen were skipped
-            raise SolverInternalError("uniform 5-cycle reached the cycle case", tuple(trace))
-        assigned = {}
-        for v, c in zip(order, res):
-            colors[ids[v]] = c
-            assigned[ids[v]] = c
-        trace.append(TraceStep("CycleProp", tuple(ids[v] for v in order), assigned))
-        return
-
+def _step_cycle(g, lists, colors, trace, case) -> None:
     x = case.anchor
-    body = list(order[1:])  # the cycle minus the anchor, in cycle order
-    keep = sorted(set(range(sub.n)) - set(body))
-    sub2, ids2, loc2 = _recurse(sub, lists, ids, keep, colors, trace)
-    c1 = colors[ids[x]]
-    alpha = _min_unique(sub2, ids2, colors, loc2[x], f"anchor {ids[x]}", trace)
-    ell = len(order)
+    body = case.removed()
+    c1 = colors[x]
+    alpha = _min_unique(g, colors, x, f"anchor {x}", trace)
+    ell = len(case.cycle_order)
     assigned = {}
 
     def put(v, c):
-        colors[ids[v]] = c
-        assigned[ids[v]] = c
+        colors[v] = c
+        assigned[v] = c
 
     if ell == 3:
         p0 = _min_excluding(lists[body[0]], {c1, alpha}, "cycle block", trace)
@@ -510,32 +511,24 @@ def _case_cycle(sub, lists, ids, colors, trace, case) -> None:
         for v, c in zip(body, color_constrained_path(plists)):
             put(v, c)
         tag = "PathLemma"
-    trace.append(TraceStep(tag, tuple(ids[v] for v in body), assigned))
+    trace.append(TraceStep(tag, body, assigned))
 
 
-def _case_good_ear(sub, lists, ids, colors, trace, case) -> None:
+def _step_good_ear(g, lists, colors, trace, case) -> None:
     ear = case.ear
-    keep = sorted(set(range(sub.n)) - set(ear.interior))
-    _recurse(sub, lists, ids, keep, colors, trace)
-    seq = [ear.root[0], *ear.interior, ear.root[1]]
-    _extend_ear(
-        sub, ids, colors, lists, seq, trace, "GoodEar",
-        tuple(ids[w] for w in ear.interior),
-    )
+    _extend_ear(g, colors, lists, list(ear.vertices()), trace, "GoodEar", ear.interior)
 
 
-def _case_long_ear(sub, lists, ids, colors, trace, case) -> None:
+def _step_long_ear(g, lists, colors, trace, case) -> None:
     ear = case.ear
-    seq = [ear.root[0], *ear.interior, ear.root[1]]
+    seq = list(ear.vertices())
     r = len(seq)
-    keep = sorted(set(range(sub.n)) - set(ear.interior))
-    sub2, ids2, loc2 = _recurse(sub, lists, ids, keep, colors, trace)
     u1, ur = seq[0], seq[-1]
-    c1, c2 = colors[ids[u1]], colors[ids[ur]]
+    c1, c2 = colors[u1], colors[ur]
     if c1 == c2:
         raise SolverInternalError("long ear root edge colored improperly", tuple(trace))
-    alpha = _min_unique(sub2, ids2, colors, loc2[u1], f"root {ids[u1]}", trace)
-    beta = _min_unique(sub2, ids2, colors, loc2[ur], f"root {ids[ur]}", trace)
+    alpha = _min_unique(g, colors, u1, f"root {u1}", trace)
+    beta = _min_unique(g, colors, ur, f"root {ur}", trace)
 
     # positions are 1-based along the ear; interiors work in their 4
     # smallest colors so that the set-difference tests below are decisive
@@ -546,15 +539,11 @@ def _case_long_ear(sub, lists, ids, colors, trace, case) -> None:
         return l4[seq[i - 1]]
 
     def phi(i):
-        if i == 1:
-            return c1
-        if i == r:
-            return c2
-        return colors[ids[seq[i - 1]]]
+        return colors[seq[i - 1]]
 
     def put(i, c):
-        colors[ids[seq[i - 1]]] = c
-        assigned[ids[seq[i - 1]]] = c
+        colors[seq[i - 1]] = c
+        assigned[seq[i - 1]] = c
 
     near_end = lof(r - 1)
     if len(near_end & {c2, beta}) <= 1:
@@ -589,51 +578,34 @@ def _case_long_ear(sub, lists, ids, colors, trace, case) -> None:
             put(r - 1, _min_excluding(near_end, {c2, beta, phi(r - 3), pivot}, "long ear", trace))
         else:
             put(r - 1, _min_excluding(near_end, {c2, beta, phi(r - 3)}, "long ear", trace))
-    trace.append(TraceStep(tag, tuple(ids[w] for w in ear.interior), assigned))
+    trace.append(TraceStep(tag, ear.interior, assigned))
 
 
-def _case_ear_chain(sub, lists, ids, colors, trace, case) -> None:
+def _step_ear_chain(g, lists, colors, trace, case) -> None:
     chain = case.chain
     spine = chain.spine
     s = len(spine)
     v1, vs = spine[0], spine[-1]
     last = chain.ears[-1]
     rlast = last.size()
+    removed = case.removed()
 
-    removal = set(spine[1:-1])
-    for e in chain.ears:
-        removal.update(e.interior)
-    keep = sorted(set(range(sub.n)) - removal)
-
-    lists_rec = list(lists)
-    gamma = None
-    if s == 3 and rlast == 4:
-        # reserve a color of the first closing-ear interior so the
-        # recursion cannot hand it to either chain endpoint
-        u2, u3 = last.interior
-        t2 = frozenset(sorted(lists[u2])[:4])
-        t3 = frozenset(sorted(lists[u3])[:4])
-        gamma = min(t2 - t3) if t2 - t3 else min(t2)
-        lists_rec[v1] = lists_rec[v1] - {gamma}
-        lists_rec[vs] = lists_rec[vs] - {gamma}
-
-    sub2, ids2, loc2 = _recurse(sub, tuple(lists_rec), ids, keep, colors, trace)
-    c1, c2 = colors[ids[v1]], colors[ids[vs]]
+    c1, c2 = colors[v1], colors[vs]
     if c1 == c2:
         raise SolverInternalError("ear chain root edge colored improperly", tuple(trace))
-    alpha = _min_unique(sub2, ids2, colors, loc2[v1], f"chain end {ids[v1]}", trace)
-    beta = _min_unique(sub2, ids2, colors, loc2[vs], f"chain end {ids[vs]}", trace)
+    alpha = _min_unique(g, colors, v1, f"chain end {v1}", trace)
+    beta = _min_unique(g, colors, vs, f"chain end {vs}", trace)
 
     assigned: dict[int, int] = {}
 
     def put(v, c):
-        colors[ids[v]] = c
-        assigned[ids[v]] = c
+        colors[v] = c
+        assigned[v] = c
 
     def extend(t):
         ear = chain.ears[t]
         seq = [spine[t], *ear.interior, spine[t + 1]]
-        _extend_ear(sub, ids, colors, lists, seq, trace, "EarExtension", ())
+        _extend_ear(g, colors, lists, seq, trace, "EarExtension", ())
 
     if s >= 4:
         tag = "EarChain(s>=4)"
@@ -642,7 +614,7 @@ def _case_ear_chain(sub, lists, ids, colors, trace, case) -> None:
         def uphi(j):
             if j == rlast:
                 return c2
-            return colors[ids[iv[j - 2]]]
+            return colors[iv[j - 2]]
 
         put(iv[rlast - 3], _min_excluding(lists[iv[rlast - 3]], {c2, beta}, "chain ear", trace))
         for j in range(rlast - 2, 1, -1):
@@ -657,13 +629,13 @@ def _case_ear_chain(sub, lists, ids, colors, trace, case) -> None:
             _min_excluding(lists[spine[s - 2]], {c2, beta, u2c, u3c}, "chain junction", trace),
         )
         for i in range(2, s - 1):  # junctions v_2..v_{s-2} along the spine
-            forb = {colors[ids[spine[i - 2]]]}
+            forb = {colors[spine[i - 2]]}
             if i == 2:
                 forb |= {c1, alpha}
             if i == s - 2:
-                forb |= {c2, colors[ids[spine[s - 2]]], u2c}
+                forb |= {c2, colors[spine[s - 2]], u2c}
             put(spine[i - 1], _min_excluding(lists[spine[i - 1]], forb, "chain junction", trace))
-        trace.append(TraceStep(tag, tuple(ids[w] for w in sorted(removal)), assigned))
+        trace.append(TraceStep(tag, removed, assigned))
         for t in range(s - 2):
             extend(t)
         return
@@ -672,13 +644,8 @@ def _case_ear_chain(sub, lists, ids, colors, trace, case) -> None:
     if rlast == 3:
         u2 = last.interior[0]
         put(u2, _min_excluding(lists[u2], {c1, c2, beta}, "chain ear", trace))
-        put(
-            v2,
-            _min_excluding(
-                lists[v2], {c1, c2, alpha, beta, colors[ids[u2]]}, "chain junction", trace
-            ),
-        )
-        trace.append(TraceStep("EarChain(s3H3)", tuple(ids[w] for w in sorted(removal)), assigned))
+        put(v2, _min_excluding(lists[v2], {c1, c2, alpha, beta, colors[u2]}, "chain junction", trace))
+        trace.append(TraceStep("EarChain(s3H3)", removed, assigned))
         extend(0)
     elif rlast == 4:
         u2, u3 = last.interior
@@ -700,8 +667,8 @@ def _case_ear_chain(sub, lists, ids, colors, trace, case) -> None:
                 raise SolverInternalError("no pivot for the 4-vertex closing ear", tuple(trace))
             put(u2, chosen)
             put(v2, _min_excluding(lists[v2], {c1, c2, alpha, beta, chosen}, "chain junction", trace))
-            put(u3, _min_excluding(t3, {c2, beta, chosen, colors[ids[v2]]}, "chain ear", trace))
-        trace.append(TraceStep("EarChain(s3H4)", tuple(ids[w] for w in sorted(removal)), assigned))
+            put(u3, _min_excluding(t3, {c2, beta, chosen, colors[v2]}, "chain ear", trace))
+        trace.append(TraceStep("EarChain(s3H4)", removed, assigned))
         extend(0)
     elif rlast == 5:
         u2, u3, u4 = last.interior
@@ -721,16 +688,25 @@ def _case_ear_chain(sub, lists, ids, colors, trace, case) -> None:
         put(u4, pu4)
         if len(tu3 - {pv2, pu4}) < 2:
             raise SolverInternalError("middle list lost too many colors", tuple(trace))
-        trace.append(TraceStep("EarChain(s3H5)", tuple(ids[w] for w in sorted(removal)), assigned))
+        trace.append(TraceStep("EarChain(s3H5)", removed, assigned))
         extend(0)
         late: dict[int, int] = {}
-        gmid = _min_unique(sub, ids, colors, v2, f"junction {ids[v2]}", trace)
+        gmid = _min_unique(g, colors, v2, f"junction {v2}", trace)
         cu2 = _min_excluding(lists[u2], {pv2, pu4, gmid}, "chain ear", trace)
-        colors[ids[u2]] = cu2
-        late[ids[u2]] = cu2
+        colors[u2] = cu2
+        late[u2] = cu2
         cu3 = _min_excluding(tu3, {pv2, cu2, pu4}, "chain ear", trace)
-        colors[ids[u3]] = cu3
-        late[ids[u3]] = cu3
+        colors[u3] = cu3
+        late[u3] = cu3
         trace.append(TraceStep("EarChain(s3H5)", (), late))
     else:
         raise SolverInternalError(f"closing ear of size {rlast} in chain case", tuple(trace))
+
+
+_STEPS = {
+    KIND_K2: _step_pendant,
+    KIND_CYCLE: _step_cycle,
+    KIND_GOOD_EAR: _step_good_ear,
+    KIND_LONG_EAR: _step_long_ear,
+    KIND_EAR_CHAIN: _step_ear_chain,
+}

@@ -230,6 +230,10 @@ class Ear:
     def reversed(self) -> "Ear":
         return Ear((self.root[1], self.root[0]), tuple(reversed(self.interior)))
 
+    def relabel(self, ids) -> "Ear":
+        """The same ear with every vertex v renamed ids[v]."""
+        return Ear((ids[self.root[0]], ids[self.root[1]]), tuple(ids[w] for w in self.interior))
+
 
 @dataclass(frozen=True)
 class EarChain:
@@ -249,6 +253,10 @@ class EarChain:
             tuple(reversed(self.spine)),
             tuple(e.reversed() for e in reversed(self.ears)),
         )
+
+    def relabel(self, ids) -> "EarChain":
+        """The same chain with every vertex v renamed ids[v]."""
+        return EarChain(tuple(ids[v] for v in self.spine), tuple(e.relabel(ids) for e in self.ears))
 
 
 def _check_ear(b: Graph, ear: Ear) -> None:
@@ -512,16 +520,30 @@ class EndBlockCase:
     ear: "Ear | None" = None  # good_ear / long_ear
     chain: "EarChain | None" = None  # ear_chain
 
+    def relabel(self, ids) -> "EndBlockCase":
+        """The same case with every vertex v renamed ids[v]."""
+        return EndBlockCase(
+            self.kind,
+            tuple(ids[v] for v in self.block),
+            ids[self.anchor],
+            pendant=None if self.pendant is None else ids[self.pendant],
+            cycle_order=None if self.cycle_order is None else tuple(ids[v] for v in self.cycle_order),
+            ear=None if self.ear is None else self.ear.relabel(ids),
+            chain=None if self.chain is None else self.chain.relabel(ids),
+        )
 
-def _map_ear(ear: Ear, ids: tuple[int, ...]) -> Ear:
-    return Ear((ids[ear.root[0]], ids[ear.root[1]]), tuple(ids[w] for w in ear.interior))
-
-
-def _map_chain(chain: EarChain, ids: tuple[int, ...]) -> EarChain:
-    return EarChain(
-        tuple(ids[v] for v in chain.spine),
-        tuple(_map_ear(e, ids) for e in chain.ears),
-    )
+    def removed(self) -> tuple[int, ...]:
+        """The vertices this step deletes from the graph: the pendant, the
+        attached cycle minus its anchor (in cycle order), the ear interior
+        (in ear order), or the chain minus its two ends (sorted)."""
+        if self.kind == KIND_K2:
+            return (self.pendant,)
+        if self.kind == KIND_CYCLE:
+            return self.cycle_order[1:]
+        if self.kind == KIND_EAR_CHAIN:
+            ends = (self.chain.spine[0], self.chain.spine[-1])
+            return tuple(v for v in self.chain.vertices() if v not in ends)
+        return self.ear.interior
 
 
 @lru_cache(maxsize=65536)
@@ -557,9 +579,9 @@ def classify_end_block(g: Graph) -> EndBlockCase:
 
     found = find_good_ear_or_chain(bsub, emb, loc[anchor])
     if isinstance(found, Ear):
-        return EndBlockCase(KIND_GOOD_EAR, block, anchor, ear=_map_ear(found, ids))
+        return EndBlockCase(KIND_GOOD_EAR, block, anchor, ear=found.relabel(ids))
 
-    chain = _map_chain(found, ids)
+    chain = found.relabel(ids)
     if anchor == chain.spine[-1]:
         chain = chain.reversed()
     last = chain.ears[-1]

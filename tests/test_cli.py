@@ -3,9 +3,12 @@ import json
 
 import pytest
 
+from pcfcolor import solver
 from pcfcolor.cli import main
-from pcfcolor.graphs import cycle_graph, write_edge_list, write_graph6
-from pcfcolor.kernel import verify
+from pcfcolor.graphs import cycle_graph, parse_graph6, write_edge_list, write_graph6
+from pcfcolor.families import random_outerplanar
+from pcfcolor.kernel import degree_plus_k_lists, verify
+from pcfcolor.structure import StructureError
 
 
 @pytest.fixture
@@ -53,6 +56,41 @@ def test_color_sat_exit_0_with_trace(run, c5_path, write_json):
     got = doc["coloring"]
     assert verify(cycle_graph(5), got).ok
     assert doc["trace"] and all("case" in step for step in doc["trace"])
+
+
+def test_color_trace_uses_the_solver_serializer(run, tmp_path, write_json):
+    g = random_outerplanar(20, 5)
+    p = tmp_path / "r20.g6"
+    p.write_text(write_graph6(g))
+    la = degree_plus_k_lists(g, 2, range(1, 2 * g.max_degree() + 5), 5)
+    code, doc = run("color", str(p), "--lists", write_json("l.json", la.to_json()), "--trace")
+    res = solver.solve(g, la)
+    expected = [json.loads(line) for line in solver.trace_to_json_lines(res.trace).splitlines()]
+    assert code == 0 and doc["trace"] == expected
+
+
+@pytest.mark.parametrize("error", [solver.SolverInternalError, StructureError])
+def test_internal_error_exit_4(run, c5_path, write_json, monkeypatch, error):
+    def broken(g, lists):
+        raise error("invariant failed")
+
+    monkeypatch.setattr(solver, "solve", broken)
+    lists = write_json("l.json", {"lists": [[1, 2, 3, 4]] * 5})
+    code, doc = run("color", c5_path, "--lists", lists)
+    assert code == 4
+    assert doc == {"status": "internal_error", "message": "invariant failed"}
+
+
+def test_color_large_random_graph(run, tmp_path, write_json):
+    code, gen = run("gen", "random", "500", "--seed", "3")
+    assert code == 0
+    g = parse_graph6(gen["graph6"])
+    p = tmp_path / "r500.g6"
+    p.write_text(gen["graph6"])
+    la = degree_plus_k_lists(g, 2, range(1, 2 * g.max_degree() + 5), 3)
+    code, doc = run("color", str(p), "--lists", write_json("l.json", la.to_json()))
+    assert code == 0 and doc["status"] == "sat"
+    assert verify(g, doc["coloring"], la).ok
 
 
 def test_color_oracle_engine(run, c5_path, write_json):

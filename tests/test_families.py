@@ -7,7 +7,6 @@ from conftest import nx_outerplanar
 from pcfcolor.families import (
     c5_uniform,
     canonical_form,
-    cycle,
     degree_plus_one_gadget,
     enumerate_connected_outerplanar,
     enumerate_two_connected_outerplanar,
@@ -15,7 +14,7 @@ from pcfcolor.families import (
     theta,
     theta_hard_lists,
 )
-from pcfcolor.graphs import Graph, path_graph
+from pcfcolor.graphs import Graph, cycle_graph, path_graph
 from pcfcolor.structure import block_decomposition, is_outerplanar
 
 
@@ -140,6 +139,6 @@ def test_random_outerplanar_is_reproducible_and_valid():
 
 
 def test_cycle_family():
-    assert cycle(5).n == 5
+    assert cycle_graph(5).n == 5
     with pytest.raises(ValueError):
-        cycle(2)
+        cycle_graph(2)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -127,6 +129,14 @@ def test_path_lemma_longer():
 def test_path_lemma_rejects_undersized_lists():
     with pytest.raises(ValueError):
         color_constrained_path([frozenset({1})] * 3)
+
+
+def test_path_lemma_on_a_long_path():
+    rng = random.Random(1101)
+    sizes = [2, 3] + [4] * 1097 + [3, 2]
+    lists = [frozenset(rng.sample(range(1, 9), k)) for k in sizes]
+    got = color_constrained_path(lists)
+    assert pcf_ok(path_graph(1101), got) and in_lists(got, lists)
 
 
 def test_path_lemma_seeded_sweep():
@@ -369,6 +379,35 @@ def test_trace_replays_to_the_same_coloring():
         assert replay_trace(g.n, res.trace) == res.coloring
         round_tripped = trace_from_json_lines(trace_to_json_lines(res.trace))
         assert replay_trace(g.n, round_tripped) == res.coloring
+
+
+# sha256 of the colorings and traces over the n <= 6 corpus, one seeded
+# degree+2 draw per graph; any change to the colors chosen or to the case
+# steps recorded changes it
+CORPUS_DIGEST = "5d7888088c9ab082f98eb6f1115847bf733d782b5bf2379235c713a1adbd83b6"
+
+
+def test_colorings_and_traces_match_the_recorded_digest():
+    h = hashlib.sha256()
+    for n in range(2, 7):
+        for gi, g in enumerate(enumerate_connected_outerplanar(n)):
+            res = solve(g, plus2_lists(g, 7919 * n + gi))
+            h.update(json.dumps(res.coloring if res.ok else res.obstruction.reason).encode())
+            h.update(trace_to_json_lines(res.trace).encode())
+    assert h.hexdigest() == CORPUS_DIGEST
+
+
+def test_long_path_solves_without_recursion():
+    g = path_graph(600)
+    res = solved_ok(g, plus2_lists(g, 600))
+    assert replay_trace(g.n, res.trace) == res.coloring
+
+
+def test_large_random_outerplanar_solves():
+    g = random_outerplanar(400, 1)  # chorded polygon with pendant trees
+    assert g.m >= g.n
+    res = solved_ok(g, plus2_lists(g, 1))
+    assert replay_trace(g.n, res.trace) == res.coloring
 
 
 def test_solve_is_deterministic():
