@@ -16,6 +16,7 @@ shape {"lists": [[...], ...]} and {"colors": [..., null, ...]}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -433,9 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: building costs about 20 parses
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code, doc = args.func(args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:

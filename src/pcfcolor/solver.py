@@ -10,11 +10,15 @@ It runs as two loops, not as recursion.  The peel pass records the case
 of each end block in turn until at most 3 vertices or a whole cycle
 remain; the coloring pass colors that base and then walks the recorded
 cases backwards over the host graph, filling one coloring.  So `solve`
-has no recursion-depth limit; its time still grows quadratically in the
-number of vertices, because each peel step rebuilds the remaining graph
-and its block structure.  The only true obstruction among connected
-outerplanar inputs is the 5-cycle whose five lists are one identical
-4-set.
+has no recursion-depth limit.  Which end block is peeled, and which case
+fires, depend on the graph alone, so the graph-only pass (connectivity
+and outerplanarity screens plus the peel) is cached per graph; a repeated
+graph pays only for the list work: list-size screens, color reservations,
+the coloring pass and the final verification.  A graph's first solve is
+still quadratic in the number of vertices, because each peel step
+rebuilds the remaining graph and its block structure.  The only true
+obstruction among connected outerplanar inputs is the 5-cycle whose five
+lists are one identical 4-set.
 
 Colors are chosen by minimum value at every free choice, so the output is
 deterministic.  A `SolveResult` carries either a verified coloring or an
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph, cycle_graph, path_graph
 from .kernel import Coloring, ListAssignment, unique_colors, verify
@@ -352,10 +357,9 @@ def solve(g: Graph, lists) -> SolveResult:
         raise ValueError(f"graph has {g.n} vertices but {len(la)} lists given")
     if g.n == 0:
         return SolveResult([], None, ())
-    if not g.is_connected():
-        return SolveResult(None, Obstruction(REASON_DISCONNECTED, "input graph is disconnected"), ())
-    if not is_outerplanar(g):
-        return SolveResult(None, Obstruction(REASON_NOT_OUTERPLANAR, "input graph is not outerplanar"), ())
+    screened, plan, rest = _structure(g)
+    if screened is not None:
+        return SolveResult(None, screened, ())
     for v in range(g.n):
         if len(la[v]) < g.degree(v) + 2:
             return SolveResult(
@@ -378,7 +382,19 @@ def solve(g: Graph, lists) -> SolveResult:
             )
 
     work = list(la)
-    plan, rest = _peel(g, work)
+    for case in plan:
+        chain = case.chain
+        if chain is not None and len(chain.spine) == 3 and chain.ears[-1].size() == 4:
+            # reserve a color of the first closing-ear interior so the rest
+            # of the graph cannot hand it to either chain endpoint; applied
+            # in peel order, as each step reads only the lists of the
+            # vertices it removes and reservations never change the peel
+            u2, u3 = chain.ears[-1].interior
+            t2 = frozenset(sorted(work[u2])[:4])
+            t3 = frozenset(sorted(work[u3])[:4])
+            gamma = min(t2 - t3) if t2 - t3 else min(t2)
+            for v in (chain.spine[0], chain.spine[-1]):
+                work[v] = work[v] - {gamma}
     colors: Coloring = [None] * g.n
     trace: list[TraceStep] = []
     if len(rest) <= 3:
@@ -397,38 +413,35 @@ def solve(g: Graph, lists) -> SolveResult:
     return SolveResult(colors, None, tuple(trace))
 
 
-def _peel(g: Graph, lists: list) -> "tuple[list[EndBlockCase], tuple[int, ...]]":
-    """Cut end blocks until at most 3 vertices or a whole cycle remain.
+# sized above the 1,016 connected outerplanar graphs on 2..8 vertices, so a
+# pass over that corpus finds every graph it has seen before
+@lru_cache(maxsize=4096)
+def _structure(g: Graph) -> "tuple[Obstruction | None, tuple[EndBlockCase, ...], tuple[int, ...]]":
+    """The graph-only pass of `solve`, cached per graph (by value).
 
-    Returns the cases in peel order and the remaining vertices (sorted, or
-    in cycle order), in host ids.  Reserved colors are removed from the
-    host-indexed `lists` in place: a reservation touches only vertices that
-    survive the step, and only the step removing a vertex reads its list.
+    Screens connectivity and outerplanarity, then cuts end blocks until at
+    most 3 vertices or a whole cycle remain.  Returns the obstruction found
+    by the screens (or None), the cases in peel order and the remaining
+    vertices (sorted, or in cycle order), all in host ids.  Everything
+    returned is immutable, so every solve of the graph can share it.
     """
+    if not g.is_connected():
+        return Obstruction(REASON_DISCONNECTED, "input graph is disconnected"), (), ()
+    if not is_outerplanar(g):
+        return Obstruction(REASON_NOT_OUTERPLANAR, "input graph is not outerplanar"), (), ()
     plan = []
     sub, ids = g, tuple(range(g.n))
     while sub.n > 3:
         case = classify_end_block(sub)
         if case.kind == KIND_CYCLE and len(case.cycle_order) == sub.n:
-            return plan, tuple(ids[v] for v in case.cycle_order)
+            return None, tuple(plan), tuple(ids[v] for v in case.cycle_order)
         if case.kind not in _STEPS:
             raise SolverInternalError(f"unknown end-block case {case.kind}")
-        step = case.relabel(ids)
-        chain = step.chain
-        if chain is not None and len(chain.spine) == 3 and chain.ears[-1].size() == 4:
-            # reserve a color of the first closing-ear interior so the rest
-            # of the graph cannot hand it to either chain endpoint
-            u2, u3 = chain.ears[-1].interior
-            t2 = frozenset(sorted(lists[u2])[:4])
-            t3 = frozenset(sorted(lists[u3])[:4])
-            gamma = min(t2 - t3) if t2 - t3 else min(t2)
-            for v in (chain.spine[0], chain.spine[-1]):
-                lists[v] = lists[v] - {gamma}
-        plan.append(step)
+        plan.append(case.relabel(ids))
         cut = set(case.removed())
         sub, kept = sub.subgraph(w for w in range(sub.n) if w not in cut)
         ids = tuple(ids[w] for w in kept)
-    return plan, ids
+    return None, tuple(plan), ids
 
 
 def _color_trivial(g, lists, rest, colors, trace) -> None:

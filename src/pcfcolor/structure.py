@@ -199,9 +199,16 @@ def outer_embedding(block: Graph) -> "OuterEmbedding | None":
 
 
 def is_outerplanar(g: Graph) -> bool:
-    """Whole-graph outerplanarity: every block of every component embeds."""
-    for comp in g.connected_components():
-        sub, _ = g.subgraph(comp)
+    """Whole-graph outerplanarity: every block of every component embeds.
+
+    An outerplanar graph on n >= 2 vertices has at most 2n - 3 edges, so a
+    denser graph is rejected before any block is looked at.
+    """
+    if g.n >= 2 and g.m > 2 * g.n - 3:
+        return False
+    comps = g.connected_components()
+    for comp in comps:
+        sub = g if len(comps) == 1 else g.subgraph(comp)[0]
         for block in block_decomposition(sub).blocks:
             if len(block) < 3:
                 continue
@@ -552,7 +559,8 @@ def classify_end_block(g: Graph) -> EndBlockCase:
 
     The graph must be connected, outerplanar, and have at least 4 vertices.
     The result depends only on the graph, never on color lists, so it is
-    cached; repeated solves over the same graph pay for structure once.
+    cached; the peels of different graphs that reach the same remaining
+    graph share its classification.
     """
     if g.n < 4:
         raise ValueError("classification needs at least 4 vertices")

@@ -115,6 +115,16 @@ def test_color_edge_list_input(run, tmp_path, write_json):
     assert code == 0 and doc["status"] == "sat"
 
 
+def test_trace_option_does_not_leak_into_the_next_call(run, c5_path, write_json):
+    # the parser is built once per process; each call still parses afresh
+    lists = write_json("n.json", {"lists": [[1, 2, 3, 4]] * 4 + [[1, 2, 3, 5]]})
+    code, traced = run("color", c5_path, "--lists", lists, "--trace")
+    assert code == 0 and "trace" in traced
+    code, plain = run("color", c5_path, "--lists", lists)
+    assert code == 0 and "trace" not in plain
+    assert plain["coloring"] == traced["coloring"]
+
+
 def test_color_stdin_input(run, write_json, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(write_graph6(cycle_graph(4))))
     lists = write_json("l.json", {"lists": [[1, 2, 3, 4]] * 4})

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import in_lists, pcf_ok
+from pcfcolor import solver
 from pcfcolor.families import (
     enumerate_connected_outerplanar,
     random_outerplanar,
@@ -417,6 +418,41 @@ def test_solve_is_deterministic():
     second = solve(g, lists)
     assert first.coloring == second.coloring
     assert [s.case for s in first.trace] == [s.case for s in second.trace]
+
+
+def test_structure_cache_keeps_lists_apart():
+    # every draw on this graph peels an EarChain(s3H4), the only case that
+    # reserves colors; a cached plan must carry no list of an earlier call
+    g = flower(1, 2, 1)
+    a, b = plus2_lists(g, 0), plus2_lists(g, 1)
+
+    def key(res):
+        return res.coloring, trace_to_json_lines(res.trace)
+
+    cold = {}
+    for name, lists in (("a", a), ("b", b)):
+        solver._structure.cache_clear()
+        cold[name] = key(solve(g, lists))
+    assert "EarChain(s3H4)" in cold["a"][1] and cold["a"] != cold["b"]
+
+    solver._structure.cache_clear()
+    for name, lists in (("a", a), ("b", b), ("a", a)):
+        assert key(solve(g, lists)) == cold[name]
+    twin = Graph(g.n, g.edges())
+    assert twin is not g
+    before = solver._structure.cache_info()
+    assert key(solve(twin, b)) == cold["b"]
+    after = solver._structure.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_graph_screens_come_before_the_list_screen():
+    short = ListAssignment([[1]] * 4)
+    disconnected = Graph(4, [(0, 1), (2, 3)])
+    k4 = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    for _ in range(2):  # the cold solve, then the cached one
+        assert solve(disconnected, short).obstruction.reason == REASON_DISCONNECTED
+        assert solve(k4, short).obstruction.reason == REASON_NOT_OUTERPLANAR
 
 
 def test_status_is_invariant_under_color_relabeling():

@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 
@@ -119,6 +121,16 @@ def test_outerplanarity_matches_apex_planarity_on_atlas():
     for ag in nx.graph_atlas_g()[1:]:
         g = Graph(ag.number_of_nodes(), ag.edges())
         assert is_outerplanar(g) == nx_outerplanar(g), g
+    # random graphs of 8 to 14 vertices on both sides of the 2n - 3 edge
+    # bound of outerplanar graphs
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(8, 14)
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        g = Graph(n, rng.sample(pairs, rng.randint(n - 2, min(len(pairs), 3 * n))))
+        assert is_outerplanar(g) == nx_outerplanar(g), g.edges()
+    assert is_outerplanar(Graph(1))
+    assert is_outerplanar(Graph(2)) and is_outerplanar(path_graph(2))
 
 
 def test_embeddings_are_valid_over_the_two_connected_corpus():
