@@ -1,11 +1,13 @@
 """Command line front end.
 
 Subcommands: color, verify, gen, check, refute.  Exactly one JSON document
-goes to stdout; progress notes go to stderr.  Exit codes: 0 for a
-satisfiable result or a passing suite, 1 for unsat/obstruction/violations
-or a failing suite, 2 for input errors, 3 when a search budget ran out, 4
-when a solver or structure invariant failed (a bug, reported as
-{"status": "internal_error", "message": ...}).
+goes to stdout, whatever the input; progress notes go to stderr.  Exit
+codes: 0 for a satisfiable result or a passing suite, 1 for
+unsat/obstruction/violations or a failing suite, 2 for input errors
+(including JSON nested too deeply to decode), 3 when a search budget ran
+out, 4 for any other exception: a failed solver or structure invariant, or
+a crash such as RecursionError (the recursive oracle on a long path) or
+MemoryError, reported as {"status": "internal_error", "message": ...}.
 
 Graphs are read from a file path or "-" (stdin), in either of two formats,
 detected from the first line: an edge list ("n m" header then one "u v"
@@ -65,8 +67,15 @@ def load_graph(path: str) -> Graph:
     return parse_graph6(first.strip())
 
 
+def _load_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def load_lists(path: str) -> ListAssignment:
-    return ListAssignment.from_json(json.loads(_read_text(path)))
+    return ListAssignment.from_json(_load_json(path))
 
 
 def _graph_doc(g: Graph) -> dict:
@@ -110,7 +119,7 @@ def cmd_color(args) -> tuple[int, dict]:
 def cmd_verify(args) -> tuple[int, dict]:
     g = load_graph(args.graph)
     lists = load_lists(args.lists) if args.lists else None
-    colors = coloring_from_json(json.loads(_read_text(args.coloring)))
+    colors = coloring_from_json(_load_json(args.coloring))
     verdict = verify(g, colors, lists)
     if verdict.ok:
         return EXIT_SAT, {"status": "ok", "n": g.n}
@@ -178,6 +187,9 @@ def _gadget_host(name: str, v0: "int | None") -> tuple[Graph, int]:
 
 
 # -- check --------------------------------------------------------------------
+#
+# One driver per acceptance suite, shared with tests/test_acceptance.py.  Each
+# returns (counts, failures); a randomized one draws from rng_for(*salt).
 
 
 def _trial_rng(seed: int, *salt: int) -> random.Random:
@@ -187,110 +199,126 @@ def _trial_rng(seed: int, *salt: int) -> random.Random:
     return random.Random(mixed)
 
 
-def _check_c5(args, failures: list) -> dict:
+def check_c5(*, trials: int, rng_for, budget: int = oracle.DEFAULT_BUDGET):
+    """Criterion 1: uniform C5 is refuted, non-uniform 4-lists (salt t) colored."""
+    failures = []
     inst = families.c5_uniform()
     g = inst.graph
     res = solver.solve(g, inst.lists)
     if res.ok or res.obstruction.reason != solver.REASON_C5_UNIFORM:
         failures.append("uniform 5-cycle was not reported as the obstruction")
-    if oracle.solve_exact(g, inst.lists, budget=args.budget).status != oracle.UNSAT:
+    if oracle.solve_exact(g, inst.lists, budget=budget).status != oracle.UNSAT:
         failures.append("oracle found a coloring of the uniform 5-cycle")
     done = 0
-    for t in range(args.trials):
-        rng = _trial_rng(args.seed, t)
+    for t in range(trials):
+        rng = rng_for(t)
         while True:
             lists = [frozenset(rng.sample(range(1, 7), 4)) for _ in range(5)]
             if any(l != lists[0] for l in lists):
                 break
         la = ListAssignment(lists)
         res = solver.solve(g, la)
-        if not res.ok:
-            failures.append(f"trial {t}: constructive refused non-uniform lists {la}")
+        if not (res.ok and verify(g, res.coloring, la).ok):
+            failures.append(f"trial {t}: no verified coloring of non-uniform lists {la}")
             continue
-        if oracle.solve_exact(g, la, budget=args.budget).status != oracle.SAT:
+        if oracle.solve_exact(g, la, budget=budget).status != oracle.SAT:
             failures.append(f"trial {t}: oracle disagrees on non-uniform lists")
         done += 1
-    return {"uniform": 1, "non_uniform_trials": done}
+    return {"uniform": 1, "non_uniform_trials": done}, failures
 
 
-def _check_theta(args, failures: list) -> dict:
-    counts = {}
+def check_theta(*, budget: int = oracle.DEFAULT_BUDGET):
+    """Criterion 4: theta graphs with degree+1 lists are uncolorable and flagged."""
+    failures, counts = [], {}
     for l1, l2 in ((4, 4), (4, 7), (7, 7)):
         inst = families.theta_hard_lists(l1, l2)
         _log(f"check theta: {inst.name} ({inst.graph.n} vertices)")
-        res = oracle.solve_exact(inst.graph, inst.lists, budget=args.budget)
+        res = oracle.solve_exact(inst.graph, inst.lists, budget=budget)
         if res.status != oracle.UNSAT:
             failures.append(f"{inst.name}: oracle found a coloring, expected none")
         con = solver.solve(inst.graph, inst.lists)
         if con.ok or con.obstruction.reason != solver.REASON_LIST_TOO_SMALL:
             failures.append(f"{inst.name}: degree+1 lists not flagged as too small")
         counts[inst.name] = res.nodes
-    return counts
+    return counts, failures
 
 
-def _check_gadget(args, failures: list) -> dict:
-    counts = {}
-    for host_name in ("k2", "p3"):
+def check_gadget(*, budget: int = oracle.DEFAULT_BUDGET):
+    """Criterion 3: the degree+1 gadgets on K2 and P3 are uncolorable."""
+    failures, counts = [], {}
+    for host_name, size in (("k2", 8), ("p3", 12)):
         host, v0 = _gadget_host(host_name, None)
         inst = families.degree_plus_one_gadget(host, v0)
         _log(f"check gadget: {inst.name} ({inst.graph.n} vertices)")
-        res = oracle.solve_exact(inst.graph, inst.lists, budget=args.budget)
+        if inst.graph.n != size:
+            failures.append(f"{inst.name}: {inst.graph.n} vertices, expected {size}")
+        res = oracle.solve_exact(inst.graph, inst.lists, budget=budget)
         if res.status != oracle.UNSAT:
             failures.append(f"{inst.name}: oracle found a coloring, expected none")
         counts[inst.name] = res.nodes
-    return counts
+    return counts, failures
 
 
-def _check_corpus(args, failures: list) -> dict:
+def check_corpus(
+    *, max_n: int, trials: int, rng_for, oracle_max_n: int, budget: int = oracle.DEFAULT_BUDGET
+):
+    """Criterion 2: the corpus to max_n with degree+2 lists (salt n, gi, t)."""
+    failures = []
     solved = 0
     oracle_checked = 0
-    for n in range(2, args.max_n + 1):
+    for n in range(2, max_n + 1):
         graphs = families.enumerate_connected_outerplanar(n)
-        _log(f"check corpus: n={n}, {len(graphs)} graphs x {args.trials} list samples")
+        _log(f"check corpus: n={n}, {len(graphs)} graphs x {trials} list samples")
         for gi, g in enumerate(graphs):
             universe = range(1, 2 * g.max_degree() + 5)
-            for t in range(args.trials):
-                rng = _trial_rng(args.seed, n, gi, t)
-                lists = degree_plus_k_lists(g, 2, universe, rng)
+            for t in range(trials):
+                where = f"n={n} graph {gi} trial {t}"
+                lists = degree_plus_k_lists(g, 2, universe, rng_for(n, gi, t))
                 res = solver.solve(g, lists)
                 if res.ok:
-                    if not verify(g, res.coloring, lists).ok:
-                        failures.append(f"n={n} graph {gi} trial {t}: invalid coloring")
-                    solved += 1
+                    if verify(g, res.coloring, lists).ok:
+                        solved += 1
+                    else:
+                        failures.append(f"{where}: invalid coloring")
                 elif res.obstruction.reason == solver.REASON_C5_UNIFORM:
                     if not (g.n == 5 and all(lists[v] == lists[0] for v in range(5))):
-                        failures.append(f"n={n} graph {gi} trial {t}: bogus obstruction")
+                        failures.append(f"{where}: bogus obstruction")
                 else:
-                    failures.append(
-                        f"n={n} graph {gi} trial {t}: unexpected {res.obstruction.reason}"
-                    )
-                if n <= args.oracle_max_n:
-                    exact = oracle.solve_exact(g, lists, budget=args.budget)
+                    failures.append(f"{where}: unexpected {res.obstruction.reason}")
+                if n <= oracle_max_n:
+                    exact = oracle.solve_exact(g, lists, budget=budget)
                     want = oracle.SAT if res.ok else oracle.UNSAT
                     if exact.status != want:
-                        failures.append(f"n={n} graph {gi} trial {t}: engines disagree")
+                        failures.append(f"{where}: engines disagree")
                     oracle_checked += 1
-    return {"solved": solved, "oracle_checked": oracle_checked}
+    return {"solved": solved, "oracle_checked": oracle_checked}, failures
 
 
-def _check_paths(args, failures: list) -> dict:
+def check_paths(*, trials: int, rng_for, coloring_ok):
+    """Criterion 6: the path lemma (salt s, t), judged by coloring_ok(g, colors, lists)."""
+    failures = []
     done = 0
     for s in range(3, 8):
         sizes = [2, 3] + [4] * (s - 3) + [3, 2]
-        for t in range(args.trials):
-            rng = _trial_rng(args.seed, s, t)
+        for t in range(trials):
+            rng = rng_for(s, t)
             lists = [frozenset(rng.sample(range(1, 9), k)) for k in sizes]
             try:
-                solver.color_constrained_path(lists)
-            except solver.SolverInternalError as exc:
+                got = solver.color_constrained_path(lists)
+            except Exception as exc:
                 failures.append(f"s={s} trial {t}: {exc}")
+            else:
+                if not coloring_ok(path_graph(s + 1), got, lists):
+                    failures.append(f"s={s} trial {t}: bad coloring {got}")
             done += 1
-    return {"trials": done}
+    return {"trials": done}, failures
 
 
-def _check_ears(args, failures: list) -> dict:
+def check_ears(*, max_n: int, ear_ok, chain_ok):
+    """Criterion 7: a good ear or chain, judged by ear_ok / chain_ok(g, found, x)."""
+    failures = []
     checked = 0
-    for n in range(4, args.max_n + 1):
+    for n in range(4, max_n + 1):
         graphs = [
             g
             for g in families.enumerate_two_connected_outerplanar(n)
@@ -308,34 +336,32 @@ def _check_ears(args, failures: list) -> dict:
                 except Exception as exc:
                     failures.append(f"n={n} graph {gi} x={x}: {exc}")
                     continue
-                good = (
-                    ear_is_good(g, found, x)
-                    if isinstance(found, Ear)
-                    else chain_is_good(g, found, x)
-                )
-                if not good:
+                good = ear_ok if isinstance(found, Ear) else chain_ok
+                if not good(g, found, x):
                     failures.append(f"n={n} graph {gi} x={x}: structure not good")
                 checked += 1
-    return {"checked": checked}
+    return {"checked": checked}, failures
 
 
 def cmd_check(args) -> tuple[int, dict]:
     needs_seed = args.suite in ("c5", "corpus", "paths")
     if needs_seed and args.seed is None:
         raise ValueError(f"suite {args.suite} is randomized; pass --seed")
-    if args.bound is not None:
-        args.max_n = args.bound
-    failures: list[str] = []
-    runner = {
-        "c5": _check_c5,
-        "theta": _check_theta,
-        "gadget": _check_gadget,
-        "corpus": _check_corpus,
-        "paths": _check_paths,
-        "ears": _check_ears,
-    }[args.suite]
+    max_n = args.max_n if args.bound is None else args.bound
+    rng_for = functools.partial(_trial_rng, args.seed)
+    suites = {
+        "c5": lambda: check_c5(trials=args.trials, rng_for=rng_for, budget=args.budget),
+        "theta": lambda: check_theta(budget=args.budget),
+        "gadget": lambda: check_gadget(budget=args.budget),
+        "corpus": lambda: check_corpus(
+            max_n=max_n, trials=args.trials, rng_for=rng_for,
+            oracle_max_n=args.oracle_max_n, budget=args.budget,
+        ),
+        "paths": lambda: check_paths(trials=args.trials, rng_for=rng_for, coloring_ok=verify),
+        "ears": lambda: check_ears(max_n=max_n, ear_ok=ear_is_good, chain_ok=chain_is_good),
+    }
     try:
-        counts = runner(args, failures)
+        counts, failures = suites[args.suite]()
     except oracle.BudgetExceededError as exc:
         return EXIT_BUDGET, {
             "status": "budget_exceeded",
@@ -444,11 +470,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         code, doc = args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, OSError, KeyError, TypeError) as exc:
         print(json.dumps({"status": "error", "message": str(exc)}))
         return EXIT_INPUT
-    except (solver.SolverInternalError, StructureError) as exc:
-        print(json.dumps({"status": "internal_error", "message": str(exc)}))
+    except Exception as exc:  # a failed invariant, or a crash such as MemoryError
+        known = isinstance(exc, (solver.SolverInternalError, StructureError))
+        message = str(exc) if known else f"{type(exc).__name__}: {exc}"
+        print(json.dumps({"status": "internal_error", "message": message}))
         return EXIT_INTERNAL
     print(json.dumps(doc, sort_keys=True))
     return code

@@ -42,9 +42,6 @@ class BlockDecomposition:
             b for b in self.blocks if sum(v in self.cut_vertices for v in b) <= 1
         )
 
-    def blocks_containing(self, v: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(b for b in self.blocks if v in b)
-
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Tarjan's biconnected components, iteratively (no recursion limit)."""

@@ -3,11 +3,11 @@ import json
 
 import pytest
 
-from pcfcolor import solver
+from pcfcolor import cli, solver
 from pcfcolor.cli import main
-from pcfcolor.graphs import cycle_graph, parse_graph6, write_edge_list, write_graph6
+from pcfcolor.graphs import cycle_graph, parse_graph6, path_graph, write_edge_list, write_graph6
 from pcfcolor.families import random_outerplanar
-from pcfcolor.kernel import degree_plus_k_lists, verify
+from pcfcolor.kernel import Verdict, degree_plus_k_lists, verify
 from pcfcolor.structure import StructureError
 
 
@@ -153,6 +153,24 @@ def test_malformed_lists_exit_2(run, c5_path, tmp_path):
     assert code == 2
 
 
+def test_deeply_nested_lists_exit_2(run, c5_path, tmp_path):
+    p = tmp_path / "nested.json"
+    p.write_text('{"lists": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, doc = run("color", c5_path, "--lists", str(p))
+    assert code == 2 and doc["status"] == "error"
+
+
+def test_oracle_recursion_error_exit_4(run, tmp_path, write_json):
+    # the oracle recurses once per vertex, so a long path exceeds the default limit
+    g = path_graph(3000)
+    p = tmp_path / "p3000.edges"
+    p.write_text(write_edge_list(g))
+    lists = write_json("l.json", degree_plus_k_lists(g, 2, range(1, 9), 1).to_json())
+    code, doc = run("color", str(p), "--lists", lists, "--oracle")
+    assert code == 4 and doc["status"] == "internal_error"
+    assert doc["message"].startswith("RecursionError: ")
+
+
 def test_budget_exit_3(run, write_json, tmp_path):
     p = tmp_path / "c8.g6"
     p.write_text(write_graph6(cycle_graph(8)))
@@ -238,6 +256,30 @@ def test_check_paths_passes(run):
 def test_check_corpus_positional_bound(run):
     code, doc = run("check", "corpus", "4", "--trials", "2", "--seed", "5")
     assert code == 0 and doc["status"] == "pass"
+
+
+def test_check_corpus_counts_only_verified_colorings(run, monkeypatch):
+    monkeypatch.setattr(cli, "verify", lambda *args: Verdict(False, ()))
+    code, doc = run("check", "corpus", "3", "--trials", "1", "--seed", "1")
+    assert code == 1 and doc["status"] == "fail"
+    assert doc["counts"]["solved"] == 0
+
+
+def test_check_theta_counts(run):
+    code, doc = run("check", "theta")
+    assert code == 0 and doc["status"] == "pass"
+    assert doc["counts"] == {"theta-1-4-4": 425, "theta-1-4-7": 803, "theta-1-7-7": 1127}
+
+
+def test_check_gadget_counts(run):
+    code, doc = run("check", "gadget")
+    assert code == 0 and doc["status"] == "pass"
+    assert doc["counts"] == {"plus-one-gadget-2v-at-0": 411, "plus-one-gadget-3v-at-1": 2664}
+
+
+def test_check_ears_counts(run):
+    code, doc = run("check", "ears", "6")
+    assert code == 0 and doc["status"] == "pass" and doc["counts"] == {"checked": 62}
 
 
 def test_refute_conclusive(run, tmp_path):

@@ -61,7 +61,6 @@ def test_blocks_of_bowtie():
     assert d.blocks == ((0, 1, 2), (2, 3, 4))
     assert d.cut_vertices == frozenset({2})
     assert d.end_blocks() == d.blocks
-    assert d.blocks_containing(2) == d.blocks
 
 
 def test_blocks_of_two_connected_graph():
