@@ -6,8 +6,8 @@ codes: 0 for a satisfiable result or a passing suite, 1 for
 unsat/obstruction/violations or a failing suite, 2 for input errors
 (including JSON nested too deeply to decode), 3 when a search budget ran
 out, 4 for any other exception: a failed solver or structure invariant, or
-a crash such as RecursionError (the recursive oracle on a long path) or
-MemoryError, reported as {"status": "internal_error", "message": ...}.
+a crash such as MemoryError, reported as
+{"status": "internal_error", "message": ...}.
 
 Graphs are read from a file path or "-" (stdin), in either of two formats,
 detected from the first line: an edge list ("n m" header then one "u v"

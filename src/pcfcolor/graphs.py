@@ -137,10 +137,14 @@ class Graph:
 #
 # Standard 6-bit encoding: header char(s) for n, then the upper triangle of
 # the adjacency matrix in column-major order (bit (u,v) for u<v ordered by
-# v, then u), packed into 6-bit chunks, each chunk + 63 as a byte.
+# v, then u), packed into 6-bit chunks, each chunk + 63 as a byte.  Bit k
+# of the body is pair (u, v) with k = v(v-1)/2 + u; both directions work
+# on whole chunks and touch single bits only for edges.
 
 _G6_MAX_SHORT = 62
 _G6_MAX_LONG = 258047
+_G6_TO_CHAR = bytes((i + 63) & 0xFF for i in range(256))
+_G6_FROM_CHAR = bytes((i - 63) & 0xFF for i in range(256))
 
 
 def write_graph6(g: Graph) -> str:
@@ -151,20 +155,11 @@ def write_graph6(g: Graph) -> str:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         raise ValueError(f"graph6 writer supports n <= {_G6_MAX_LONG}, got {n}")
-    bits: list[int] = []
-    for v in range(1, n):
-        row = g.neighbor_set(v)
-        for u in range(v):
-            bits.append(1 if u in row else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return head + "".join(chars)
+    chunks = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for u, v in g.edges():
+        k = v * (v - 1) // 2 + u
+        chunks[k // 6] |= 32 >> (k % 6)
+    return head + chunks.translate(_G6_TO_CHAR).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -173,12 +168,10 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise ValueError("empty graph6 string")
-    vals = []
-    for ch in s:
-        v = ord(ch) - 63
-        if not (0 <= v <= 63):
-            raise ValueError(f"invalid graph6 character {ch!r}")
-        vals.append(v)
+    if min(s) < "?" or max(s) > "~":
+        ch = next(ch for ch in s if not "?" <= ch <= "~")
+        raise ValueError(f"invalid graph6 character {ch!r}")
+    vals = s.encode("ascii").translate(_G6_FROM_CHAR)
     if vals[0] == 63:
         if len(vals) < 4:
             raise ValueError("truncated graph6 header")
@@ -193,19 +186,19 @@ def parse_graph6(text: str) -> Graph:
     need = (nbits + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body length {len(body)}, expected {need} for n={n}")
-    bits: list[int] = []
-    for v in body:
-        for shift in range(5, -1, -1):
-            bits.append((v >> shift) & 1)
-    if any(bits[nbits:]):
+    if need and body[-1] & ((1 << (6 * need - nbits)) - 1):
         raise ValueError("nonzero padding bits in graph6 string")
     edges = []
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
+    v, first = 1, 0  # bits first .. first + v - 1 hold column v
+    for j, x in enumerate(body):
+        while x:  # one turn per set bit, the highest (lowest k) first
+            top = x.bit_length()
+            x ^= 1 << (top - 1)
+            k = 6 * j + 6 - top
+            while k >= first + v:
+                first += v
+                v += 1
+            edges.append((k - first, v))
     return Graph(n, edges)
 
 

@@ -5,12 +5,17 @@ vertex with at least one neighbor has some color that appears exactly once
 in its neighborhood.  `verify` checks that definition directly and reports
 every violation; it is the single source of truth the rest of the package
 (and its tests) are measured against.
+
+`unique_colors` and `verify` walk each adjacency once and count colors
+with two sets, the colors seen once and the colors seen more than once;
+in `verify` that one walk also finds the clashing and the uncolored
+neighbors.  They run on every coloring step of the solver and on every
+pruning step of the oracle, which is why they are kept to that one walk.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -94,8 +99,18 @@ def coloring_from_json(data: dict) -> Coloring:
 
 def unique_colors(g: Graph, colors: Sequence[int | None], v: int) -> set[int]:
     """Colors appearing exactly once among the already-colored neighbors of v."""
-    counts = Counter(colors[w] for w in g.neighbors(v) if colors[w] is not None)
-    return {c for c, k in counts.items() if k == 1}
+    once: set[int] = set()
+    more: set[int] = set()
+    for w in g.neighbors(v):
+        c = colors[w]
+        if c is None or c in more:
+            continue
+        if c in once:
+            once.remove(c)
+            more.add(c)
+        else:
+            once.add(c)
+    return once
 
 
 UNCOLORED = "uncolored"
@@ -152,13 +167,27 @@ def verify(
             continue
         if lists is not None and c not in lists[v]:
             violations.append(Violation(v, COLOR_NOT_IN_LIST))
-        for w in g.neighbors(v):
-            if colors[w] == c:
-                violations.append(Violation(v, NOT_PROPER, other=w))
+        # one walk: clashes, holes, and the colors seen once / more than once
         nb = g.neighbors(v)
-        if nb and all(colors[w] is not None for w in nb):
-            if not unique_colors(g, colors, v):
-                violations.append(Violation(v, NO_UNIQUE_NEIGHBOR_COLOR))
+        hole = False
+        once: set[int] = set()
+        more: set[int] = set()
+        for w in nb:
+            d = colors[w]
+            if d is None:
+                hole = True
+                continue
+            if d == c:
+                violations.append(Violation(v, NOT_PROPER, other=w))
+            if d in more:
+                continue
+            if d in once:
+                once.remove(d)
+                more.add(d)
+            else:
+                once.add(d)
+        if nb and not hole and not once:
+            violations.append(Violation(v, NO_UNIQUE_NEIGHBOR_COLOR))
     return Verdict(not violations, tuple(violations))
 
 

@@ -60,24 +60,35 @@ def solve_exact(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -
                     return True
         return False
 
-    def extend(pos: int) -> bool:
-        nonlocal nodes
-        if pos == g.n:
-            return True
+    # Depth-first over positions without recursion, so any number of
+    # vertices fits: nxt[pos] is the palette index to try next at pos.
+    nxt = [0] * g.n
+    pos = 0
+    while 0 <= pos < g.n:
         v = order[pos]
-        for c in palette[v]:
+        colors[v] = None  # still holds the last color tried when backtracking
+        pal = palette[v]
+        i = nxt[pos]
+        while i < len(pal):
+            c = pal[i]
+            i += 1
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(nodes)
             if any(colors[w] == c for w in g.neighbors(v)):
                 continue
             colors[v] = c
-            if not dead_end(v) and extend(pos + 1):
-                return True
+            if not dead_end(v):
+                break
             colors[v] = None
-        return False
+        else:
+            nxt[pos] = 0
+            pos -= 1
+            continue
+        nxt[pos] = i
+        pos += 1
 
-    if extend(0):
+    if pos == g.n:
         verdict = verify(g, colors, lists)
         assert verdict.ok, f"oracle produced an invalid coloring: {verdict.violations}"
         return OracleResult(SAT, list(colors), nodes)

@@ -61,6 +61,36 @@ def pcf_ok(g: Graph, colors) -> bool:
     return True
 
 
+def _edge_neighbors(g: Graph, v) -> list:
+    return sorted(u for e in g.edges() if v in e for u in e if u != v)
+
+
+def naive_unique_colors(g: Graph, colors, v) -> set:
+    """Colors that exactly one colored neighbor of v carries."""
+    seen = [colors[u] for u in _edge_neighbors(g, v)]
+    return {c for c in seen if c is not None and seen.count(c) == 1}
+
+
+def naive_violations(g: Graph, colors, lists=None) -> tuple:
+    """(vertex, reason, other) for every violation, vertex by vertex: an
+    uncolored vertex reports only that; a colored one reports a color
+    outside its list, then each clashing neighbor in increasing order, then
+    a missing unique neighbor color once its whole neighborhood is colored."""
+    nbrs = [_edge_neighbors(g, v) for v in range(g.n)]
+    out = []
+    for v in range(g.n):
+        if colors[v] is None:
+            out.append((v, "uncolored", None))
+            continue
+        if lists is not None and colors[v] not in lists[v]:
+            out.append((v, "color_not_in_list", None))
+        out.extend((v, "not_proper", u) for u in nbrs[v] if colors[u] == colors[v])
+        full = nbrs[v] and all(colors[u] is not None for u in nbrs[v])
+        if full and not naive_unique_colors(g, colors, v):
+            out.append((v, "no_unique_neighbor_color", None))
+    return tuple(out)
+
+
 def in_lists(colors, lists) -> bool:
     return all(colors[v] in lists[v] for v in range(len(colors)))
 

@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from pcfcolor import cli, solver
+from pcfcolor import cli, oracle, solver
 from pcfcolor.cli import main
-from pcfcolor.graphs import cycle_graph, parse_graph6, path_graph, write_edge_list, write_graph6
+from pcfcolor.graphs import Graph, cycle_graph, parse_graph6, path_graph, write_edge_list, write_graph6
 from pcfcolor.families import random_outerplanar
 from pcfcolor.kernel import Verdict, degree_plus_k_lists, verify
 from pcfcolor.structure import StructureError
@@ -160,15 +160,40 @@ def test_deeply_nested_lists_exit_2(run, c5_path, tmp_path):
     assert code == 2 and doc["status"] == "error"
 
 
-def test_oracle_recursion_error_exit_4(run, tmp_path, write_json):
-    # the oracle recurses once per vertex, so a long path exceeds the default limit
+def test_oracle_on_a_long_path(run, tmp_path, write_json):
+    # the oracle's search is a loop, so its depth is not bounded by the recursion limit
     g = path_graph(3000)
     p = tmp_path / "p3000.edges"
     p.write_text(write_edge_list(g))
-    lists = write_json("l.json", degree_plus_k_lists(g, 2, range(1, 9), 1).to_json())
+    la = degree_plus_k_lists(g, 2, range(1, 9), 1)
+    lists = write_json("l.json", la.to_json())
     code, doc = run("color", str(p), "--lists", lists, "--oracle")
+    assert code == 0 and doc["status"] == "sat"
+    assert verify(g, doc["coloring"], la).ok
+    coloring = write_json("c.json", {"colors": doc["coloring"]})
+    code, doc = run("verify", str(p), "--coloring", coloring, "--lists", lists)
+    assert code == 0 and doc["status"] == "ok"
+
+
+def test_oracle_recursion_error_exit_4(run, c5_path, write_json, monkeypatch):
+    def broken(g, lists, budget):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(oracle, "solve_exact", broken)
+    lists = write_json("l.json", {"lists": [[1, 2, 3, 4]] * 5})
+    code, doc = run("color", c5_path, "--lists", lists, "--oracle")
     assert code == 4 and doc["status"] == "internal_error"
-    assert doc["message"].startswith("RecursionError: ")
+    assert doc["message"] == "RecursionError: maximum recursion depth exceeded"
+
+
+def test_dense_graph6_reaches_the_solver(run, tmp_path, write_json):
+    # no edge-count bound on input: K_40 parses and gets its obstruction
+    g = Graph(40, [(u, v) for v in range(40) for u in range(v)])
+    p = tmp_path / "k40.g6"
+    p.write_text(write_graph6(g))
+    lists = write_json("l.json", {"lists": [list(range(1, 42))] * 40})
+    code, doc = run("color", str(p), "--lists", lists)
+    assert code == 1 and doc["reason"] == "NotOuterplanar"
 
 
 def test_budget_exit_3(run, write_json, tmp_path):

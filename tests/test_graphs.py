@@ -1,6 +1,6 @@
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import to_networkx
 from pcfcolor.graphs import (
@@ -77,21 +77,35 @@ def test_parse_graph6_rejects_garbage():
         parse_graph6("")
     with pytest.raises(ValueError):
         parse_graph6("@@@garbage")
+    # n = 2 has one edge bit and five padding bits: "A_" is K2, "A@" sets padding
+    assert parse_graph6("A_") == Graph(2, [(0, 1)])
+    with pytest.raises(ValueError, match="padding"):
+        parse_graph6("A@")
+    with pytest.raises(ValueError, match="body length"):
+        parse_graph6("A")
+    with pytest.raises(ValueError, match="body length"):
+        parse_graph6("A__")
+    with pytest.raises(ValueError, match="body length"):
+        parse_graph6(write_graph6(path_graph(70)) + "?")
 
 
+@settings(deadline=None)
 @given(
-    st.integers(min_value=1, max_value=12).flatmap(
+    # n = 62 / 63 is where the header switches from one character to four
+    st.integers(min_value=1, max_value=70).flatmap(
         lambda n: st.tuples(
             st.just(n),
             st.sets(
                 st.tuples(
                     st.integers(0, n - 1), st.integers(0, n - 1)
                 ).filter(lambda e: e[0] != e[1]),
-                max_size=20,
+                max_size=3 * n,
             ),
         )
     )
 )
+@example((62, {(0, 61), (60, 61)}))
+@example((63, {(0, 62), (61, 62)}))
 def test_graph6_round_trip(data):
     n, raw = data
     g = Graph(n, {tuple(sorted(e)) for e in raw})

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pcf_ok
+from conftest import naive_unique_colors, naive_violations, pcf_ok
 from pcfcolor.graphs import Graph, cycle_graph, path_graph
 from pcfcolor.kernel import (
     COLOR_NOT_IN_LIST,
@@ -109,15 +109,25 @@ def test_isolated_vertex_needs_no_unique_neighbor():
     assert verify(g, [1, 2, 1]).ok
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_verify_agrees_with_naive_predicate(data):
     n = data.draw(st.integers(2, 6))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = data.draw(st.sets(st.sampled_from(pairs), min_size=1))
     g = Graph(n, edges)
-    colors = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-    assert verify(g, colors).ok == pcf_ok(g, colors)
+    color = st.integers(1, 4)
+    colors = data.draw(st.lists(st.none() | color, min_size=n, max_size=n))
+    lists = data.draw(st.none() | st.lists(st.sets(color), min_size=n, max_size=n))
+    la = None if lists is None else ListAssignment(lists)
+    verdict = verify(g, colors, la)
+    got = tuple((x.vertex, x.reason, x.other) for x in verdict.violations)
+    assert got == naive_violations(g, colors, lists)
+    assert verdict.ok == (not got)
+    for v in range(n):
+        assert unique_colors(g, colors, v) == naive_unique_colors(g, colors, v)
+    if None not in colors:
+        assert verify(g, colors).ok == pcf_ok(g, colors)
 
 
 def test_degree_plus_k_lists_sizes_and_determinism():
