@@ -14,9 +14,10 @@ has no recursion-depth limit.  Which end block is peeled, and which case
 fires, depend on the graph alone, so the graph-only pass (connectivity
 and outerplanarity screens plus the peel) is cached per graph; a repeated
 graph pays only for the list work: list-size screens, color reservations,
-the coloring pass and the final verification.  A graph's first solve is
-still quadratic in the number of vertices, because each peel step
-rebuilds the remaining graph and its block structure.  The only true
+the coloring pass and the final verification.  A graph's first solve
+takes time quadratic in the number of vertices: each peel step rebuilds
+the remaining graph, its block structure and the end block's embedding,
+each in time linear in that graph.  The only true
 obstruction among connected outerplanar inputs is the 5-cycle whose five
 lists are one identical 4-set.
 
@@ -146,11 +147,17 @@ def trim_lists(g: Graph, lists, k: int = 2) -> ListAssignment:
 # -- reusable coloring lemmas --------------------------------------------------
 
 
-def _min_excluding(pool, forbidden, what: str, trace=()) -> int:
-    avail = [c for c in pool if c not in forbidden]
+def _min_excluding(pool: frozenset, forbidden, what: str, trace=()) -> int:
+    avail = pool - forbidden
     if not avail:
         raise SolverInternalError(f"no color available for {what}", trace)
     return min(avail)
+
+
+# the self-checks of color_cycle and color_constrained_path share one graph
+# per length instead of building it on every call
+_cycle_graph = lru_cache(maxsize=64)(cycle_graph)
+_path_graph = lru_cache(maxsize=64)(path_graph)
 
 
 def color_cycle(lists) -> "list[int] | Obstruction":
@@ -222,7 +229,7 @@ def color_cycle(lists) -> "list[int] | Obstruction":
         for t, v in enumerate(order):
             phi[v] = w[t]
 
-    verdict = verify(cycle_graph(ell), list(phi), ListAssignment(ls))
+    verdict = verify(_cycle_graph(ell), list(phi), ListAssignment(ls))
     if not verdict.ok:
         raise SolverInternalError("cycle coloring failed verification")
     return list(phi)
@@ -256,7 +263,7 @@ def color_constrained_path(lists) -> list[int]:
         work[k - 2] = work[k - 2] - {alpha}
     phi = _path_base(work) + [min(work[k]) for k in range(4, s + 1)]
 
-    verdict = verify(path_graph(s + 1), phi, ListAssignment(ls))
+    verdict = verify(_path_graph(s + 1), phi, ListAssignment(ls))
     if not verdict.ok:
         raise SolverInternalError("path coloring failed verification")
     return phi

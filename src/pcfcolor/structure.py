@@ -2,18 +2,23 @@
 
 Three layers, each feeding the next:
 
-1. block/cut decomposition (any connected graph),
+1. block/cut decomposition (any connected graph), by one iterative Tarjan
+   depth-first search;
 2. outer-cycle embeddings of 2-connected blocks, which double as the
-   outerplanarity test,
+   outerplanarity test: degree-2 vertices are eliminated from a worklist,
+   put back into a doubly linked cycle, and one stack pass over the cycle
+   checks that the chords nest (Mitchell 1979, "Linear algorithms to
+   recognize outerplanar and maximal outerplanar graphs");
 3. the unavoidable substructures of 2-connected non-cycle outerplanar
    graphs: an *ear* (a cycle hanging off one chord, interior degrees 2) or
    an *ear chain* (ears whose root edges form a path v_1..v_s closed by the
    edge v_1 v_s, junction degrees 4), found "good" for a given anchor
    vertex x, meaning x avoids the part that gets recolored.
 
-The search in `find_good_ear_or_chain` follows a constructive existence
-proof, so every branch ends in an assertion rather than a failure path;
-a `StructureError` here means a bug, not an unlucky input.
+Each call works in time linear in its graph, up to sorting blocks and
+chords.  The search in `find_good_ear_or_chain` follows a constructive
+existence proof, so every branch ends in an assertion rather than a failure
+path; a `StructureError` here means a bug, not an unlucky input.
 """
 
 from __future__ import annotations
@@ -43,66 +48,77 @@ class BlockDecomposition:
         )
 
 
-def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Tarjan's biconnected components, iteratively (no recursion limit)."""
-    if not g.is_connected():
-        raise ValueError("block decomposition requires a connected graph")
-    n = g.n
-    if n == 0 or g.m == 0:
-        return BlockDecomposition((), frozenset())
-    disc = [-1] * n
-    low = [0] * n
-    cuts: set[int] = set()
-    blocks: list[tuple[int, ...]] = []
-    estack: list[Edge] = []
+def _blocks(g: Graph, roots, disc: list[int], cuts: "set[int] | None" = None):
+    """Tarjan's biconnected components, iteratively (no recursion limit).
+
+    Runs one depth-first search from each root in `roots` that no earlier
+    search reached (`disc[v]` is v's discovery time, -1 until then) and
+    yields the edge list of each block as the search closes it.  Adds the
+    cut vertices to `cuts` when given.
+    """
+    low = [0] * g.n
     timer = 0
-    root = 0
-    disc[root] = low[root] = timer
-    timer += 1
-    stack: list[tuple[int, int, object]] = [(root, -1, iter(g.neighbors(root)))]
-    root_children = 0
-    while stack:
-        v, parent, it = stack[-1]
-        advanced = False
-        for w in it:  # type: ignore[union-attr]
-            if w == parent:
-                continue
-            if disc[w] == -1:
-                estack.append((v, w))
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, v, iter(g.neighbors(w))))
-                if v == root:
-                    root_children += 1
-                advanced = True
-                break
-            if disc[w] < disc[v]:
-                estack.append((v, w))
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        if advanced:
+    estack: list[Edge] = []
+    for root in roots:
+        if disc[root] != -1:
             continue
-        stack.pop()
-        if not stack:
-            break
-        u = stack[-1][0]
-        if low[v] < low[u]:
-            low[u] = low[v]
-        if low[v] >= disc[u]:
-            verts: set[int] = set()
-            while True:
-                e = estack.pop()
-                verts.add(e[0])
-                verts.add(e[1])
-                if e == (u, v):
+        disc[root] = low[root] = timer
+        timer += 1
+        stack: list[tuple[int, int, object]] = [(root, -1, iter(g.neighbors(root)))]
+        root_children = 0
+        while stack:
+            v, parent, it = stack[-1]
+            for w in it:  # type: ignore[union-attr]
+                if w == parent:
+                    continue
+                if disc[w] == -1:
+                    estack.append((v, w))
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, v, iter(g.neighbors(w))))
+                    if v == root:
+                        root_children += 1
                     break
-            blocks.append(tuple(sorted(verts)))
-            if u != root:
-                cuts.add(u)
-    if estack:
-        raise StructureError("leftover edges after block decomposition")
-    if root_children >= 2:
-        cuts.add(root)
+                if disc[w] < disc[v]:
+                    estack.append((v, w))
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            else:  # v is finished
+                stack.pop()
+                if not stack:
+                    break
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    block = []
+                    while True:
+                        e = estack.pop()
+                        block.append(e)
+                        if e == (u, v):
+                            break
+                    if cuts is not None and u != root:
+                        cuts.add(u)
+                    yield block
+        if estack:
+            raise StructureError("leftover edges after block decomposition")
+        if cuts is not None and root_children >= 2:
+            cuts.add(root)
+
+
+def block_decomposition(g: Graph) -> BlockDecomposition:
+    """Blocks and cut vertices of a connected graph, from one Tarjan search;
+    a graph that search does not cover raises ValueError."""
+    if g.n == 0:
+        return BlockDecomposition((), frozenset())
+    disc = [-1] * g.n
+    cuts: set[int] = set()
+    blocks = [
+        tuple(sorted({v for e in edges for v in e}))
+        for edges in _blocks(g, (0,), disc, cuts)
+    ]
+    if -1 in disc:
+        raise ValueError("block decomposition requires a connected graph")
     blocks.sort(key=lambda b: (b[0], len(b), b))
     return BlockDecomposition(tuple(blocks), frozenset(cuts))
 
@@ -119,99 +135,138 @@ class OuterEmbedding:
         return {v: i for i, v in enumerate(self.order)}
 
 
-def _validated(b: Graph, cycle: list[int]) -> "OuterEmbedding | None":
-    n = b.n
-    if sorted(cycle) != list(range(n)):
-        return None
+def _is_outer_cycle(adj, cycle: list[int]) -> bool:
+    """Whether `cycle`, which lists every vertex once, is an outer cycle of
+    the graph `adj` (vertex -> neighbor set): consecutive vertices are
+    adjacent and no two chords cross.
+
+    The chord check is one stack pass over the cycle positions, like
+    matching parentheses: at each position close the chords ending there,
+    which must be on top of the stack, then open the chords starting there,
+    farthest end first.  A chord crossed by a later-opened one is buried
+    under it when its end comes, so it is never closed.
+    """
+    n = len(cycle)
+    if any(cycle[i - 1] not in adj[cycle[i]] for i in range(n)):
+        return False
     pos = {v: i for i, v in enumerate(cycle)}
-    for i in range(n):
-        if not b.has_edge(cycle[i], cycle[(i + 1) % n]):
+    opens: list[list[int]] = [[] for _ in range(n)]  # far ends, farthest first
+    for j in range(n - 1, 1, -1):
+        for w in adj[cycle[j]]:
+            i = pos[w]
+            if i < j - 1 and (i or j < n - 1):
+                opens[i].append(j)
+    stack: list[int] = []
+    for p in range(n):
+        while stack and stack[-1] == p:
+            stack.pop()
+        stack.extend(opens[p])
+    return not stack
+
+
+def _outer_cycle(adj) -> "list[int] | None":
+    """The outer cycle of the graph `adj` (vertex -> neighbor set), or None
+    if the graph is not 2-connected outerplanar.  Shared by
+    `outer_embedding` and `is_outerplanar`; see `outer_embedding`."""
+    n = len(adj)
+    if n < 3:
+        return None
+    work = {v: set(nb) for v, nb in adj.items()}
+    todo = [v for v, nb in work.items() if len(nb) == 2]
+    removed: list[tuple[int, int, int]] = []
+    while len(removed) < n - 3:
+        if not todo:
             return None
-    chords = []
-    for u, v in b.edges():
-        d = (pos[u] - pos[v]) % n
-        if d not in (1, n - 1):
-            chords.append((min(pos[u], pos[v]), max(pos[u], pos[v])))
-    for a in range(len(chords)):
-        i1, j1 = chords[a]
-        for i2, j2 in chords[a + 1 :]:
-            if i1 < i2 < j1 < j2 or i2 < i1 < j2 < j1:
-                return None
-    # canonical rotation: start at vertex 0, walk toward its smaller neighbor
-    i0 = cycle.index(0)
-    cyc = cycle[i0:] + cycle[:i0]
-    if cyc[1] > cyc[-1]:
-        cyc = [cyc[0]] + cyc[:0:-1]
-    order = tuple(cyc)
-    chord_edges = tuple(
-        sorted(normalize_edge(u, v) for u, v in b.edges() if (pos[u] - pos[v]) % n not in (1, n - 1))
-    )
-    return OuterEmbedding(order, chord_edges)
+        v = todo.pop()
+        nb = work[v]
+        if len(nb) != 2:  # eliminated already, or lost a neighbor since queued
+            continue
+        a, c = nb
+        nb.clear()
+        for p, q in ((a, c), (c, a)):
+            wp = work[p]
+            wp.discard(v)
+            wp.add(q)
+            if len(wp) == 2:
+                todo.append(p)
+        removed.append((v, a, c))
+    # eliminated vertices have no neighbors left; a vertex that had some
+    # keeps one, as it gains the far neighbor of each one it loses
+    rest = [v for v, nb in work.items() if nb]
+    if len(rest) != 3:
+        return None
+    x, y, z = rest
+    if not (y in work[x] and z in work[x] and z in work[y]):
+        return None
+    nxt = {x: y, y: z, z: x}
+    prv = {x: z, y: x, z: y}
+    for v, a, c in reversed(removed):
+        if prv[a] == c:
+            a, c = c, a
+        elif nxt[a] != c:
+            return None
+        nxt[a] = prv[c] = v
+        prv[v], nxt[v] = a, c
+    cycle = [x]
+    w = nxt[x]
+    while w != x:
+        cycle.append(w)
+        w = nxt[w]
+    return cycle if _is_outer_cycle(adj, cycle) else None
 
 
 def outer_embedding(block: Graph) -> "OuterEmbedding | None":
     """Outer cycle of a 2-connected graph, or None if it is not outerplanar.
 
-    Strategy: repeatedly delete a degree-2 vertex, bridging its neighbors
-    with a virtual edge, down to a triangle; then re-insert in reverse
-    order, each vertex between its two recorded neighbors.  In a
-    2-connected outerplanar graph every degree-2 vertex sits on the outer
-    cycle between its neighbors and the reduced graph stays 2-connected
-    outerplanar with the spliced outer cycle, so the rebuild always finds
-    the neighbors adjacent.  The final validation (cycle edges real, chords
-    pairwise non-crossing) makes any failure mode return None instead of a
-    wrong embedding.
+    Strategy (Mitchell 1979): delete degree-2 vertices, taken from a
+    worklist, each bridging its neighbors with a virtual edge, down to a
+    triangle; then re-insert them in reverse order into a doubly linked
+    cycle, each between its two recorded neighbors.  In a 2-connected
+    outerplanar graph every degree-2 vertex sits on the outer cycle between
+    its neighbors and the reduced graph stays 2-connected outerplanar with
+    the spliced outer cycle, so any elimination order works and the rebuild
+    always finds the neighbors adjacent.  The final validation (cycle edges
+    real, chords nested, checked by one stack pass) makes any failure mode
+    return None instead of a wrong embedding.  Such a graph has exactly one
+    Hamiltonian cycle; the result starts it at vertex 0 and walks toward
+    the smaller neighbor of 0.
     """
+    cycle = _outer_cycle({v: block.neighbor_set(v) for v in block.vertices()})
+    if cycle is None:
+        return None
     n = block.n
-    if n < 3:
-        return None
-    adj = [set(block.neighbors(v)) for v in range(n)]
-    alive = set(range(n))
-    removed: list[tuple[int, int, int]] = []
-    while len(alive) > 3:
-        v = next((u for u in sorted(alive) if len(adj[u]) == 2), None)
-        if v is None:
-            return None
-        a, c = sorted(adj[v])
-        alive.remove(v)
-        adj[a].discard(v)
-        adj[c].discard(v)
-        adj[v].clear()
-        adj[a].add(c)
-        adj[c].add(a)
-        removed.append((v, a, c))
-    x, y, z = sorted(alive)
-    if not (y in adj[x] and z in adj[x] and z in adj[y]):
-        return None
-    cycle = [x, y, z]
-    for v, a, c in reversed(removed):
-        i = cycle.index(a)
-        if cycle[(i + 1) % len(cycle)] == c:
-            cycle.insert(i + 1, v)
-        elif cycle[(i - 1) % len(cycle)] == c:
-            cycle.insert(i, v)
-        else:
-            return None
-    return _validated(block, cycle)
+    i0 = cycle.index(0)
+    cyc = cycle[i0:] + cycle[:i0]
+    if cyc[1] > cyc[-1]:
+        cyc = [cyc[0]] + cyc[:0:-1]
+    pos = {v: i for i, v in enumerate(cyc)}
+    chords = tuple(e for e in block.edges() if (pos[e[0]] - pos[e[1]]) % n not in (1, n - 1))
+    return OuterEmbedding(tuple(cyc), chords)
 
 
 def is_outerplanar(g: Graph) -> bool:
     """Whole-graph outerplanarity: every block of every component embeds.
 
     An outerplanar graph on n >= 2 vertices has at most 2n - 3 edges, so a
-    denser graph is rejected before any block is looked at.
+    denser graph is rejected before any block is looked at.  Otherwise one
+    Tarjan search over all components yields the blocks, each tested on its
+    own edges: a bridge, or a cycle (as many edges as vertices), passes at
+    once.
     """
-    if g.n >= 2 and g.m > 2 * g.n - 3:
+    n = g.n
+    if n >= 2 and g.m > 2 * n - 3:
         return False
-    comps = g.connected_components()
-    for comp in comps:
-        sub = g if len(comps) == 1 else g.subgraph(comp)[0]
-        for block in block_decomposition(sub).blocks:
-            if len(block) < 3:
-                continue
-            bsub, _ = sub.subgraph(block)
-            if outer_embedding(bsub) is None:
-                return False
+    for edges in _blocks(g, range(n), [-1] * n):
+        if len(edges) == 1:
+            continue
+        adj: dict[int, set[int]] = {}
+        for u, v in edges:
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        if len(edges) == len(adj):
+            continue
+        if len(edges) > 2 * len(adj) - 3 or _outer_cycle(adj) is None:
+            return False
     return True
 
 
@@ -305,13 +360,10 @@ def chain_is_good(b: Graph, chain: EarChain, x: int) -> bool:
     return all(v in ends for v in chain.vertices() if v == x)
 
 
-def _arc_interiors(order: tuple[int, ...], pos: dict[int, int], u: int, v: int):
-    """Both outer-cycle arcs from u to v, as interior vertex lists in walk order."""
+def _arc(order: tuple[int, ...], p: int, step: int, length: int) -> list[int]:
+    """The `length` outer-cycle vertices after position p, walking by step."""
     n = len(order)
-    pu, pv = pos[u], pos[v]
-    fwd = [order[(pu + t) % n] for t in range(1, (pv - pu) % n)]
-    bwd = [order[(pu - t) % n] for t in range(1, (pu - pv) % n)]
-    return fwd, bwd
+    return [order[(p + step * t) % n] for t in range(1, length + 1)]
 
 
 def find_good_ear_or_chain(b: Graph, emb: OuterEmbedding, x: int) -> "Ear | EarChain":
@@ -325,17 +377,35 @@ def find_good_ear_or_chain(b: Graph, emb: OuterEmbedding, x: int) -> "Ear | EarC
     chord uv spanning the fewest vertices on the side avoiding x and
     recurse into that span, where the root edges either form a u-v path
     (yield it as a chain) or again have a free endpoint (yield its ear).
+
+    Each arc of a chord is judged from cycle positions alone: it is an ear
+    arc iff its interior fits in the run of degree-2 vertices after its
+    start, and it avoids x iff x's position falls outside it.  Only the
+    arcs that are kept are built.
     """
+    order = emb.order
+    n = len(order)
     pos = emb.position()
     chords = set(emb.chords)
     if not chords:
         raise ValueError("cycle blocks have no ears; handle them separately")
 
+    # run[i]: how many degree-2 vertices follow position i on the cycle;
+    # a chord has an endpoint of degree 3 or more, where the count restarts
+    run = [0] * n
+    k = next(i for i in range(n) if b.degree(order[i]) != 2)
+    for i in range(k - 1, k - n - 1, -1):
+        j = (i + 1) % n
+        run[i % n] = run[j] + 1 if b.degree(order[j]) == 2 else 0
+
     ears_by_edge: dict[Edge, list[Ear]] = {}
     for u, v in sorted(chords):
-        for arc in _arc_interiors(emb.order, pos, u, v):
-            if arc and all(b.degree(w) == 2 for w in arc):
-                ears_by_edge.setdefault((u, v), []).append(Ear((u, v), tuple(arc)))
+        pu, pv = pos[u], pos[v]
+        # the arc from u backward is the arc after v forward
+        for step, length, start in ((1, (pv - pu) % n - 1, pu), (-1, (pu - pv) % n - 1, pv)):
+            if 0 < length <= run[start]:
+                arc = tuple(_arc(order, pu, step, length))
+                ears_by_edge.setdefault((u, v), []).append(Ear((u, v), arc))
     e1 = set(ears_by_edge)
 
     g1_deg: dict[int, int] = {}
@@ -356,17 +426,27 @@ def find_good_ear_or_chain(b: Graph, emb: OuterEmbedding, x: int) -> "Ear | EarC
             ears_by_edge=ears_by_edge, banned=frozenset(),
         )
 
-    # some chord roots no ear: shrink to the smallest span avoiding x
-    best: "tuple[int, Edge, list[int]] | None" = None
+    # some chord roots no ear: shrink to the smallest span avoiding x.
+    # Chords differ, so (span, chord) decides; only the winner's arcs are built
+    px = pos[x]
+    best: "tuple[tuple[int, Edge], list[tuple[int, int]]] | None" = None
     for u, v in sorted(chords - e1):
-        arcs = [a for a in _arc_interiors(emb.order, pos, u, v) if x not in a]
-        if not arcs:
+        pu = pos[u]
+        sides = [
+            (length, step)
+            for step, length in ((1, (pos[v] - pu) % n - 1), (-1, (pu - pos[v]) % n - 1))
+            if not 0 < step * (px - pu) % n <= length
+        ]
+        if not sides:
             raise StructureError("anchor interior to both arcs of one chord")
-        arc = min(arcs, key=lambda a: (len(a), a))
-        key = (len(arc) + 2, (u, v), arc)
-        if best is None or key < best:
-            best = key
-    span, (u, v), arc = best
+        key = (min(sides)[0] + 2, (u, v))
+        if best is None or key < best[0]:
+            best = (key, sides)
+    (_, (u, v)), sides = best
+    arc = min(
+        (_arc(order, pos[u], step, length) for length, step in sides),
+        key=lambda a: (len(a), a),
+    )
     strip = [u, *arc, v]
     strip_pos = {w: i for i, w in enumerate(strip)}
     strip_set = set(strip)
@@ -570,7 +650,8 @@ def classify_end_block(g: Graph) -> EndBlockCase:
         pendant = block[0] if block[1] == anchor else block[1]
         return EndBlockCase(KIND_K2, block, anchor, pendant=pendant)
 
-    bsub, ids = g.subgraph(block)
+    # a graph that is one block is its own block subgraph
+    bsub, ids = (g, block) if len(block) == g.n else g.subgraph(block)
     loc = {old: new for new, old in enumerate(ids)}
     emb = outer_embedding(bsub)
     if emb is None:

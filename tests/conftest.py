@@ -4,6 +4,9 @@ Everything here is deliberately written from scratch against the definitions,
 not by calling back into the package, so that tests cross-check independent
 implementations: a brute-force product-enumeration solver, an outerplanarity
 test via apex planarity, and the goodness predicates for ears and chains.
+The one exception is the reference outer embedding at the end: the
+package's earlier, simpler structure code, kept verbatim as the yardstick
+for the linear-work one.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import itertools
 
 import networkx as nx
 
-from pcfcolor.graphs import Graph
+from pcfcolor.graphs import Graph, normalize_edge
+from pcfcolor.structure import OuterEmbedding
 
 
 ACCEPTANCE_LINES: list[str] = []
@@ -154,3 +158,97 @@ def chain_good_for(b: Graph, spine, ears, x) -> bool:
     if any(b.degree(v) != 4 for v in spine[1:-1]):
         return False
     return x not in members or x in (spine[0], spine[-1])
+
+
+# -- reference outer embedding -------------------------------------------------
+#
+# The package's embedding before it did linear work per call: degree-2
+# elimination in sorted order, re-insertion with list.index / list.insert,
+# and a pairwise chord-crossing check.  Blocks come from networkx.
+
+
+def _reference_validated(b: Graph, cycle: list) -> "OuterEmbedding | None":
+    n = b.n
+    if sorted(cycle) != list(range(n)):
+        return None
+    pos = {v: i for i, v in enumerate(cycle)}
+    for i in range(n):
+        if not b.has_edge(cycle[i], cycle[(i + 1) % n]):
+            return None
+    chords = []
+    for u, v in b.edges():
+        d = (pos[u] - pos[v]) % n
+        if d not in (1, n - 1):
+            chords.append((min(pos[u], pos[v]), max(pos[u], pos[v])))
+    for a in range(len(chords)):
+        i1, j1 = chords[a]
+        for i2, j2 in chords[a + 1 :]:
+            if i1 < i2 < j1 < j2 or i2 < i1 < j2 < j1:
+                return None
+    i0 = cycle.index(0)
+    cyc = cycle[i0:] + cycle[:i0]
+    if cyc[1] > cyc[-1]:
+        cyc = [cyc[0]] + cyc[:0:-1]
+    chord_edges = tuple(
+        sorted(normalize_edge(u, v) for u, v in b.edges() if (pos[u] - pos[v]) % n not in (1, n - 1))
+    )
+    return OuterEmbedding(tuple(cyc), chord_edges)
+
+
+def reference_outer_embedding(block: Graph) -> "OuterEmbedding | None":
+    n = block.n
+    if n < 3:
+        return None
+    adj = [set(block.neighbors(v)) for v in range(n)]
+    alive = set(range(n))
+    removed = []
+    while len(alive) > 3:
+        v = next((u for u in sorted(alive) if len(adj[u]) == 2), None)
+        if v is None:
+            return None
+        a, c = sorted(adj[v])
+        alive.remove(v)
+        adj[a].discard(v)
+        adj[c].discard(v)
+        adj[v].clear()
+        adj[a].add(c)
+        adj[c].add(a)
+        removed.append((v, a, c))
+    x, y, z = sorted(alive)
+    if not (y in adj[x] and z in adj[x] and z in adj[y]):
+        return None
+    cycle = [x, y, z]
+    for v, a, c in reversed(removed):
+        i = cycle.index(a)
+        if cycle[(i + 1) % len(cycle)] == c:
+            cycle.insert(i + 1, v)
+        elif cycle[(i - 1) % len(cycle)] == c:
+            cycle.insert(i, v)
+        else:
+            return None
+    return _reference_validated(block, cycle)
+
+
+def reference_is_outerplanar(g: Graph) -> bool:
+    if g.n >= 2 and g.m > 2 * g.n - 3:
+        return False
+    for block in nx.biconnected_components(to_networkx(g)):
+        if len(block) >= 3 and reference_outer_embedding(g.subgraph(block)[0]) is None:
+            return False
+    return True
+
+
+def chords_cross_pairwise(cycle, edges) -> bool:
+    """Whether two edges that are not sides of `cycle` cross inside it."""
+    n = len(cycle)
+    pos = {v: i for i, v in enumerate(cycle)}
+    chords = [
+        tuple(sorted((pos[u], pos[v])))
+        for u, v in edges
+        if (pos[u] - pos[v]) % n not in (1, n - 1)
+    ]
+    return any(
+        i1 < i2 < j1 < j2 or i2 < i1 < j2 < j1
+        for i1, j1 in chords
+        for i2, j2 in chords
+    )

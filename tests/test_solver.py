@@ -29,7 +29,7 @@ from pcfcolor.solver import (
     trace_to_json_lines,
     trim_lists,
 )
-from test_structure import flower
+from test_structure import fan, flower, zigzag_triangulation
 
 
 def cyc_ok(colors, lists=None):
@@ -409,6 +409,15 @@ def test_large_random_outerplanar_solves():
     assert g.m >= g.n
     res = solved_ok(g, plus2_lists(g, 1))
     assert replay_trace(g.n, res.trace) == res.coloring
+
+
+def test_large_single_blocks_solve():
+    # one block of 200 vertices: every peel step embeds it and searches
+    # its ears again
+    for g in (fan(200), zigzag_triangulation(200)):
+        assert g.m == 2 * g.n - 3
+        res = solved_ok(g, plus2_lists(g, 200))
+        assert replay_trace(g.n, res.trace) == res.coloring
 
 
 def test_solve_is_deterministic():

@@ -1,9 +1,18 @@
+import hashlib
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import chain_good_for, ear_good_for, nx_outerplanar
+from conftest import (
+    chain_good_for,
+    chords_cross_pairwise,
+    ear_good_for,
+    nx_outerplanar,
+    reference_is_outerplanar,
+    reference_outer_embedding,
+)
 from pcfcolor.families import (
     enumerate_connected_outerplanar,
     enumerate_two_connected_outerplanar,
@@ -17,6 +26,7 @@ from pcfcolor.structure import (
     KIND_GOOD_EAR,
     KIND_K2,
     KIND_LONG_EAR,
+    _is_outer_cycle,
     block_decomposition,
     classify_end_block,
     find_good_ear_or_chain,
@@ -44,6 +54,20 @@ def flower(i1, i2, i3):
     pendant_root = nxt - 1  # interior vertex of the third ear
     edges.append((pendant_root, nxt))
     return Graph(nxt + 1, edges)
+
+
+def fan(n):
+    """Vertex 0 joined to every vertex of the path 1..n-1."""
+    return Graph(n, [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)])
+
+
+def zigzag_triangulation(n):
+    """The n-gon 0..n-1 triangulated as a strip: chords join 0, n-1, 1,
+    n-2, 2, ... in turn."""
+    walk = [v for i in range((n + 1) // 2) for v in (i, n - 1 - i)][:n]
+    rim = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    zig = {tuple(sorted(walk[k : k + 2])) for k in range(n - 1)}
+    return Graph(n, rim | zig)
 
 
 # -- blocks -------------------------------------------------------------------
@@ -132,6 +156,87 @@ def test_outerplanarity_matches_apex_planarity_on_atlas():
     assert is_outerplanar(Graph(2)) and is_outerplanar(path_graph(2))
 
 
+def test_outerplanarity_of_a_large_fan():
+    g = fan(4000)
+    assert g.m == 2 * g.n - 3 and is_outerplanar(g)
+    # a chord crossing (0, 2) puts the edge count over 2n - 3
+    assert not is_outerplanar(Graph(g.n, g.edges() + ((1, 3),)))
+    # the same kind of crossing at 2n - 3 edges reaches the block test
+    crossed = Graph(g.n, [e for e in g.edges() if e != (0, 2)] + [(1000, 1002)])
+    assert crossed.m == 2 * g.n - 3 and not is_outerplanar(crossed)
+    assert is_outerplanar(zigzag_triangulation(4000))
+
+
+@st.composite
+def dissections(draw):
+    """A relabeled 2-connected outerplanar graph: an enumerated one up to
+    10 vertices, above that a polygon with drawn non-crossing chords."""
+    n = draw(st.integers(3, 12))
+    if n <= 10:
+        edges = draw(st.sampled_from(enumerate_two_connected_outerplanar(n))).edges()
+    else:
+        edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+        chords = []
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+            i, j = min(i, j), max(i, j)
+            if j - i < 2 or (i, j) == (0, n - 1) or (i, j) in chords:
+                continue
+            if all(not (i < p < j < q or p < i < q < j) for p, q in chords):
+                chords.append((i, j))
+        edges += chords
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@st.composite
+def dense_graphs(draw):
+    """Random graphs up to the 2n - 3 edge bound, so that most reach the
+    block test; some are outerplanar, most are not."""
+    n = draw(st.integers(3, 12))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = draw(st.sets(st.sampled_from(pairs), min_size=n - 1, max_size=2 * n - 3))
+    return Graph(n, edges)
+
+
+@st.composite
+def dissections_plus_one_edge(draw):
+    g = draw(dissections())
+    missing = [(u, v) for v in range(g.n) for u in range(v) if not g.has_edge(u, v)]
+    if not missing:
+        return g
+    return Graph(g.n, g.edges() + (draw(st.sampled_from(missing)),))
+
+
+@settings(max_examples=400, deadline=None)
+@given(dissections() | dissections_plus_one_edge() | dense_graphs())
+def test_embedding_and_outerplanarity_match_the_reference(g):
+    assert outer_embedding(g) == reference_outer_embedding(g)
+    assert is_outerplanar(g) == reference_is_outerplanar(g)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_stack_chord_check_matches_the_pairwise_one(data):
+    # elimination never hands a crossing to the check (a graph that
+    # reduces to a triangle has no K4 minor), so it is tested on its own:
+    # a cycle through all vertices plus any chords, crossing or not
+    n = data.draw(st.integers(4, 12))
+    cycle = data.draw(st.permutations(range(n)))
+    rim = {tuple(sorted((cycle[i - 1], cycle[i]))) for i in range(n)}
+    pairs = [(u, v) for v in range(n) for u in range(v) if (u, v) not in rim]
+    chords = data.draw(st.sets(st.sampled_from(pairs), max_size=2 * n))
+    gap = data.draw(st.none() | st.integers(0, n - 1))
+    edges = set(chords) | rim
+    if gap is not None:
+        edges.discard(tuple(sorted((cycle[gap - 1], cycle[gap]))))
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    expected = gap is None and not chords_cross_pairwise(cycle, edges)
+    assert _is_outer_cycle(adj, list(cycle)) == expected
+
+
 def test_embeddings_are_valid_over_the_two_connected_corpus():
     for n in range(3, 9):
         for g in enumerate_two_connected_outerplanar(n):
@@ -155,6 +260,27 @@ def test_embeddings_are_valid_over_the_two_connected_corpus():
 
 
 # -- ears and chains ----------------------------------------------------------
+
+# sha256 of repr(find_good_ear_or_chain(g, outer_embedding(g), x)) over every
+# 2-connected non-cycle outerplanar graph with 4 to 10 vertices and every
+# anchor x; any change to an ear or chain chosen changes it
+EAR_DIGEST = "d5f6638531ca72a6c68e1e54ee44653c6312a8c62ce3f2b8066e72053598a910"
+
+
+def test_ear_search_matches_the_recorded_digest():
+    h = hashlib.sha256()
+    searches = 0
+    for n in range(4, 11):
+        for g in enumerate_two_connected_outerplanar(n):
+            if g.m == g.n:
+                continue
+            emb = outer_embedding(g)
+            for x in range(n):
+                h.update((repr(find_good_ear_or_chain(g, emb, x)) + "\n").encode())
+                searches += 1
+    assert searches == 14296
+    assert h.hexdigest() == EAR_DIGEST
+
 
 
 def test_good_ear_in_chorded_cycle():
