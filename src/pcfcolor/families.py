@@ -11,7 +11,7 @@ make it extremal:
   host graph with d+1 four-cycles glued to one vertex.
 
 The corpora back exhaustive testing: isomorphism-free enumerations of
-connected and of 2-connected outerplanar graphs, plus a seeded sampler for
+connected and of 2-connected outerplanar graphs, plus seeded samplers for
 larger sizes.
 """
 
@@ -249,7 +249,9 @@ def enumerate_two_connected_outerplanar(n: int) -> tuple[Graph, ...]:
     chosen: list[Edge] = []
 
     def grow(start: int) -> None:
-        found.setdefault(key_of(chosen), Graph(n, rim + chosen))
+        key = key_of(chosen)
+        if key not in found:
+            found[key] = Graph(n, rim + chosen)
         for idx in range(start, len(chords)):
             c = chords[idx]
             if all(not crossing(c, d) for d in chosen):
@@ -287,4 +289,22 @@ def random_outerplanar(n: int, seed) -> Graph:
     edges += chords
     for t in range(k, n):
         edges.append((rng.randrange(t), t))
+    return Graph(n, edges)
+
+
+def random_cactus(n: int, seed) -> Graph:
+    """Seeded random cactus: from vertex 0, hang bridges and cycles of 3 to
+    6 vertices, each on a random earlier vertex, until n vertices exist.
+    Every block is a bridge or a cycle."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    edges: list[Edge] = []
+    t = 1
+    while t < n:
+        ring = [rng.randrange(t), *range(t, min(n, t + rng.randrange(1, 6)))]
+        edges += zip(ring, ring[1:])
+        if len(ring) >= 3:
+            edges.append((ring[0], ring[-1]))
+        t += len(ring) - 1
     return Graph(n, edges)

@@ -12,14 +12,16 @@ remain; the coloring pass colors that base and then walks the recorded
 cases backwards over the host graph, filling one coloring.  So `solve`
 has no recursion-depth limit.  Which end block is peeled, and which case
 fires, depend on the graph alone, so the graph-only pass (connectivity
-and outerplanarity screens plus the peel) is cached per graph; a repeated
-graph pays only for the list work: list-size screens, color reservations,
-the coloring pass and the final verification.  A graph's first solve
-takes time quadratic in the number of vertices: each peel step rebuilds
-the remaining graph, its block structure and the end block's embedding,
-each in time linear in that graph.  The only true
-obstruction among connected outerplanar inputs is the 5-cycle whose five
-lists are one identical 4-set.
+and outerplanarity screens plus the peel) is cached per graph up to
+`STRUCTURE_CACHE_MAX_N` vertices; a repeated graph pays only for the list
+work: list-size screens, color reservations, the coloring pass and the
+final verification.  The graph-only pass makes one block decomposition,
+then peels over a block tree kept up to date in place; each step works in
+time linear in its end block.  So a graph's first solve takes time linear
+in the number of vertices, apart from the work inside one large block,
+which is quadratic in that block (a fan or a strip triangulation).  The
+only true obstruction among connected outerplanar inputs is the 5-cycle
+whose five lists are one identical 4-set.
 
 Colors are chosen by minimum value at every free choice, so the output is
 deterministic.  A `SolveResult` carries either a verified coloring or an
@@ -35,6 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 from .graphs import Graph, cycle_graph, path_graph
 from .kernel import Coloring, ListAssignment, unique_colors, verify
@@ -45,9 +48,12 @@ from .structure import (
     KIND_K2,
     KIND_LONG_EAR,
     EndBlockCase,
-    classify_end_block,
-    is_outerplanar,
+    _block_embeds,
+    _blocks,
+    classify_block,
 )
+# not called here: imported so that the benchmark's hooks on solver.<name> resolve
+from .structure import classify_end_block, is_outerplanar  # noqa: F401
 
 REASON_C5_UNIFORM = "IsC5Uniform"
 REASON_NOT_OUTERPLANAR = "NotOuterplanar"
@@ -364,7 +370,8 @@ def solve(g: Graph, lists) -> SolveResult:
         raise ValueError(f"graph has {g.n} vertices but {len(la)} lists given")
     if g.n == 0:
         return SolveResult([], None, ())
-    screened, plan, rest = _structure(g)
+    structure = _structure if g.n <= STRUCTURE_CACHE_MAX_N else _structure_pass
+    screened, plan, rest = structure(g)
     if screened is not None:
         return SolveResult(None, screened, ())
     for v in range(g.n):
@@ -420,35 +427,103 @@ def solve(g: Graph, lists) -> SolveResult:
     return SolveResult(colors, None, tuple(trace))
 
 
-# sized above the 1,016 connected outerplanar graphs on 2..8 vertices, so a
-# pass over that corpus finds every graph it has seen before
-@lru_cache(maxsize=4096)
-def _structure(g: Graph) -> "tuple[Obstruction | None, tuple[EndBlockCase, ...], tuple[int, ...]]":
-    """The graph-only pass of `solve`, cached per graph (by value).
+# Graphs above this many vertices skip the structure cache: repeated graphs
+# are small (the criterion-2 corpus has n <= 8), and the plan of one large
+# graph holds objects in proportion to its size
+STRUCTURE_CACHE_MAX_N = 1024
 
-    Screens connectivity and outerplanarity, then cuts end blocks until at
-    most 3 vertices or a whole cycle remain.  Returns the obstruction found
-    by the screens (or None), the cases in peel order and the remaining
-    vertices (sorted, or in cycle order), all in host ids.  Everything
-    returned is immutable, so every solve of the graph can share it.
+
+def _structure_pass(g: Graph) -> "tuple[Obstruction | None, tuple[EndBlockCase, ...], tuple[int, ...]]":
+    """The graph-only pass of `solve`.
+
+    One Tarjan search from vertex 0 screens connectivity and yields the
+    blocks; the graph is outerplanar iff m <= 2n - 3 and every block
+    embeds.  Then `_peel` cuts end blocks until at most 3 vertices or a
+    whole cycle remain.  Returns the obstruction found by the screens (or
+    None), the cases in peel order and the remaining vertices (sorted, or
+    in cycle order), all in host ids.  Everything returned is immutable,
+    so every solve of the graph can share it.
     """
-    if not g.is_connected():
+    n = g.n
+    disc = [-1] * n
+    blocks = list(_blocks(g, (0,), disc))
+    if -1 in disc:
         return Obstruction(REASON_DISCONNECTED, "input graph is disconnected"), (), ()
-    if not is_outerplanar(g):
+    if (n >= 2 and g.m > 2 * n - 3) or not all(_block_embeds(edges) for edges in blocks):
         return Obstruction(REASON_NOT_OUTERPLANAR, "input graph is not outerplanar"), (), ()
+    plan, rest = _peel(n, blocks)
+    return None, plan, rest
+
+
+# cached per graph (by value); sized above the 1,016 connected outerplanar
+# graphs on 2..8 vertices, so a pass over that corpus finds every graph it
+# has seen before
+_structure = lru_cache(maxsize=4096)(_structure_pass)
+
+
+def _peel(n: int, block_edges) -> "tuple[tuple[EndBlockCase, ...], tuple[int, ...]]":
+    """Peel a connected outerplanar graph, given the edge lists of its
+    blocks, over a block tree kept up to date in place.
+
+    The end block peeled next is the one `BlockDecomposition.end_blocks()`
+    lists first, by the key (smallest vertex, size, vertex tuple); end
+    blocks wait in a heap under that key, and an entry whose block has
+    since changed or gone is skipped.  The anchor is the block's one cut
+    vertex, or its smallest vertex once it is the only block left; no step
+    removes its anchor.  A pendant or cycle step deletes its block, which
+    can only turn the anchor from a cut vertex into an inner vertex of its
+    one other block; an ear or chain step removes vertices of no other
+    block and leaves the rest of its block 2-connected, so only that
+    block's key changes.  Each step costs time linear in its block.
+    """
+    verts: "list[tuple[int, ...] | None]" = [
+        tuple(sorted({v for e in edges for v in e})) for edges in block_edges
+    ]
+    edges = list(block_edges)
+    count = [0] * n  # blocks containing each vertex
+    for block in verts:
+        for v in block:
+            count[v] += 1
+    at: dict[int, list[int]] = {}  # cut vertex -> its blocks
+    ncut = [0] * len(verts)  # cut vertices in each block
+    for i, block in enumerate(verts):
+        for v in block:
+            if count[v] > 1:
+                at.setdefault(v, []).append(i)
+                ncut[i] += 1
+    heap = [(block[0], len(block), block, i) for i, block in enumerate(verts) if ncut[i] <= 1]
+    heapify(heap)
+    gone = bytearray(n)
+    left = n
     plan = []
-    sub, ids = g, tuple(range(g.n))
-    while sub.n > 3:
-        case = classify_end_block(sub)
-        if case.kind == KIND_CYCLE and len(case.cycle_order) == sub.n:
-            return None, tuple(plan), tuple(ids[v] for v in case.cycle_order)
+    while left > 3:
+        _, _, block, i = heappop(heap)
+        if verts[i] is not block:
+            continue  # the block has shrunk or gone since this entry
+        anchor = next((v for v in block if count[v] > 1), block[0])
+        case = classify_block(block, edges[i], anchor)
+        if case.kind == KIND_CYCLE and len(block) == left:
+            return tuple(plan), case.cycle_order
         if case.kind not in _STEPS:
             raise SolverInternalError(f"unknown end-block case {case.kind}")
-        plan.append(case.relabel(ids))
-        cut = set(case.removed())
-        sub, kept = sub.subgraph(w for w in range(sub.n) if w not in cut)
-        ids = tuple(ids[w] for w in kept)
-    return None, tuple(plan), ids
+        plan.append(case)
+        cut = case.removed()
+        left -= len(cut)
+        for v in cut:
+            gone[v] = 1
+        if case.kind in (KIND_K2, KIND_CYCLE):
+            verts[i] = None
+            count[anchor] -= 1
+            if count[anchor] == 1:
+                j = next(j for j in at[anchor] if verts[j] is not None)
+                ncut[j] -= 1
+                if ncut[j] == 1:  # it has just become an end block
+                    heappush(heap, (verts[j][0], len(verts[j]), verts[j], j))
+        else:
+            verts[i] = block = tuple(v for v in block if not gone[v])
+            edges[i] = [e for e in edges[i] if not (gone[e[0]] or gone[e[1]])]
+            heappush(heap, (block[0], len(block), block, i))
+    return tuple(plan), tuple(v for v in range(n) if not gone[v])
 
 
 def _color_trivial(g, lists, rest, colors, trace) -> None:

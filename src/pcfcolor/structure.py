@@ -256,18 +256,21 @@ def is_outerplanar(g: Graph) -> bool:
     n = g.n
     if n >= 2 and g.m > 2 * n - 3:
         return False
-    for edges in _blocks(g, range(n), [-1] * n):
-        if len(edges) == 1:
-            continue
-        adj: dict[int, set[int]] = {}
-        for u, v in edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        if len(edges) == len(adj):
-            continue
-        if len(edges) > 2 * len(adj) - 3 or _outer_cycle(adj) is None:
-            return False
-    return True
+    return all(_block_embeds(edges) for edges in _blocks(g, range(n), [-1] * n))
+
+
+def _block_embeds(edges) -> bool:
+    """Whether the block with this edge list is outerplanar: a bridge, or
+    a cycle (as many edges as vertices), passes at once."""
+    if len(edges) == 1:
+        return True
+    adj: dict[int, set[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    if len(edges) == len(adj):
+        return True
+    return len(edges) <= 2 * len(adj) - 3 and _outer_cycle(adj) is not None
 
 
 # -- ears and ear chains ------------------------------------------------------
@@ -590,31 +593,15 @@ KIND_EAR_CHAIN = "ear_chain"
 
 @dataclass(frozen=True)
 class EndBlockCase:
-    """Which inductive step applies to the chosen end block, with its data.
-
-    All vertex ids refer to the host graph (the one passed to
-    classify_end_block), not to the block subgraph.
-    """
+    """Which inductive step applies to the chosen end block, with its data,
+    in host-graph vertex ids."""
 
     kind: str
-    block: tuple[int, ...]
     anchor: int
     pendant: "int | None" = None  # k2: the non-anchor vertex
     cycle_order: "tuple[int, ...] | None" = None  # cycle: order starting at anchor
     ear: "Ear | None" = None  # good_ear / long_ear
     chain: "EarChain | None" = None  # ear_chain
-
-    def relabel(self, ids) -> "EndBlockCase":
-        """The same case with every vertex v renamed ids[v]."""
-        return EndBlockCase(
-            self.kind,
-            tuple(ids[v] for v in self.block),
-            ids[self.anchor],
-            pendant=None if self.pendant is None else ids[self.pendant],
-            cycle_order=None if self.cycle_order is None else tuple(ids[v] for v in self.cycle_order),
-            ear=None if self.ear is None else self.ear.relabel(ids),
-            chain=None if self.chain is None else self.chain.relabel(ids),
-        )
 
     def removed(self) -> tuple[int, ...]:
         """The vertices this step deletes from the graph: the pendant, the
@@ -635,9 +622,9 @@ def classify_end_block(g: Graph) -> EndBlockCase:
     """Choose an end block and anchor, and classify the inductive case.
 
     The graph must be connected, outerplanar, and have at least 4 vertices.
-    The result depends only on the graph, never on color lists, so it is
-    cached; the peels of different graphs that reach the same remaining
-    graph share its classification.
+    The end block is the first of `block_decomposition(g).end_blocks()`;
+    its anchor is its cut vertex, or its smallest vertex when it is the
+    whole graph.  The result depends only on the graph, so it is cached.
     """
     if g.n < 4:
         raise ValueError("classification needs at least 4 vertices")
@@ -645,34 +632,43 @@ def classify_end_block(g: Graph) -> EndBlockCase:
     block = decomp.end_blocks()[0]
     in_block_cuts = [v for v in block if v in decomp.cut_vertices]
     anchor = in_block_cuts[0] if in_block_cuts else block[0]
+    inside = set(block)
+    return classify_block(block, [e for e in g.edges() if e[0] in inside and e[1] in inside], anchor)
 
+
+def classify_block(block: tuple[int, ...], edges, anchor: int) -> EndBlockCase:
+    """The inductive case of one end block peeled at `anchor`.
+
+    `block` lists the block's vertices sorted and `edges` its edges, both
+    in host ids.  Works in time linear in the block: only the block is
+    built as a `Graph`, its vertices numbered in host order so that the
+    embedding's rotation and every tie-break of the ear search follow the
+    host ids.
+    """
     if len(block) == 2:
-        pendant = block[0] if block[1] == anchor else block[1]
-        return EndBlockCase(KIND_K2, block, anchor, pendant=pendant)
+        return EndBlockCase(KIND_K2, anchor, pendant=block[0] if block[1] == anchor else block[1])
 
-    # a graph that is one block is its own block subgraph
-    bsub, ids = (g, block) if len(block) == g.n else g.subgraph(block)
-    loc = {old: new for new, old in enumerate(ids)}
+    loc = {v: i for i, v in enumerate(block)}
+    bsub = Graph(len(block), [(loc[u], loc[v]) for u, v in edges])
     emb = outer_embedding(bsub)
     if emb is None:
         raise StructureError("end block is not outerplanar")
 
     if bsub.m == bsub.n:  # 2-regular: the block is a cycle
-        order = [ids[v] for v in emb.order]
+        order = [block[v] for v in emb.order]
         i = order.index(anchor)
-        rotated = tuple(order[i:] + order[:i])
-        return EndBlockCase(KIND_CYCLE, block, anchor, cycle_order=rotated)
+        return EndBlockCase(KIND_CYCLE, anchor, cycle_order=tuple(order[i:] + order[:i]))
 
     found = find_good_ear_or_chain(bsub, emb, loc[anchor])
     if isinstance(found, Ear):
-        return EndBlockCase(KIND_GOOD_EAR, block, anchor, ear=found.relabel(ids))
+        return EndBlockCase(KIND_GOOD_EAR, anchor, ear=found.relabel(block))
 
-    chain = found.relabel(ids)
+    chain = found.relabel(block)
     if anchor == chain.spine[-1]:
         chain = chain.reversed()
     last = chain.ears[-1]
     if last.size() >= 6:
         # the closing ear is long and free of the anchor: the long-ear
         # recoloring handles it without needing a degree-3 endpoint
-        return EndBlockCase(KIND_LONG_EAR, block, anchor, ear=last)
-    return EndBlockCase(KIND_EAR_CHAIN, block, anchor, chain=chain)
+        return EndBlockCase(KIND_LONG_EAR, anchor, ear=last)
+    return EndBlockCase(KIND_EAR_CHAIN, anchor, chain=chain)

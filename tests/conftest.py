@@ -4,9 +4,9 @@ Everything here is deliberately written from scratch against the definitions,
 not by calling back into the package, so that tests cross-check independent
 implementations: a brute-force product-enumeration solver, an outerplanarity
 test via apex planarity, and the goodness predicates for ears and chains.
-The one exception is the reference outer embedding at the end: the
-package's earlier, simpler structure code, kept verbatim as the yardstick
-for the linear-work one.
+The exceptions are the references at the end: the package's earlier,
+simpler outer embedding and peel, kept as the yardsticks for the
+linear-work ones.
 """
 
 from __future__ import annotations
@@ -16,7 +16,22 @@ import itertools
 import networkx as nx
 
 from pcfcolor.graphs import Graph, normalize_edge
-from pcfcolor.structure import OuterEmbedding
+from pcfcolor.solver import REASON_DISCONNECTED, REASON_NOT_OUTERPLANAR, Obstruction
+from pcfcolor.structure import (
+    KIND_CYCLE,
+    KIND_EAR_CHAIN,
+    KIND_GOOD_EAR,
+    KIND_K2,
+    KIND_LONG_EAR,
+    Ear,
+    EarChain,
+    EndBlockCase,
+    OuterEmbedding,
+    block_decomposition,
+    find_good_ear_or_chain,
+    is_outerplanar,
+    outer_embedding,
+)
 
 
 ACCEPTANCE_LINES: list[str] = []
@@ -252,3 +267,76 @@ def chords_cross_pairwise(cycle, edges) -> bool:
         for i1, j1 in chords
         for i2, j2 in chords
     )
+
+
+# -- reference peel --------------------------------------------------------------
+#
+# The package's graph-only pass before it kept a block tree: every peel step
+# copies the remaining graph with `subgraph`, decomposes it into blocks
+# again, classifies its first end block in the copy's ids and renames the
+# case into host ids.  Quadratic; for comparison on small graphs only.
+
+
+def _renamed_ear(ear, ids):
+    return Ear((ids[ear.root[0]], ids[ear.root[1]]), tuple(ids[w] for w in ear.interior))
+
+
+def _reference_classify(g: Graph) -> EndBlockCase:
+    """The first end block's case, in g's own ids."""
+    decomp = block_decomposition(g)
+    block = decomp.end_blocks()[0]
+    in_block_cuts = [v for v in block if v in decomp.cut_vertices]
+    anchor = in_block_cuts[0] if in_block_cuts else block[0]
+    if len(block) == 2:
+        pendant = block[0] if block[1] == anchor else block[1]
+        return EndBlockCase(KIND_K2, anchor, pendant=pendant)
+    bsub, ids = g.subgraph(block)
+    loc = {old: new for new, old in enumerate(ids)}
+    emb = outer_embedding(bsub)
+    if bsub.m == bsub.n:
+        order = [ids[v] for v in emb.order]
+        i = order.index(anchor)
+        return EndBlockCase(KIND_CYCLE, anchor, cycle_order=tuple(order[i:] + order[:i]))
+    found = find_good_ear_or_chain(bsub, emb, loc[anchor])
+    if isinstance(found, Ear):
+        return EndBlockCase(KIND_GOOD_EAR, anchor, ear=_renamed_ear(found, ids))
+    chain = EarChain(tuple(ids[v] for v in found.spine), tuple(_renamed_ear(e, ids) for e in found.ears))
+    if anchor == chain.spine[-1]:
+        chain = chain.reversed()
+    if chain.ears[-1].size() >= 6:
+        return EndBlockCase(KIND_LONG_EAR, anchor, ear=chain.ears[-1])
+    return EndBlockCase(KIND_EAR_CHAIN, anchor, chain=chain)
+
+
+def _renamed_case(case: EndBlockCase, ids) -> EndBlockCase:
+    return EndBlockCase(
+        case.kind,
+        ids[case.anchor],
+        pendant=None if case.pendant is None else ids[case.pendant],
+        cycle_order=None if case.cycle_order is None else tuple(ids[v] for v in case.cycle_order),
+        ear=None if case.ear is None else _renamed_ear(case.ear, ids),
+        chain=None if case.chain is None else EarChain(
+            tuple(ids[v] for v in case.chain.spine),
+            tuple(_renamed_ear(e, ids) for e in case.chain.ears),
+        ),
+    )
+
+
+def reference_structure(g: Graph):
+    """(obstruction or None, cases in peel order, remaining vertices), as
+    `solver._structure_pass` returns them."""
+    if not g.is_connected():
+        return Obstruction(REASON_DISCONNECTED, "input graph is disconnected"), (), ()
+    if not is_outerplanar(g):
+        return Obstruction(REASON_NOT_OUTERPLANAR, "input graph is not outerplanar"), (), ()
+    plan = []
+    sub, ids = g, tuple(range(g.n))
+    while sub.n > 3:
+        case = _reference_classify(sub)
+        if case.kind == KIND_CYCLE and len(case.cycle_order) == sub.n:
+            return None, tuple(plan), tuple(ids[v] for v in case.cycle_order)
+        plan.append(_renamed_case(case, ids))
+        cut = set(case.removed())
+        sub, kept = sub.subgraph(w for w in range(sub.n) if w not in cut)
+        ids = tuple(ids[w] for w in kept)
+    return None, tuple(plan), ids

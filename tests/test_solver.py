@@ -5,10 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import in_lists, pcf_ok
+from conftest import in_lists, pcf_ok, reference_structure
 from pcfcolor import solver
 from pcfcolor.families import (
     enumerate_connected_outerplanar,
+    enumerate_two_connected_outerplanar,
+    random_cactus,
     random_outerplanar,
 )
 from pcfcolor.graphs import Graph, cycle_graph, path_graph
@@ -453,6 +455,78 @@ def test_structure_cache_keeps_lists_apart():
     assert key(solve(twin, b)) == cold["b"]
     after = solver._structure.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_large_graphs_skip_the_structure_cache():
+    limit = solver.STRUCTURE_CACHE_MAX_N
+    solver._structure.cache_clear()
+    for n, cached in ((limit + 1, 0), (limit, 1)):
+        g = path_graph(n)
+        solved_ok(g, plus2_lists(g, n))
+        assert solver._structure.cache_info().currsize == cached
+
+
+def test_large_path_and_cactus_solve_cold():
+    # one peel step per block over the block tree, no recursion
+    for g in (path_graph(10_000), random_cactus(10_000, 3)):
+        assert g.n > solver.STRUCTURE_CACHE_MAX_N  # never cached: every solve is cold
+        res = solved_ok(g, plus2_lists(g, 10))
+        assert replay_trace(g.n, res.trace) == res.coloring
+
+
+def _relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@st.composite
+def peel_inputs(draw):
+    """Graphs of every block shape, in random vertex order half the time,
+    plus disconnected and (often) non-outerplanar ones."""
+    kind = draw(st.sampled_from(
+        ["random", "path", "cactus", "fan", "strip", "flower", "extra_edge", "union"]
+    ))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "random":
+        g = random_outerplanar(draw(st.integers(1, 300)), seed)
+    elif kind == "path":
+        g = path_graph(draw(st.integers(1, 300)))
+    elif kind == "cactus":
+        g = random_cactus(draw(st.integers(1, 300)), seed)
+    elif kind == "fan":
+        g = fan(draw(st.integers(2, 120)))
+    elif kind == "strip":
+        g = zigzag_triangulation(draw(st.integers(3, 120)))
+    elif kind == "flower":
+        g = flower(*(draw(st.integers(1, 7)) for _ in range(3)))
+    elif kind == "extra_edge":
+        g = random_outerplanar(draw(st.integers(4, 60)), seed)
+        u, v = random.Random(seed).sample(range(g.n), 2)
+        if not g.has_edge(u, v):
+            g = Graph(g.n, [*g.edges(), (u, v)])
+    else:
+        a = random_outerplanar(draw(st.integers(1, 30)), seed)
+        b = random_outerplanar(draw(st.integers(1, 30)), seed + 1)
+        g = Graph(a.n + b.n, [*a.edges(), *((u + a.n, v + a.n) for u, v in b.edges())])
+    if draw(st.booleans()):
+        g = _relabeled(g, random.Random(seed))
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(peel_inputs())
+def test_peel_matches_the_reference(g):
+    # case for case and field for field, screens included
+    assert solver._structure_pass(g) == reference_structure(g)
+
+
+def test_peel_matches_the_reference_on_the_corpora():
+    graphs = [g for n in range(1, 9) for g in enumerate_connected_outerplanar(n)]
+    graphs += [g for n in range(4, 10) for g in enumerate_two_connected_outerplanar(n)]
+    graphs += [flower(a, b, c) for a in (1, 2, 3) for b in range(1, 7) for c in (1, 2, 3)]
+    for g in graphs:
+        assert solver._structure_pass(g) == reference_structure(g), g.edges()
 
 
 def test_graph_screens_come_before_the_list_screen():

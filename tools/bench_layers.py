@@ -1,4 +1,4 @@
-"""Per-layer timings of pcfcolor, written to BENCH_10.json.
+"""Per-layer timings of pcfcolor, written to BENCH_11.json.
 
 Times, in this process, the layers a repeated solve and the command line
 spend their time in:
@@ -16,26 +16,30 @@ spend their time in:
 - `is_outerplanar` on the 25,238 candidate graphs that enumerating the
   connected outerplanar graphs of up to 8 vertices tests, and on fans
   (vertex 0 joined to the path 1..n-1) of 1,000 and 4,000 vertices;
-- the graph-only pass of a first solve (`solver._structure`, with its
-  cache and the end-block cache cleared before each run) on fans of 100,
-  200 and 400 vertices.
+- the graph-only pass of a first solve (`solver._structure`, its cache
+  cleared before each run) on paths and cactus graphs
+  (`families.random_cactus`) of 1,000, 2,000, 4,000 and 8,000 vertices,
+  and on `random_outerplanar` graphs (re-seeded until m >= n), fans and
+  strip triangulations (edges i,i+1 and i,i+2) of 200, 400 and 800
+  vertices; each with the garbage collector on and, as `.gc_off`, off.
 
-Each entry is the fastest of 20 timings of one whole batch (7 for the
-first solves of fans), reported per operation; the fastest run is the one
-least disturbed by other work on the host, and entries measured together
-take turns.  `ratios` divides the time on a fan by the time on a fan a
-quarter (for `is_outerplanar`) or half (for the first solve) its size: 4
-and 2 mean linear time, 16 and 4 quadratic.
+Each entry is the fastest of 20 timings of one whole batch (5 for the
+first solves), reported per operation; the fastest run is the one least
+disturbed by other work on the host, and entries measured together take
+turns.  `ratios` divides the time on a fan by the time on a fan a quarter
+its size (for `is_outerplanar`: 4 means linear time, 16 quadratic), and
+each first solve by the one of half its size (2 linear, 4 quadratic).
 
 Nothing is asserted about the numbers.  Run from the repository root (it
 imports the package from the `src/` beside this file):
 
-    python tools/bench_layers.py [--out BENCH_10.json]
+    python tools/bench_layers.py [--out BENCH_11.json]
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import random
@@ -47,12 +51,16 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from pcfcolor import solver  # noqa: E402
-from pcfcolor.families import enumerate_connected_outerplanar, random_outerplanar  # noqa: E402
-from pcfcolor.graphs import Graph, parse_graph6, write_graph6  # noqa: E402
+from pcfcolor.families import (  # noqa: E402
+    enumerate_connected_outerplanar,
+    random_cactus,
+    random_outerplanar,
+)
+from pcfcolor.graphs import Graph, parse_graph6, path_graph, write_graph6  # noqa: E402
 from pcfcolor.kernel import degree_plus_k_lists, unique_colors, verify  # noqa: E402
 from pcfcolor.oracle import solve_exact  # noqa: E402
 from pcfcolor.solver import solve  # noqa: E402
-from pcfcolor.structure import classify_end_block, is_outerplanar  # noqa: E402
+from pcfcolor.structure import is_outerplanar  # noqa: E402
 
 REPEAT = 20
 SEED = 1
@@ -72,6 +80,28 @@ def fan(n):
     return Graph(n, [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)])
 
 
+def strip(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)])
+
+
+def random_dense(n):
+    """`random_outerplanar(n, seed)` for the first seed from SEED on that
+    gives at least n edges: a polygon with chords, not a tree."""
+    seed = SEED
+    while (g := random_outerplanar(n, seed)).m < n:
+        seed += 1
+    return g
+
+
+FIRST_SOLVES = {
+    "path": (path_graph, (1000, 2000, 4000, 8000)),
+    "cactus": (lambda n: random_cactus(n, SEED), (1000, 2000, 4000, 8000)),
+    "random": (random_dense, (200, 400, 800)),
+    "fan": (fan, (200, 400, 800)),
+    "strip": (strip, (200, 400, 800)),
+}
+
+
 def enumeration_candidates(max_n):
     """Every graph `enumerate_connected_outerplanar` tests for outerplanarity
     on its way to max_n vertices: each smaller graph plus one new vertex
@@ -85,19 +115,25 @@ def enumeration_candidates(max_n):
     return out
 
 
-def fastest(batches, repeat=REPEAT, setup=None):
+def fastest(batches, repeat=REPEAT, setup=None, gc_off=()):
     """Fastest of `repeat` timings of each batch, as a dict of per-op
     figures per name.  `batches` maps a name to (batch, ops); the batches
     take turns, so a slow spell on the host falls on all of them, and each
-    run follows an untimed setup()."""
+    run follows an untimed setup().  The batches named in `gc_off` run
+    with the garbage collector disabled."""
     best = dict.fromkeys(batches, float("inf"))
     for _ in range(repeat):
         for name, (batch, _) in batches.items():
             if setup is not None:
                 setup()
-            start = time.perf_counter()
-            batch()
-            best[name] = min(best[name], time.perf_counter() - start)
+            if name in gc_off:
+                gc.disable()
+            try:
+                start = time.perf_counter()
+                batch()
+                best[name] = min(best[name], time.perf_counter() - start)
+            finally:
+                gc.enable()
     return {
         name: {"ops": ops, "batch_ms": round(best[name] * 1e3, 4),
                "per_op_us": round(best[name] * 1e6 / ops, 3)}
@@ -158,11 +194,16 @@ def measure():
 
     def clear():
         solver._structure.cache_clear()
-        classify_end_block.cache_clear()
+        gc.collect()
 
-    results.update(fastest({
-        f"structure.cold.fan{n}": (lambda g=fan(n): solver._structure(g), 1) for n in (100, 200, 400)
-    }, repeat=7, setup=clear))
+    for family, (make, sizes) in FIRST_SOLVES.items():
+        batches = {}
+        for n in sizes:
+            batch = (lambda g=make(n): solver._structure(g), 1)
+            batches[f"structure.cold.{family}{n}"] = batch
+            batches[f"structure.cold.{family}{n}.gc_off"] = batch
+        results.update(fastest(batches, repeat=5, setup=clear,
+                               gc_off={name for name in batches if name.endswith(".gc_off")}))
     clear()
     return results
 
@@ -171,16 +212,18 @@ def ratios(results):
     def ms(key):
         return results[key]["batch_ms"]
 
-    return {
-        "is_outerplanar.fan4000/fan1000": round(ms("is_outerplanar.fan4000") / ms("is_outerplanar.fan1000"), 2),
-        "structure.cold.fan200/fan100": round(ms("structure.cold.fan200") / ms("structure.cold.fan100"), 2),
-        "structure.cold.fan400/fan200": round(ms("structure.cold.fan400") / ms("structure.cold.fan200"), 2),
-    }
+    out = {"is_outerplanar.fan4000/fan1000": round(ms("is_outerplanar.fan4000") / ms("is_outerplanar.fan1000"), 2)}
+    for family, (_, sizes) in FIRST_SOLVES.items():
+        for suffix in ("", ".gc_off"):
+            for small, big in zip(sizes, sizes[1:]):
+                key = f"structure.cold.{family}{big}{suffix}/{family}{small}"
+                out[key] = round(ms(f"structure.cold.{family}{big}{suffix}") / ms(f"structure.cold.{family}{small}{suffix}"), 2)
+    return out
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default=str(ROOT / "BENCH_10.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_11.json"))
     args = ap.parse_args(argv)
     timings = measure()
     doc = {
