@@ -27,7 +27,6 @@ from .structure import is_outerplanar
 
 EXPECTED_SAT = "sat"
 EXPECTED_UNSAT = "unsat"
-EXPECTED_UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)

@@ -3,25 +3,29 @@
 Every connected outerplanar graph except one obstruction family admits a
 proper coloring from lists of size degree+2 in which each non-isolated
 vertex sees some color exactly once in its neighborhood.  `solve` builds
-such a coloring the way the induction proves it exists: peel an end block,
-color the rest, then extend the coloring over the block, by case: a
-pendant edge, an attached cycle, a good ear, a long ear, or an ear chain.
-It runs as two loops, not as recursion.  The peel pass records the case
-of each end block in turn until at most 3 vertices or a whole cycle
-remain; the coloring pass colors that base and then walks the recorded
-cases backwards over the host graph, filling one coloring.  So `solve`
-has no recursion-depth limit.  Which end block is peeled, and which case
-fires, depend on the graph alone, so the graph-only pass (connectivity
-and outerplanarity screens plus the peel) is cached per graph up to
-`STRUCTURE_CACHE_MAX_N` vertices; a repeated graph pays only for the list
-work: list-size screens, color reservations, the coloring pass and the
-final verification.  The graph-only pass makes one block decomposition,
-then peels over a block tree kept up to date in place; each step works in
-time linear in its end block.  So a graph's first solve takes time linear
-in the number of vertices, apart from the work inside one large block,
-which is quadratic in that block (a fan or a strip triangulation).  The
-only true obstruction among connected outerplanar inputs is the 5-cycle
-whose five lists are one identical 4-set.
+such a coloring the way the induction proves it exists: peel an end
+block, color the rest, then extend the coloring over the block, by case:
+a pendant edge, an attached cycle, a good ear, a long ear, or an ear
+chain.  It runs as two loops, not as recursion.  The peel pass records
+the case of each end block in turn until at most 3 vertices or a whole
+cycle remain; the coloring pass colors that base and then walks the
+recorded cases backwards over the host graph, filling one coloring
+through `_Pass.put`, its only write, and recording each step through
+`_Pass.close`.  So `solve` has no recursion-depth limit.  Which end
+block is peeled, and which case fires, depend on the graph alone, so the
+graph-only pass (connectivity and outerplanarity screens plus the peel)
+is cached per graph up to `STRUCTURE_CACHE_MAX_N` vertices; a repeated
+graph pays only for the list work: list-size screens, color
+reservations, the coloring pass and the final verification.  The
+graph-only pass makes one block decomposition, then peels over a block
+tree kept up to date in place; each step works in time linear in its end
+block.  So a graph's first solve takes time linear in the number of
+vertices, apart from the work inside one large block, which is quadratic
+in that block (a fan or a strip triangulation).  The coloring pass takes
+time linear in each step, plus one `unique_colors` walk of the step's
+anchor adjacency, so it is quadratic on a high-degree anchor (the hub of
+a fan).  The only true obstruction among connected outerplanar inputs is
+the 5-cycle whose five lists are one identical 4-set.
 
 Colors are chosen by minimum value at every free choice, so the output is
 deterministic.  A `SolveResult` carries either a verified coloring or an
@@ -39,8 +43,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
+from . import kernel  # kernel.unique_colors is looked up at call time, where the benchmark hooks it
 from .graphs import Graph, cycle_graph, path_graph
-from .kernel import Coloring, ListAssignment, unique_colors, verify
+from .kernel import Coloring, ListAssignment, verify
 from .structure import (
     KIND_CYCLE,
     KIND_EAR_CHAIN,
@@ -153,10 +158,10 @@ def trim_lists(g: Graph, lists, k: int = 2) -> ListAssignment:
 # -- reusable coloring lemmas --------------------------------------------------
 
 
-def _min_excluding(pool: frozenset, forbidden, what: str, trace=()) -> int:
+def _min_excluding(pool: frozenset, forbidden, what: str) -> int:
     avail = pool - forbidden
     if not avail:
-        raise SolverInternalError(f"no color available for {what}", trace)
+        raise SolverInternalError(f"no color available for {what}")
     return min(avail)
 
 
@@ -313,45 +318,79 @@ def extend_ear(host: Graph, colors, ear_vertices, lists) -> Coloring:
     seq = list(ear_vertices)
     if len(seq) < 3:
         raise ValueError("an ear has at least 3 vertices")
-    out = list(colors)
     ls = lists.lists if isinstance(lists, ListAssignment) else tuple(frozenset(x) for x in lists)
-    _extend_ear(host, out, ls, seq, None, "EarExtension", ())
-    return out
+    p = _Pass(host, ls, list(colors))
+    _extend_ear(p, seq, "EarExtension", ())
+    return p.colors
 
 
-def _extend_ear(g, colors, lists, seq, trace, tag, removed) -> None:
+class _Pass:
+    """One coloring pass over the host graph: `put` is its only write into
+    `colors`, `close` records the colors put since the last one as a trace
+    step, and `fail` builds every error with the steps closed so far."""
+
+    __slots__ = ("g", "lists", "colors", "trace", "step")
+
+    def __init__(self, g: Graph, lists, colors: Coloring):
+        self.g = g
+        self.lists = lists
+        self.colors = colors
+        self.trace: list[TraceStep] = []
+        self.step: dict[int, int] = {}
+
+    def put(self, v: int, c: int) -> None:
+        if self.colors[v] is not None:
+            raise self.fail(f"vertex {v} is already colored")
+        self.colors[v] = c
+        self.step[v] = c
+
+    def close(self, tag: str, removed: tuple) -> None:
+        self.trace.append(TraceStep(tag, removed, self.step))
+        self.step = {}
+
+    def pick(self, pool: frozenset, forbidden, what: str) -> int:
+        """The smallest color of `pool` not in `forbidden`."""
+        avail = pool - forbidden
+        if not avail:
+            raise self.fail(f"no color available for {what}")
+        return min(avail)
+
+    def unique(self, v: int, what: str) -> int:
+        """The smallest color seen exactly once around `v`."""
+        kept = kernel.unique_colors(self.g, self.colors, v)
+        if not kept:
+            raise self.fail(f"no unique neighborhood color at {what}")
+        return min(kept)
+
+    def fail(self, message: str) -> SolverInternalError:
+        return SolverInternalError(message, self.trace)
+
+
+def _extend_ear(p: _Pass, seq, tag: str, removed: tuple) -> None:
+    colors = p.colors
     r = len(seq)
     u1, ur = seq[0], seq[-1]
-    c1 = colors[u1]
-    cr = colors[ur]
+    c1, cr = colors[u1], colors[ur]
     if c1 is None or cr is None:
-        raise SolverInternalError("ear root must be colored before extension")
-    kept = unique_colors(g, colors, u1)
+        raise p.fail("ear root must be colored before extension")
+    kept = kernel.unique_colors(p.g, colors, u1)
     if kept:
         c2 = min(kept)
     else:
-        palette = {colors[w] for w in g.neighbors(u1) if colors[w] is not None}
+        palette = {colors[w] for w in p.g.neighbors(u1) if colors[w] is not None}
         if len(palette) != 1:
-            raise SolverInternalError(
-                "ear extension needs a unique or unanimous color at the near root"
-            )
+            raise p.fail("ear extension needs a unique or unanimous color at the near root")
         c2 = next(iter(palette))
-    assigned: dict[int, int] = {}
     for i in range(2, r):  # cycle positions u_2 .. u_{r-1}
         v = seq[i - 1]
-        if colors[v] is not None:
-            raise SolverInternalError("ear interior already colored")
         if i == 2:
             forb = {c1, c2}
         else:
             forb = {colors[seq[i - 2]], colors[seq[i - 3]]}
         if i >= r - 2:
             forb.add(cr)
-        c = _min_excluding(lists[v], forb, f"ear vertex {v}")
-        colors[v] = c
-        assigned[v] = c
-    if trace is not None:
-        trace.append(TraceStep(tag, removed, assigned))
+        p.put(v, p.pick(p.lists[v], forb, f"ear vertex {v}"))
+    p.close(tag, removed)
 
 
 # -- the peel pass and the coloring pass ---------------------------------------
@@ -409,22 +448,20 @@ def solve(g: Graph, lists) -> SolveResult:
             gamma = min(t2 - t3) if t2 - t3 else min(t2)
             for v in (chain.spine[0], chain.spine[-1]):
                 work[v] = work[v] - {gamma}
-    colors: Coloring = [None] * g.n
-    trace: list[TraceStep] = []
+    p = _Pass(g, work, [None] * g.n)
     if len(rest) <= 3:
-        _color_trivial(g, work, rest, colors, trace)
+        _color_trivial(p, rest)
     else:
-        _color_whole_cycle(work, rest, colors, trace)
+        _color_whole_cycle(p, rest)
     for case in reversed(plan):
-        _STEPS[case.kind](g, work, colors, trace, case)
-    verdict = verify(g, colors, la)
+        _STEPS[case.kind](p, case)
+    verdict = verify(g, p.colors, la)
     if not verdict.ok:
-        raise SolverInternalError(
+        raise p.fail(
             "constructed coloring fails verification: "
-            + "; ".join(v.describe() for v in verdict.violations[:5]),
-            tuple(trace),
+            + "; ".join(v.describe() for v in verdict.violations[:5])
         )
-    return SolveResult(colors, None, tuple(trace))
+    return SolveResult(p.colors, None, tuple(p.trace))
 
 
 # Graphs above this many vertices skip the structure cache: repeated graphs
@@ -526,9 +563,10 @@ def _peel(n: int, block_edges) -> "tuple[tuple[EndBlockCase, ...], tuple[int, ..
     return tuple(plan), tuple(v for v in range(n) if not gone[v])
 
 
-def _color_trivial(g, lists, rest, colors, trace) -> None:
+def _color_trivial(p: _Pass, rest) -> None:
     # rainbow within radius 2 of the remaining vertices: trivially proper
     # and conflict-free; peeled vertices are not walked through
+    g, colors = p.g, p.colors
     inside = set(rest)
     for v in rest:
         forb = set()
@@ -540,59 +578,46 @@ def _color_trivial(g, lists, rest, colors, trace) -> None:
             for z in g.neighbors(w):
                 if colors[z] is not None:
                     forb.add(colors[z])
-        colors[v] = _min_excluding(lists[v], forb, f"vertex {v}", trace)
-    trace.append(TraceStep("Trivial", tuple(rest), {v: colors[v] for v in rest}))
+        p.put(v, p.pick(p.lists[v], forb, f"vertex {v}"))
+    p.close("Trivial", tuple(rest))
 
 
-def _color_whole_cycle(lists, order, colors, trace) -> None:
-    res = color_cycle([lists[v] for v in order])
+def _color_whole_cycle(p: _Pass, order) -> None:
+    res = color_cycle([p.lists[v] for v in order])
     if isinstance(res, Obstruction):
         # reachable only if the top-level uniform-C5 screen were skipped
-        raise SolverInternalError("uniform 5-cycle reached the cycle case", tuple(trace))
+        raise p.fail("uniform 5-cycle reached the cycle case")
     for v, c in zip(order, res):
-        colors[v] = c
-    trace.append(TraceStep("CycleProp", tuple(order), dict(zip(order, res))))
+        p.put(v, c)
+    p.close("CycleProp", tuple(order))
 
 
-def _min_unique(g, colors, v, what, trace) -> int:
-    kept = unique_colors(g, colors, v)
-    if not kept:
-        raise SolverInternalError(f"no unique neighborhood color at {what}", tuple(trace))
-    return min(kept)
-
-
-def _step_pendant(g, lists, colors, trace, case) -> None:
+def _step_pendant(p: _Pass, case) -> None:
     v, x = case.pendant, case.anchor
-    alpha = _min_unique(g, colors, x, f"anchor {x}", trace)
-    c = _min_excluding(lists[v], {colors[x], alpha}, f"pendant {v}", trace)
-    colors[v] = c
-    trace.append(TraceStep("K2", (v,), {v: c}))
+    alpha = p.unique(x, f"anchor {x}")
+    p.put(v, p.pick(p.lists[v], {p.colors[x], alpha}, f"pendant {v}"))
+    p.close("K2", (v,))
 
 
-def _step_cycle(g, lists, colors, trace, case) -> None:
+def _step_cycle(p: _Pass, case) -> None:
     x = case.anchor
     body = case.removed()
-    c1 = colors[x]
-    alpha = _min_unique(g, colors, x, f"anchor {x}", trace)
+    lists = p.lists
+    c1 = p.colors[x]
+    alpha = p.unique(x, f"anchor {x}")
     ell = len(case.cycle_order)
-    assigned = {}
-
-    def put(v, c):
-        colors[v] = c
-        assigned[v] = c
-
     if ell == 3:
-        p0 = _min_excluding(lists[body[0]], {c1, alpha}, "cycle block", trace)
-        put(body[0], p0)
-        put(body[1], _min_excluding(lists[body[1]], {c1, alpha, p0}, "cycle block", trace))
+        p0 = p.pick(lists[body[0]], {c1, alpha}, "cycle block")
+        p.put(body[0], p0)
+        p.put(body[1], p.pick(lists[body[1]], {c1, alpha, p0}, "cycle block"))
         tag = "CycleBlock"
     elif ell == 4:
-        p0 = _min_excluding(lists[body[0]], {c1, alpha}, "cycle block", trace)
-        p2 = _min_excluding(lists[body[2]], {c1, alpha, p0}, "cycle block", trace)
-        p1 = _min_excluding(lists[body[1]], {c1, p0, p2}, "cycle block", trace)
-        put(body[0], p0)
-        put(body[1], p1)
-        put(body[2], p2)
+        p0 = p.pick(lists[body[0]], {c1, alpha}, "cycle block")
+        p2 = p.pick(lists[body[2]], {c1, alpha, p0}, "cycle block")
+        p1 = p.pick(lists[body[1]], {c1, p0, p2}, "cycle block")
+        p.put(body[0], p0)
+        p.put(body[1], p1)
+        p.put(body[2], p2)
         tag = "CycleBlock"
     else:
         plists = []
@@ -604,31 +629,30 @@ def _step_cycle(g, lists, colors, trace, case) -> None:
                 cut = cut - {c1}
             plists.append(cut)
         for v, c in zip(body, color_constrained_path(plists)):
-            put(v, c)
+            p.put(v, c)
         tag = "PathLemma"
-    trace.append(TraceStep(tag, body, assigned))
+    p.close(tag, body)
 
 
-def _step_good_ear(g, lists, colors, trace, case) -> None:
+def _step_good_ear(p: _Pass, case) -> None:
     ear = case.ear
-    _extend_ear(g, colors, lists, list(ear.vertices()), trace, "GoodEar", ear.interior)
+    _extend_ear(p, list(ear.vertices()), "GoodEar", ear.interior)
 
 
-def _step_long_ear(g, lists, colors, trace, case) -> None:
+def _step_long_ear(p: _Pass, case) -> None:
     ear = case.ear
     seq = list(ear.vertices())
     r = len(seq)
-    u1, ur = seq[0], seq[-1]
-    c1, c2 = colors[u1], colors[ur]
+    colors = p.colors
+    c1, c2 = colors[seq[0]], colors[seq[-1]]
     if c1 == c2:
-        raise SolverInternalError("long ear root edge colored improperly", tuple(trace))
-    alpha = _min_unique(g, colors, u1, f"root {u1}", trace)
-    beta = _min_unique(g, colors, ur, f"root {ur}", trace)
+        raise p.fail("long ear root edge colored improperly")
+    alpha = p.unique(seq[0], f"root {seq[0]}")
+    beta = p.unique(seq[-1], f"root {seq[-1]}")
 
     # positions are 1-based along the ear; interiors work in their 4
     # smallest colors so that the set-difference tests below are decisive
-    l4 = {v: frozenset(sorted(lists[v])[:4]) for v in ear.interior}
-    assigned: dict[int, int] = {}
+    l4 = {v: frozenset(sorted(p.lists[v])[:4]) for v in ear.interior}
 
     def lof(i):
         return l4[seq[i - 1]]
@@ -636,18 +660,17 @@ def _step_long_ear(g, lists, colors, trace, case) -> None:
     def phi(i):
         return colors[seq[i - 1]]
 
-    def put(i, c):
-        colors[seq[i - 1]] = c
-        assigned[seq[i - 1]] = c
+    def fill(i, forbidden):
+        p.put(seq[i - 1], p.pick(lof(i), forbidden, "long ear"))
 
     near_end = lof(r - 1)
     if len(near_end & {c2, beta}) <= 1:
         tag = "LongEar(sub1)"
-        put(2, _min_excluding(lof(2), {c1, alpha}, "long ear", trace))
+        fill(2, {c1, alpha})
         for i in range(3, r - 2):
-            put(i, _min_excluding(lof(i), {phi(i - 2), phi(i - 1)}, "long ear", trace))
-        put(r - 2, _min_excluding(lof(r - 2), {c2, phi(r - 4), phi(r - 3)}, "long ear", trace))
-        put(r - 1, _min_excluding(near_end, {c2, beta, phi(r - 3), phi(r - 2)}, "long ear", trace))
+            fill(i, {phi(i - 2), phi(i - 1)})
+        fill(r - 2, {c2, phi(r - 4), phi(r - 3)})
+        fill(r - 1, {c2, beta, phi(r - 3), phi(r - 2)})
     else:
         diff = lof(r - 2) - near_end
         if diff:
@@ -656,27 +679,25 @@ def _step_long_ear(g, lists, colors, trace, case) -> None:
         else:
             tag = "LongEar(sub3)"
             if lof(r - 2) != near_end or beta not in lof(r - 2):
-                raise SolverInternalError("long ear subcase split broke", tuple(trace))
+                raise p.fail("long ear subcase split broke")
             pivot = beta
-        put(r - 2, pivot)
+        p.put(seq[r - 3], pivot)  # position r - 2
         # for r = 6 the second vertex is also two steps before the pivot
         # vertex, so it must dodge the pivot color to protect u_3
-        u2_forb = {c1, alpha, pivot} if r == 6 else {c1, alpha}
-        put(2, _min_excluding(lof(2), u2_forb, "long ear", trace))
+        fill(2, {c1, alpha, pivot} if r == 6 else {c1, alpha})
         for i in range(3, r - 4):
-            put(i, _min_excluding(lof(i), {phi(i - 2), phi(i - 1)}, "long ear", trace))
+            fill(i, {phi(i - 2), phi(i - 1)})
         for i in (r - 4, r - 3):
-            if i < 3:
-                continue
-            put(i, _min_excluding(lof(i), {pivot, phi(i - 2), phi(i - 1)}, "long ear", trace))
+            if i >= 3:
+                fill(i, {pivot, phi(i - 2), phi(i - 1)})
         if tag == "LongEar(sub2)":
-            put(r - 1, _min_excluding(near_end, {c2, beta, phi(r - 3), pivot}, "long ear", trace))
+            fill(r - 1, {c2, beta, phi(r - 3), pivot})
         else:
-            put(r - 1, _min_excluding(near_end, {c2, beta, phi(r - 3)}, "long ear", trace))
-    trace.append(TraceStep(tag, ear.interior, assigned))
+            fill(r - 1, {c2, beta, phi(r - 3)})
+    p.close(tag, ear.interior)
 
 
-def _step_ear_chain(g, lists, colors, trace, case) -> None:
+def _step_ear_chain(p: _Pass, case) -> None:
     chain = case.chain
     spine = chain.spine
     s = len(spine)
@@ -684,53 +705,36 @@ def _step_ear_chain(g, lists, colors, trace, case) -> None:
     last = chain.ears[-1]
     rlast = last.size()
     removed = case.removed()
+    lists, colors = p.lists, p.colors
 
     c1, c2 = colors[v1], colors[vs]
     if c1 == c2:
-        raise SolverInternalError("ear chain root edge colored improperly", tuple(trace))
-    alpha = _min_unique(g, colors, v1, f"chain end {v1}", trace)
-    beta = _min_unique(g, colors, vs, f"chain end {vs}", trace)
-
-    assigned: dict[int, int] = {}
-
-    def put(v, c):
-        colors[v] = c
-        assigned[v] = c
+        raise p.fail("ear chain root edge colored improperly")
+    alpha = p.unique(v1, f"chain end {v1}")
+    beta = p.unique(vs, f"chain end {vs}")
 
     def extend(t):
-        ear = chain.ears[t]
-        seq = [spine[t], *ear.interior, spine[t + 1]]
-        _extend_ear(g, colors, lists, seq, trace, "EarExtension", ())
+        _extend_ear(p, [spine[t], *chain.ears[t].interior, spine[t + 1]], "EarExtension", ())
 
     if s >= 4:
-        tag = "EarChain(s>=4)"
         iv = last.interior  # u_2..u_{r-1} of the closing ear, r = rlast
 
         def uphi(j):
-            if j == rlast:
-                return c2
-            return colors[iv[j - 2]]
+            return c2 if j == rlast else colors[iv[j - 2]]
 
-        put(iv[rlast - 3], _min_excluding(lists[iv[rlast - 3]], {c2, beta}, "chain ear", trace))
+        p.put(iv[rlast - 3], p.pick(lists[iv[rlast - 3]], {c2, beta}, "chain ear"))
         for j in range(rlast - 2, 1, -1):
-            put(
-                iv[j - 2],
-                _min_excluding(lists[iv[j - 2]], {c2, uphi(j + 1), uphi(j + 2)}, "chain ear", trace),
-            )
-        u2c = uphi(2)
-        u3c = uphi(3)
-        put(
-            spine[s - 2],
-            _min_excluding(lists[spine[s - 2]], {c2, beta, u2c, u3c}, "chain junction", trace),
-        )
+            p.put(iv[j - 2], p.pick(lists[iv[j - 2]], {c2, uphi(j + 1), uphi(j + 2)}, "chain ear"))
+        u2c, u3c = uphi(2), uphi(3)
+        p.put(spine[s - 2], p.pick(lists[spine[s - 2]], {c2, beta, u2c, u3c}, "chain junction"))
         for i in range(2, s - 1):  # junctions v_2..v_{s-2} along the spine
             forb = {colors[spine[i - 2]]}
             if i == 2:
                 forb |= {c1, alpha}
             if i == s - 2:
                 forb |= {c2, colors[spine[s - 2]], u2c}
-            put(spine[i - 1], _min_excluding(lists[spine[i - 1]], forb, "chain junction", trace))
-        trace.append(TraceStep(tag, removed, assigned))
+            p.put(spine[i - 1], p.pick(lists[spine[i - 1]], forb, "chain junction"))
+        p.close("EarChain(s>=4)", removed)
         for t in range(s - 2):
             extend(t)
         return
@@ -738,32 +742,28 @@ def _step_ear_chain(g, lists, colors, trace, case) -> None:
     v2 = spine[1]
     if rlast == 3:
         u2 = last.interior[0]
-        put(u2, _min_excluding(lists[u2], {c1, c2, beta}, "chain ear", trace))
-        put(v2, _min_excluding(lists[v2], {c1, c2, alpha, beta, colors[u2]}, "chain junction", trace))
-        trace.append(TraceStep("EarChain(s3H3)", removed, assigned))
+        p.put(u2, p.pick(lists[u2], {c1, c2, beta}, "chain ear"))
+        p.put(v2, p.pick(lists[v2], {c1, c2, alpha, beta, colors[u2]}, "chain junction"))
+        p.close("EarChain(s3H3)", removed)
         extend(0)
     elif rlast == 4:
         u2, u3 = last.interior
         t2 = frozenset(sorted(lists[u2])[:4])
         t3 = frozenset(sorted(lists[u3])[:4])
         if beta == c1:
-            p2 = _min_excluding(t2, {c1, c2}, "chain ear", trace)
-            p3 = _min_excluding(t3, {c1, c2, p2}, "chain ear", trace)
-            put(u2, p2)
-            put(u3, p3)
-            put(v2, _min_excluding(lists[v2], {c1, c2, alpha, p2, p3}, "chain junction", trace))
+            p2 = p.pick(t2, {c1, c2}, "chain ear")
+            p3 = p.pick(t3, {c1, c2, p2}, "chain ear")
+            p.put(u2, p2)
+            p.put(u3, p3)
+            p.put(v2, p.pick(lists[v2], {c1, c2, alpha, p2, p3}, "chain junction"))
         else:
-            chosen = None
-            for cand in sorted(t2 - {c1, c2}):
-                if len(t3 - {c2, beta, cand}) >= 2:
-                    chosen = cand
-                    break
+            chosen = next((x for x in sorted(t2 - {c1, c2}) if len(t3 - {c2, beta, x}) >= 2), None)
             if chosen is None:
-                raise SolverInternalError("no pivot for the 4-vertex closing ear", tuple(trace))
-            put(u2, chosen)
-            put(v2, _min_excluding(lists[v2], {c1, c2, alpha, beta, chosen}, "chain junction", trace))
-            put(u3, _min_excluding(t3, {c2, beta, chosen, colors[v2]}, "chain ear", trace))
-        trace.append(TraceStep("EarChain(s3H4)", removed, assigned))
+                raise p.fail("no pivot for the 4-vertex closing ear")
+            p.put(u2, chosen)
+            p.put(v2, p.pick(lists[v2], {c1, c2, alpha, beta, chosen}, "chain junction"))
+            p.put(u3, p.pick(t3, {c2, beta, chosen, colors[v2]}, "chain ear"))
+        p.close("EarChain(s3H4)", removed)
         extend(0)
     elif rlast == 5:
         u2, u3, u4 = last.interior
@@ -774,28 +774,25 @@ def _step_ear_chain(g, lists, colors, trace, case) -> None:
         if common:
             pv2 = pu4 = min(common)
         else:
-            outside = _min_excluding(tv2 | tu4, tu3, "chain far pair", trace)
+            outside = p.pick(tv2 | tu4, tu3, "chain far pair")
             if outside in tv2:
                 pv2, pu4 = outside, min(tu4)
             else:
                 pv2, pu4 = min(tv2), outside
-        put(v2, pv2)
-        put(u4, pu4)
+        p.put(v2, pv2)
+        p.put(u4, pu4)
         if len(tu3 - {pv2, pu4}) < 2:
-            raise SolverInternalError("middle list lost too many colors", tuple(trace))
-        trace.append(TraceStep("EarChain(s3H5)", removed, assigned))
+            raise p.fail("middle list lost too many colors")
+        p.close("EarChain(s3H5)", removed)
         extend(0)
-        late: dict[int, int] = {}
-        gmid = _min_unique(g, colors, v2, f"junction {v2}", trace)
-        cu2 = _min_excluding(lists[u2], {pv2, pu4, gmid}, "chain ear", trace)
-        colors[u2] = cu2
-        late[u2] = cu2
-        cu3 = _min_excluding(tu3, {pv2, cu2, pu4}, "chain ear", trace)
-        colors[u3] = cu3
-        late[u3] = cu3
-        trace.append(TraceStep("EarChain(s3H5)", (), late))
+        # u2 and u3 wait for the first ear, whose colors fix v2's unique color
+        gmid = p.unique(v2, f"junction {v2}")
+        cu2 = p.pick(lists[u2], {pv2, pu4, gmid}, "chain ear")
+        p.put(u2, cu2)
+        p.put(u3, p.pick(tu3, {pv2, cu2, pu4}, "chain ear"))
+        p.close("EarChain(s3H5)", ())
     else:
-        raise SolverInternalError(f"closing ear of size {rlast} in chain case", tuple(trace))
+        raise p.fail(f"closing ear of size {rlast} in chain case")
 
 
 _STEPS = {

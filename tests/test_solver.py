@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import in_lists, pcf_ok, reference_structure
-from pcfcolor import solver
+from pcfcolor import kernel, solver
 from pcfcolor.families import (
     enumerate_connected_outerplanar,
     enumerate_two_connected_outerplanar,
@@ -22,6 +22,7 @@ from pcfcolor.solver import (
     REASON_DISCONNECTED,
     REASON_LIST_TOO_SMALL,
     REASON_NOT_OUTERPLANAR,
+    SolverInternalError,
     color_constrained_path,
     color_cycle,
     extend_ear,
@@ -183,6 +184,13 @@ def test_extend_ear_keeps_host_coloring():
     assert got[:2] == [3, 1] and got[4] == 2
     assert before[2] is None  # input untouched
     assert verify(host, got, lists).ok
+
+
+def test_extend_ear_rejects_a_colored_interior():
+    host = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])
+    lists = ListAssignment([[3], [1], [1, 2, 3, 4], [1, 2, 3, 4], [2]])
+    with pytest.raises(SolverInternalError, match="already colored"):
+        extend_ear(host, [3, 1, None, 4, 2], (1, 2, 3, 4), lists)
 
 
 # -- the full solver ------------------------------------------------------------
@@ -400,6 +408,35 @@ def test_colorings_and_traces_match_the_recorded_digest():
     assert h.hexdigest() == CORPUS_DIGEST
 
 
+def test_internal_errors_carry_the_partial_trace(monkeypatch):
+    # the 4-cycle 0-1-2-3 with chord 0-2 colors the triangle 0, 2, 3, then
+    # extends the good ear through 1; with no unique color anywhere and no
+    # unanimous one at 0 that ear fails, after the first step has closed
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    lists = ListAssignment([[1, 2, 3, 4, 5], [1, 2, 3, 4], [1, 2, 3, 4, 5], [1, 2, 3, 4]])
+    assert [s.case for s in solve(g, lists).trace] == ["Trivial", "GoodEar"]
+    monkeypatch.setattr(kernel, "unique_colors", lambda g, colors, v: set())
+    with pytest.raises(SolverInternalError, match="unique or unanimous") as exc:
+        solve(g, lists)
+    assert [s.case for s in exc.value.trace] == ["Trivial"]
+
+
+def test_the_coloring_pass_looks_up_unique_colors_on_the_kernel(monkeypatch):
+    # a wrapper on the module attribute (as the benchmark's per-layer
+    # counters install) sees the pass's calls
+    real = kernel.unique_colors
+    calls = []
+
+    def counted(g, colors, v):
+        calls.append(v)
+        return real(g, colors, v)
+
+    monkeypatch.setattr(kernel, "unique_colors", counted)
+    g = path_graph(4)
+    solved_ok(g, plus2_lists(g, 4))
+    assert calls
+
+
 def test_long_path_solves_without_recursion():
     g = path_graph(600)
     res = solved_ok(g, plus2_lists(g, 600))
@@ -527,6 +564,26 @@ def test_peel_matches_the_reference_on_the_corpora():
     graphs += [flower(a, b, c) for a in (1, 2, 3) for b in range(1, 7) for c in (1, 2, 3)]
     for g in graphs:
         assert solver._structure_pass(g) == reference_structure(g), g.edges()
+
+
+@settings(max_examples=100, deadline=None)
+@given(peel_inputs(), st.integers(0, 10**6))
+def test_trace_steps_partition_the_vertices(g, seed):
+    res = solve(g, plus2_lists(g, seed))
+    if not res.ok:
+        assert res.trace == ()
+        return
+    colored = [v for step in res.trace for v in step.colors]
+    assert sorted(colored) == list(range(g.n))
+    # a step removes exactly what it and the steps after it that remove
+    # nothing (an ear chain's EarExtensions and its s3H5 tail) color
+    groups = []
+    for step in res.trace:
+        if step.removed:
+            groups.append((set(step.removed), set()))
+        groups[-1][1].update(step.colors)
+    for removed, colors in groups:
+        assert removed == colors
 
 
 def test_graph_screens_come_before_the_list_screen():

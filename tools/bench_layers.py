@@ -1,4 +1,4 @@
-"""Per-layer timings of pcfcolor, written to BENCH_11.json.
+"""Per-layer timings of pcfcolor, written to BENCH_12.json.
 
 Times, in this process, the layers a repeated solve and the command line
 spend their time in:
@@ -21,19 +21,23 @@ spend their time in:
   (`families.random_cactus`) of 1,000, 2,000, 4,000 and 8,000 vertices,
   and on `random_outerplanar` graphs (re-seeded until m >= n), fans and
   strip triangulations (edges i,i+1 and i,i+2) of 200, 400 and 800
-  vertices; each with the garbage collector on and, as `.gc_off`, off.
+  vertices; each with the garbage collector on and, as `.gc_off`, off;
+- warm `solve` (the structure cached, so only the list work and the
+  coloring pass run) on paths, fans and strips of 200, 400 and 800
+  vertices, with the lists {1, ..., deg(v)+2}.
 
 Each entry is the fastest of 20 timings of one whole batch (5 for the
 first solves), reported per operation; the fastest run is the one least
 disturbed by other work on the host, and entries measured together take
 turns.  `ratios` divides the time on a fan by the time on a fan a quarter
 its size (for `is_outerplanar`: 4 means linear time, 16 quadratic), and
-each first solve by the one of half its size (2 linear, 4 quadratic).
+each first or warm solve by the one of half its size (2 linear, 4
+quadratic).
 
 Nothing is asserted about the numbers.  Run from the repository root (it
 imports the package from the `src/` beside this file):
 
-    python tools/bench_layers.py [--out BENCH_11.json]
+    python tools/bench_layers.py [--out BENCH_12.json]
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from pcfcolor.families import (  # noqa: E402
     random_outerplanar,
 )
 from pcfcolor.graphs import Graph, parse_graph6, path_graph, write_graph6  # noqa: E402
-from pcfcolor.kernel import degree_plus_k_lists, unique_colors, verify  # noqa: E402
+from pcfcolor.kernel import ListAssignment, degree_plus_k_lists, unique_colors, verify  # noqa: E402
 from pcfcolor.oracle import solve_exact  # noqa: E402
 from pcfcolor.solver import solve  # noqa: E402
 from pcfcolor.structure import is_outerplanar  # noqa: E402
@@ -97,6 +101,12 @@ FIRST_SOLVES = {
     "path": (path_graph, (1000, 2000, 4000, 8000)),
     "cactus": (lambda n: random_cactus(n, SEED), (1000, 2000, 4000, 8000)),
     "random": (random_dense, (200, 400, 800)),
+    "fan": (fan, (200, 400, 800)),
+    "strip": (strip, (200, 400, 800)),
+}
+
+WARM_SOLVES = {
+    "path": (path_graph, (200, 400, 800)),
     "fan": (fan, (200, 400, 800)),
     "strip": (strip, (200, 400, 800)),
 }
@@ -205,6 +215,15 @@ def measure():
         results.update(fastest(batches, repeat=5, setup=clear,
                                gc_off={name for name in batches if name.endswith(".gc_off")}))
     clear()
+
+    warm = {}
+    for family, (make, sizes) in WARM_SOLVES.items():
+        for n in sizes:
+            g = make(n)
+            lists = ListAssignment([range(1, g.degree(v) + 3) for v in range(n)])
+            solve(g, lists)  # fills the structure cache
+            warm[f"solve.warm.{family}{n}"] = (lambda g=g, lists=lists: solve(g, lists), 1)
+    results.update(fastest(warm))
     return results
 
 
@@ -218,12 +237,16 @@ def ratios(results):
             for small, big in zip(sizes, sizes[1:]):
                 key = f"structure.cold.{family}{big}{suffix}/{family}{small}"
                 out[key] = round(ms(f"structure.cold.{family}{big}{suffix}") / ms(f"structure.cold.{family}{small}{suffix}"), 2)
+    for family, (_, sizes) in WARM_SOLVES.items():
+        for small, big in zip(sizes, sizes[1:]):
+            out[f"solve.warm.{family}{big}/{family}{small}"] = round(
+                ms(f"solve.warm.{family}{big}") / ms(f"solve.warm.{family}{small}"), 2)
     return out
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default=str(ROOT / "BENCH_11.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_12.json"))
     args = ap.parse_args(argv)
     timings = measure()
     doc = {
