@@ -4,10 +4,11 @@ Subcommands: color, verify, gen, check, refute.  Exactly one JSON document
 goes to stdout, whatever the input; progress notes go to stderr.  Exit
 codes: 0 for a satisfiable result or a passing suite, 1 for
 unsat/obstruction/violations or a failing suite, 2 for input errors
-(including JSON nested too deeply to decode), 3 when a search budget ran
-out, 4 for any other exception: a failed solver or structure invariant, or
-a crash such as MemoryError, reported as
-{"status": "internal_error", "message": ...}.
+(including a bad command line and JSON nested too deeply to decode),
+reported as {"status": "error", "message": ...}, 3 when a search budget
+ran out, 4 for any other exception: a failed solver or structure
+invariant, or a crash such as MemoryError, reported as
+{"status": "internal_error", "message": ...}.  `-h` prints help instead.
 
 Graphs are read from a file path or "-" (stdin), in either of two formats,
 detected from the first line: an edge list ("n m" header then one "u v"
@@ -347,18 +348,17 @@ def cmd_check(args) -> tuple[int, dict]:
     needs_seed = args.suite in ("c5", "corpus", "paths")
     if needs_seed and args.seed is None:
         raise ValueError(f"suite {args.suite} is randomized; pass --seed")
-    max_n = args.max_n if args.bound is None else args.bound
     rng_for = functools.partial(_trial_rng, args.seed)
     suites = {
         "c5": lambda: check_c5(trials=args.trials, rng_for=rng_for, budget=args.budget),
         "theta": lambda: check_theta(budget=args.budget),
         "gadget": lambda: check_gadget(budget=args.budget),
         "corpus": lambda: check_corpus(
-            max_n=max_n, trials=args.trials, rng_for=rng_for,
+            max_n=args.bound, trials=args.trials, rng_for=rng_for,
             oracle_max_n=args.oracle_max_n, budget=args.budget,
         ),
         "paths": lambda: check_paths(trials=args.trials, rng_for=rng_for, coloring_ok=verify),
-        "ears": lambda: check_ears(max_n=max_n, ear_ok=ear_is_good, chain_ok=chain_is_good),
+        "ears": lambda: check_ears(max_n=args.bound, ear_ok=ear_is_good, chain_ok=chain_is_good),
     }
     try:
         counts, failures = suites[args.suite]()
@@ -401,8 +401,17 @@ def cmd_refute(args) -> tuple[int, dict]:
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises a bad command line as ValueError, so
+    that `main` answers it with one JSON document instead of usage text;
+    `-h` still prints help and exits 0."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="pcfcolor",
         description="Proper conflict-free list coloring of outerplanar graphs.",
     )
@@ -443,10 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     k = sub.add_parser("check", help="run a self-check suite")
     k.add_argument("suite", choices=("c5", "theta", "gadget", "corpus", "paths", "ears"))
-    k.add_argument("bound", type=int, nargs="?", default=None, help="max n (corpus, ears)")
+    k.add_argument("bound", type=int, nargs="?", default=7, help="max n (corpus, ears; default 7)")
     k.add_argument("--trials", type=int, default=50)
     k.add_argument("--seed", type=int, default=None)
-    k.add_argument("--max-n", type=int, default=7)
     k.add_argument("--oracle-max-n", type=int, default=6)
     k.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     k.set_defaults(func=cmd_check)
@@ -467,8 +475,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         code, doc = args.func(args)
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(json.dumps({"status": "error", "message": str(exc)}))

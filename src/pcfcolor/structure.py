@@ -13,7 +13,8 @@ Three layers, each feeding the next:
    graphs: an *ear* (a cycle hanging off one chord, interior degrees 2) or
    an *ear chain* (ears whose root edges form a path v_1..v_s closed by the
    edge v_1 v_s, junction degrees 4), found "good" for a given anchor
-   vertex x, meaning x avoids the part that gets recolored.
+   vertex x, meaning x avoids the part that gets recolored.  Every ear
+   and chain is read from one ear table, built once per search.
 
 Each call works in time linear in its graph, up to sorting blocks and
 chords.  The search in `find_good_ear_or_chain` follows a constructive
@@ -383,8 +384,11 @@ def find_good_ear_or_chain(b: Graph, emb: OuterEmbedding, x: int) -> "Ear | EarC
 
     Each arc of a chord is judged from cycle positions alone: it is an ear
     arc iff its interior fits in the run of degree-2 vertices after its
-    start, and it avoids x iff x's position falls outside it.  Only the
-    arcs that are kept are built.
+    start, and it avoids x iff x's position falls outside it.  The ear arcs
+    fill one table, `ears_by_edge`, and every ear returned, alone or in a
+    chain, is read from it.  A root edge inside the span has exactly one
+    ear there, the arc inside the span: its other arc passes u or v, which
+    have degree 3 or more.
     """
     order = emb.order
     n = len(order)
@@ -401,6 +405,7 @@ def find_good_ear_or_chain(b: Graph, emb: OuterEmbedding, x: int) -> "Ear | EarC
         j = (i + 1) % n
         run[i % n] = run[j] + 1 if b.degree(order[j]) == 2 else 0
 
+    # the ear table: the ears of each root edge (u, v), interiors from u to v
     ears_by_edge: dict[Edge, list[Ear]] = {}
     for u, v in sorted(chords):
         pu, pv = pos[u], pos[v]
@@ -409,31 +414,39 @@ def find_good_ear_or_chain(b: Graph, emb: OuterEmbedding, x: int) -> "Ear | EarC
             if 0 < length <= run[start]:
                 arc = tuple(_arc(order, pu, step, length))
                 ears_by_edge.setdefault((u, v), []).append(Ear((u, v), arc))
-    e1 = set(ears_by_edge)
 
-    g1_deg: dict[int, int] = {}
-    g1_adj: dict[int, list[int]] = {}
-    for u, v in e1:
-        g1_deg[u] = g1_deg.get(u, 0) + 1
-        g1_deg[v] = g1_deg.get(v, 0) + 1
-        g1_adj.setdefault(u, []).append(v)
-        g1_adj.setdefault(v, []).append(u)
-    if g1_deg and max(g1_deg.values()) > 2:
+    def _ear(a: int, c: int) -> Ear:
+        # the single ear rooted at a-c, oriented from a to c
+        ears = ears_by_edge[normalize_edge(a, c)]
+        if len(ears) != 1:
+            raise StructureError("chain root edge must have a unique ear")
+        return ears[0] if ears[0].root == (a, c) else ears[0].reversed()
+
+    adj = _root_graph(ears_by_edge)
+    if any(len(nb) > 2 for nb in adj.values()):
         raise StructureError("ear root edges meet 3+ times at a vertex")
 
-    if chords == e1:
-        if e1 and min(g1_deg.values()) == 2:
-            return _chain_from_root_cycle(b, g1_adj, ears_by_edge, x)
-        return _ear_at_free_endpoint(
-            b, x, edges=sorted(e1), degree={v: d for v, d in g1_deg.items()},
-            ears_by_edge=ears_by_edge, banned=frozenset(),
-        )
+    if len(ears_by_edge) == len(chords):  # every chord roots an ear
+        if any(len(nb) == 1 for nb in adj.values()):
+            return _ear_at_free_endpoint(b, x, adj, ears_by_edge, banned=())
+        # the root edges close a cycle and their ears tile the outer cycle:
+        # drop the ear holding x and chain the rest
+        start = min(adj)
+        cycle = _walk(adj, [start, min(adj[start])])
+        if len(cycle) != len(adj):
+            raise StructureError("root-edge cycle is disconnected")
+        ell = len(cycle)
+        holders = (i for i in range(ell) if x in _ear(cycle[i], cycle[(i + 1) % ell]).vertices())
+        j = next(holders, None)
+        if j is None:
+            raise StructureError("anchor missing from every ear of the tiling")
+        return _chain(b, cycle[j + 1 :] + cycle[: j + 1], _ear, x)
 
     # some chord roots no ear: shrink to the smallest span avoiding x.
     # Chords differ, so (span, chord) decides; only the winner's arcs are built
     px = pos[x]
     best: "tuple[tuple[int, Edge], list[tuple[int, int]]] | None" = None
-    for u, v in sorted(chords - e1):
+    for u, v in sorted(chords.difference(ears_by_edge)):
         pu = pos[u]
         sides = [
             (length, step)
@@ -450,110 +463,64 @@ def find_good_ear_or_chain(b: Graph, emb: OuterEmbedding, x: int) -> "Ear | EarC
         (_arc(order, pos[u], step, length) for length, step in sides),
         key=lambda a: (len(a), a),
     )
-    strip = [u, *arc, v]
-    strip_pos = {w: i for i, w in enumerate(strip)}
-    strip_set = set(strip)
-
-    inner = [e for e in chords if e != (u, v) and e[0] in strip_set and e[1] in strip_set]
-    for e in inner:
-        if e not in e1:
-            raise StructureError("minimal span contains a non-root chord")
+    span = {u, v, *arc}
+    inner = [e for e in chords if e != (u, v) and e[0] in span and e[1] in span]
+    if any(e not in ears_by_edge for e in inner):
+        raise StructureError("minimal span contains a non-root chord")
     if not inner:
         raise StructureError("non-root chord spans no root edges")
 
-    g2_deg: dict[int, int] = {}
-    g2_adj: dict[int, list[int]] = {}
-    for a, c in inner:
-        g2_deg[a] = g2_deg.get(a, 0) + 1
-        g2_deg[c] = g2_deg.get(c, 0) + 1
-        g2_adj.setdefault(a, []).append(c)
-        g2_adj.setdefault(c, []).append(a)
-    if max(g2_deg.values()) > 2:
-        raise StructureError("root edges meet 3+ times inside a span")
-
-    if _is_path_between(g2_adj, g2_deg, u, v, len(inner)):
-        spine = _walk_path(g2_adj, u)
-        if spine[-1] != v:
-            raise StructureError("span walk did not end at the chord")
-        if any(strip_pos[spine[i]] >= strip_pos[spine[i + 1]] for i in range(len(spine) - 1)):
-            raise StructureError("span path does not follow the outer cycle")
-        ears = []
-        for i in range(len(spine) - 1):
-            interior = tuple(strip[strip_pos[spine[i]] + 1 : strip_pos[spine[i + 1]]])
-            ear = Ear((spine[i], spine[i + 1]), interior)
-            _check_ear(b, ear)
-            ears.append(ear)
-        chain = EarChain(tuple(spine), tuple(ears))
-        _check_chain(b, chain)
-        if not chain_is_good(b, chain, x):
-            raise StructureError("constructed ear chain is not good for the anchor")
-        return chain
-
-    return _ear_at_free_endpoint(
-        b, x, edges=sorted(inner), degree=g2_deg, ears_by_edge=None,
-        banned=frozenset((u, v)), strip=strip, strip_pos=strip_pos,
-    )
+    adj = _root_graph(inner)
+    if len(adj.get(u, ())) == 1:
+        spine = _walk(adj, [u, adj[u][0]])
+        if spine[-1] == v and len(spine) == len(adj):  # a u-v path through the span
+            return _chain(b, spine, _ear, x)
+    return _ear_at_free_endpoint(b, x, adj, ears_by_edge, banned=(u, v))
 
 
-def _chain_from_root_cycle(b, g1_adj, ears_by_edge, x) -> EarChain:
-    # all chords are root edges and they close a cycle; the ears tile the
-    # outer cycle, so drop the one holding x and chain the rest
-    start = min(g1_adj)
-    order = [start, min(g1_adj[start])]
+def _root_graph(edges) -> dict[int, list[int]]:
+    """Adjacency lists of the graph that these root edges form."""
+    adj: dict[int, list[int]] = {}
+    for a, c in edges:
+        adj.setdefault(a, []).append(c)
+        adj.setdefault(c, []).append(a)
+    return adj
+
+
+def _walk(adj, path: list[int]) -> list[int]:
+    """Extend `path`, which starts with two adjacent vertices of a graph of
+    degree at most 2, until it reaches a dead end or comes back to its
+    start."""
     while True:
-        nxt = [w for w in g1_adj[order[-1]] if w != order[-2]]
-        if len(nxt) != 1:
-            raise StructureError("root-edge cycle is not 2-regular")
-        if nxt[0] == start:
-            break
-        order.append(nxt[0])
-    if len(order) != len(g1_adj):
-        raise StructureError("root-edge cycle is disconnected")
+        nxt = [w for w in adj[path[-1]] if w != path[-2]]
+        if not nxt or nxt[0] == path[0]:
+            return path
+        path.append(nxt[0])
 
-    ell = len(order)
-    ears: list[Ear] = []
-    for i in range(ell):
-        a, c = order[i], order[(i + 1) % ell]
-        cands = ears_by_edge[normalize_edge(a, c)]
-        if len(cands) != 1:
-            raise StructureError("root edge on a cycle must have a unique ear")
-        ear = cands[0]
-        ears.append(ear if ear.root == (a, c) else ear.reversed())
 
-    holders = [i for i, ear in enumerate(ears) if x in ear.vertices()]
-    if not holders:
-        raise StructureError("anchor missing from every ear of the tiling")
-    j = holders[0]
-    spine = tuple(order[(j + 1 + t) % ell] for t in range(ell))
-    chain = EarChain(spine, tuple(ears[(j + 1 + t) % ell] for t in range(ell - 1)))
+def _chain(b, spine, ear, x) -> EarChain:
+    """The ear chain along `spine`, with the ear `ear(a, c)` on each of its
+    edges, checked and good for x."""
+    chain = EarChain(tuple(spine), tuple(ear(a, c) for a, c in zip(spine, spine[1:])))
     _check_chain(b, chain)
     if not chain_is_good(b, chain, x):
-        raise StructureError("tiling chain is not good for the anchor")
+        raise StructureError("ear chain is not good for the anchor")
     return chain
 
 
-def _ear_at_free_endpoint(
-    b, x, edges, degree, ears_by_edge, banned, strip=None, strip_pos=None
-) -> Ear:
-    # a root edge with a degree-1 endpoint (not on the enclosing chord)
-    # gives a good ear: that endpoint has block degree 3 and becomes the
-    # far end u_r, while x may only coincide with the near end u_1
+def _ear_at_free_endpoint(b, x, adj, ears_by_edge, banned) -> Ear:
+    # a root edge of `adj` with a degree-1 endpoint (not on the enclosing
+    # chord) gives a good ear: that endpoint has block degree 3 and becomes
+    # the far end u_r, while x may only coincide with the near end u_1
     candidates: list[Ear] = []
-    for a, c in edges:
+    for a, c in sorted((a, c) for a in adj for c in adj[a] if a < c):
         for far, near in ((a, c), (c, a)):
-            if degree[far] != 1 or far in banned:
+            if len(adj[far]) != 1 or far in banned:
                 continue
-            if strip is None:
-                raw = ears_by_edge[normalize_edge(far, near)]
-            else:
-                lo, hi = sorted((strip_pos[far], strip_pos[near]))
-                raw = [Ear((strip[lo], strip[hi]), tuple(strip[lo + 1 : hi]))]
-            for ear in raw:
+            if b.degree(far) != 3:
+                raise StructureError(f"free endpoint {far} has degree {b.degree(far)}")
+            for ear in ears_by_edge[a, c]:
                 oriented = ear if ear.root == (near, far) else ear.reversed()
-                if oriented.root != (near, far):
-                    continue
-                if b.degree(far) != 3:
-                    raise StructureError(f"free endpoint {far} has degree {b.degree(far)}")
                 _check_ear(b, oriented)
                 if ear_is_good(b, oriented, x):
                     candidates.append(oriented)
@@ -561,25 +528,6 @@ def _ear_at_free_endpoint(
         raise StructureError("no good ear at any free endpoint")
     candidates.sort(key=lambda e: (tuple(sorted(e.root)), len(e.interior), e.interior))
     return candidates[0]
-
-
-def _is_path_between(adj, deg, u, v, edge_count) -> bool:
-    if deg.get(u) != 1 or deg.get(v) != 1:
-        return False
-    if any(d != 2 for w, d in deg.items() if w not in (u, v)):
-        return False
-    return len(_walk_path(adj, u)) == edge_count + 1 == len(deg)
-
-
-def _walk_path(adj, start) -> list[int]:
-    path = [start, adj[start][0]]
-    while True:
-        nxt = [w for w in adj[path[-1]] if w != path[-2]]
-        if not nxt:
-            return path
-        if len(nxt) > 1:
-            raise StructureError("path walk hit a branching vertex")
-        path.append(nxt[0])
 
 
 # -- end-block classification --------------------------------------------------

@@ -6,7 +6,8 @@ implementations: a brute-force product-enumeration solver, an outerplanarity
 test via apex planarity, and the goodness predicates for ears and chains.
 The exceptions are the references at the end: the package's earlier,
 simpler outer embedding and peel, kept as the yardsticks for the
-linear-work ones.
+linear-work ones, and its earlier ear search, which built the ears of a
+span from the outer cycle rather than from the ear table.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 
 import networkx as nx
 
-from pcfcolor.graphs import Graph, normalize_edge
+from pcfcolor.graphs import Edge, Graph, normalize_edge
 from pcfcolor.solver import REASON_DISCONNECTED, REASON_NOT_OUTERPLANAR, Obstruction
 from pcfcolor.structure import (
     KIND_CYCLE,
@@ -27,7 +28,12 @@ from pcfcolor.structure import (
     EarChain,
     EndBlockCase,
     OuterEmbedding,
+    StructureError,
+    _check_chain,
+    _check_ear,
     block_decomposition,
+    chain_is_good,
+    ear_is_good,
     find_good_ear_or_chain,
     is_outerplanar,
     outer_embedding,
@@ -340,3 +346,231 @@ def reference_structure(g: Graph):
         sub, kept = sub.subgraph(w for w in range(sub.n) if w not in cut)
         ids = tuple(ids[w] for w in kept)
     return None, tuple(plan), ids
+
+
+# -- reference ear search ----------------------------------------------------------
+#
+# The package's `find_good_ear_or_chain` before every ear it returns came
+# from the ear table: the span case cut its ears out of the outer cycle,
+# each chain case built and checked its chain on its own, and the root-edge
+# graph was built and walked once per case.  Copied verbatim with its
+# helpers; only the search's name changed.
+
+
+def _arc(order: tuple[int, ...], p: int, step: int, length: int) -> list[int]:
+    """The `length` outer-cycle vertices after position p, walking by step."""
+    n = len(order)
+    return [order[(p + step * t) % n] for t in range(1, length + 1)]
+
+
+def reference_find_good_ear_or_chain(b: Graph, emb: OuterEmbedding, x: int) -> "Ear | EarChain":
+    """An ear or ear chain of b good for x.
+
+    b must be 2-connected outerplanar and not a cycle.  Follows the
+    existence proof: collect the root edges of ears (E1); if every chord is
+    such a root edge, the graph they induce (G1) is a single cycle (yield
+    the chain missing the ear containing x) or a forest of paths (yield the
+    ear at a degree-1 endpoint avoiding x); otherwise pick the non-root
+    chord uv spanning the fewest vertices on the side avoiding x and
+    recurse into that span, where the root edges either form a u-v path
+    (yield it as a chain) or again have a free endpoint (yield its ear).
+
+    Each arc of a chord is judged from cycle positions alone: it is an ear
+    arc iff its interior fits in the run of degree-2 vertices after its
+    start, and it avoids x iff x's position falls outside it.  Only the
+    arcs that are kept are built.
+    """
+    order = emb.order
+    n = len(order)
+    pos = emb.position()
+    chords = set(emb.chords)
+    if not chords:
+        raise ValueError("cycle blocks have no ears; handle them separately")
+
+    # run[i]: how many degree-2 vertices follow position i on the cycle;
+    # a chord has an endpoint of degree 3 or more, where the count restarts
+    run = [0] * n
+    k = next(i for i in range(n) if b.degree(order[i]) != 2)
+    for i in range(k - 1, k - n - 1, -1):
+        j = (i + 1) % n
+        run[i % n] = run[j] + 1 if b.degree(order[j]) == 2 else 0
+
+    ears_by_edge: dict[Edge, list[Ear]] = {}
+    for u, v in sorted(chords):
+        pu, pv = pos[u], pos[v]
+        # the arc from u backward is the arc after v forward
+        for step, length, start in ((1, (pv - pu) % n - 1, pu), (-1, (pu - pv) % n - 1, pv)):
+            if 0 < length <= run[start]:
+                arc = tuple(_arc(order, pu, step, length))
+                ears_by_edge.setdefault((u, v), []).append(Ear((u, v), arc))
+    e1 = set(ears_by_edge)
+
+    g1_deg: dict[int, int] = {}
+    g1_adj: dict[int, list[int]] = {}
+    for u, v in e1:
+        g1_deg[u] = g1_deg.get(u, 0) + 1
+        g1_deg[v] = g1_deg.get(v, 0) + 1
+        g1_adj.setdefault(u, []).append(v)
+        g1_adj.setdefault(v, []).append(u)
+    if g1_deg and max(g1_deg.values()) > 2:
+        raise StructureError("ear root edges meet 3+ times at a vertex")
+
+    if chords == e1:
+        if e1 and min(g1_deg.values()) == 2:
+            return _chain_from_root_cycle(b, g1_adj, ears_by_edge, x)
+        return _ear_at_free_endpoint(
+            b, x, edges=sorted(e1), degree={v: d for v, d in g1_deg.items()},
+            ears_by_edge=ears_by_edge, banned=frozenset(),
+        )
+
+    # some chord roots no ear: shrink to the smallest span avoiding x.
+    # Chords differ, so (span, chord) decides; only the winner's arcs are built
+    px = pos[x]
+    best: "tuple[tuple[int, Edge], list[tuple[int, int]]] | None" = None
+    for u, v in sorted(chords - e1):
+        pu = pos[u]
+        sides = [
+            (length, step)
+            for step, length in ((1, (pos[v] - pu) % n - 1), (-1, (pu - pos[v]) % n - 1))
+            if not 0 < step * (px - pu) % n <= length
+        ]
+        if not sides:
+            raise StructureError("anchor interior to both arcs of one chord")
+        key = (min(sides)[0] + 2, (u, v))
+        if best is None or key < best[0]:
+            best = (key, sides)
+    (_, (u, v)), sides = best
+    arc = min(
+        (_arc(order, pos[u], step, length) for length, step in sides),
+        key=lambda a: (len(a), a),
+    )
+    strip = [u, *arc, v]
+    strip_pos = {w: i for i, w in enumerate(strip)}
+    strip_set = set(strip)
+
+    inner = [e for e in chords if e != (u, v) and e[0] in strip_set and e[1] in strip_set]
+    for e in inner:
+        if e not in e1:
+            raise StructureError("minimal span contains a non-root chord")
+    if not inner:
+        raise StructureError("non-root chord spans no root edges")
+
+    g2_deg: dict[int, int] = {}
+    g2_adj: dict[int, list[int]] = {}
+    for a, c in inner:
+        g2_deg[a] = g2_deg.get(a, 0) + 1
+        g2_deg[c] = g2_deg.get(c, 0) + 1
+        g2_adj.setdefault(a, []).append(c)
+        g2_adj.setdefault(c, []).append(a)
+    if max(g2_deg.values()) > 2:
+        raise StructureError("root edges meet 3+ times inside a span")
+
+    if _is_path_between(g2_adj, g2_deg, u, v, len(inner)):
+        spine = _walk_path(g2_adj, u)
+        if spine[-1] != v:
+            raise StructureError("span walk did not end at the chord")
+        if any(strip_pos[spine[i]] >= strip_pos[spine[i + 1]] for i in range(len(spine) - 1)):
+            raise StructureError("span path does not follow the outer cycle")
+        ears = []
+        for i in range(len(spine) - 1):
+            interior = tuple(strip[strip_pos[spine[i]] + 1 : strip_pos[spine[i + 1]]])
+            ear = Ear((spine[i], spine[i + 1]), interior)
+            _check_ear(b, ear)
+            ears.append(ear)
+        chain = EarChain(tuple(spine), tuple(ears))
+        _check_chain(b, chain)
+        if not chain_is_good(b, chain, x):
+            raise StructureError("constructed ear chain is not good for the anchor")
+        return chain
+
+    return _ear_at_free_endpoint(
+        b, x, edges=sorted(inner), degree=g2_deg, ears_by_edge=None,
+        banned=frozenset((u, v)), strip=strip, strip_pos=strip_pos,
+    )
+
+
+def _chain_from_root_cycle(b, g1_adj, ears_by_edge, x) -> EarChain:
+    # all chords are root edges and they close a cycle; the ears tile the
+    # outer cycle, so drop the one holding x and chain the rest
+    start = min(g1_adj)
+    order = [start, min(g1_adj[start])]
+    while True:
+        nxt = [w for w in g1_adj[order[-1]] if w != order[-2]]
+        if len(nxt) != 1:
+            raise StructureError("root-edge cycle is not 2-regular")
+        if nxt[0] == start:
+            break
+        order.append(nxt[0])
+    if len(order) != len(g1_adj):
+        raise StructureError("root-edge cycle is disconnected")
+
+    ell = len(order)
+    ears: list[Ear] = []
+    for i in range(ell):
+        a, c = order[i], order[(i + 1) % ell]
+        cands = ears_by_edge[normalize_edge(a, c)]
+        if len(cands) != 1:
+            raise StructureError("root edge on a cycle must have a unique ear")
+        ear = cands[0]
+        ears.append(ear if ear.root == (a, c) else ear.reversed())
+
+    holders = [i for i, ear in enumerate(ears) if x in ear.vertices()]
+    if not holders:
+        raise StructureError("anchor missing from every ear of the tiling")
+    j = holders[0]
+    spine = tuple(order[(j + 1 + t) % ell] for t in range(ell))
+    chain = EarChain(spine, tuple(ears[(j + 1 + t) % ell] for t in range(ell - 1)))
+    _check_chain(b, chain)
+    if not chain_is_good(b, chain, x):
+        raise StructureError("tiling chain is not good for the anchor")
+    return chain
+
+
+def _ear_at_free_endpoint(
+    b, x, edges, degree, ears_by_edge, banned, strip=None, strip_pos=None
+) -> Ear:
+    # a root edge with a degree-1 endpoint (not on the enclosing chord)
+    # gives a good ear: that endpoint has block degree 3 and becomes the
+    # far end u_r, while x may only coincide with the near end u_1
+    candidates: list[Ear] = []
+    for a, c in edges:
+        for far, near in ((a, c), (c, a)):
+            if degree[far] != 1 or far in banned:
+                continue
+            if strip is None:
+                raw = ears_by_edge[normalize_edge(far, near)]
+            else:
+                lo, hi = sorted((strip_pos[far], strip_pos[near]))
+                raw = [Ear((strip[lo], strip[hi]), tuple(strip[lo + 1 : hi]))]
+            for ear in raw:
+                oriented = ear if ear.root == (near, far) else ear.reversed()
+                if oriented.root != (near, far):
+                    continue
+                if b.degree(far) != 3:
+                    raise StructureError(f"free endpoint {far} has degree {b.degree(far)}")
+                _check_ear(b, oriented)
+                if ear_is_good(b, oriented, x):
+                    candidates.append(oriented)
+    if not candidates:
+        raise StructureError("no good ear at any free endpoint")
+    candidates.sort(key=lambda e: (tuple(sorted(e.root)), len(e.interior), e.interior))
+    return candidates[0]
+
+
+def _is_path_between(adj, deg, u, v, edge_count) -> bool:
+    if deg.get(u) != 1 or deg.get(v) != 1:
+        return False
+    if any(d != 2 for w, d in deg.items() if w not in (u, v)):
+        return False
+    return len(_walk_path(adj, u)) == edge_count + 1 == len(deg)
+
+
+def _walk_path(adj, start) -> list[int]:
+    path = [start, adj[start][0]]
+    while True:
+        nxt = [w for w in adj[path[-1]] if w != path[-2]]
+        if not nxt:
+            return path
+        if len(nxt) > 1:
+            raise StructureError("path walk hit a branching vertex")
+        path.append(nxt[0])

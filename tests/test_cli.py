@@ -307,6 +307,31 @@ def test_check_ears_counts(run):
     assert code == 0 and doc["status"] == "pass" and doc["counts"] == {"checked": 62}
 
 
+def test_check_bound_defaults_to_seven(run):
+    assert run("check", "ears") == run("check", "ears", "7")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "corpus", "--bogus"),
+        ("color",),
+        ("check", "ears", "six"),
+        ("check", "ears", "--max-n", "6"),
+        ("bogus",),
+    ],
+)
+def test_a_bad_command_line_prints_one_json_error(run, argv):
+    code, doc = run(*argv)
+    assert code == 2 and doc["status"] == "error" and doc["message"].startswith("pcfcolor")
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: pcfcolor check")
+
+
 def test_refute_conclusive(run, tmp_path):
     p = tmp_path / "c4.g6"
     p.write_text(write_graph6(cycle_graph(4)))

@@ -10,6 +10,7 @@ from conftest import (
     chords_cross_pairwise,
     ear_good_for,
     nx_outerplanar,
+    reference_find_good_ear_or_chain,
     reference_is_outerplanar,
     reference_outer_embedding,
 )
@@ -280,6 +281,78 @@ def test_ear_search_matches_the_recorded_digest():
                 searches += 1
     assert searches == 14296
     assert h.hexdigest() == EAR_DIGEST
+
+
+def random_polygon(n, rng, stop):
+    """The n-gon 0..n-1 with random non-crossing chords: split a polygon
+    at a random chord and recurse into both sides, each side stopping
+    with probability `stop` (never the whole polygon)."""
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    todo = [list(range(n))]
+    while todo:
+        poly = todo.pop()
+        if len(poly) < 4 or (len(poly) < n and rng.random() < stop):
+            continue
+        i = rng.randrange(len(poly))
+        i, j = sorted((i, (i + rng.randrange(2, len(poly) - 1)) % len(poly)))
+        edges.append((poly[i], poly[j]))
+        todo += [poly[i : j + 1], poly[j:] + poly[: i + 1]]
+    return Graph(n, edges)
+
+
+def with_ears(core, rng, p):
+    """`core`, a polygon 0..m-1 with chords, with each side i,i+1 turned
+    with probability p into the root of an ear of 1 to 4 new vertices.
+    Sides whose two ends both get ears meet at degree-4 junctions, so the
+    root edges can form the cycles and paths of ear chains."""
+    m = core.n
+    n = m
+    edges = list(core.edges())
+    for i in range(m):
+        if rng.random() < p:
+            k = rng.randint(1, 4)
+            path = [i, *range(n, n + k), (i + 1) % m]
+            edges += zip(path, path[1:])
+            n += k
+    return Graph(n, edges)
+
+
+@st.composite
+def large_blocks(draw):
+    """A 2-connected non-cycle outerplanar graph beyond the digest's 10
+    vertices, up to about 300: a fan, a strip triangulation, a polygon with
+    random non-crossing chords, or such a polygon with ears on its sides;
+    its ids shuffled in some examples."""
+    kind = draw(st.sampled_from(("fan", "strip", "polygon", "eared")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    stop = draw(st.sampled_from((0.05, 0.3, 0.6, 0.9)))
+    if kind == "eared":
+        m = draw(st.integers(3, 60))
+        # a bare polygon core leaves every chord a root edge
+        core = cycle_graph(m) if draw(st.booleans()) else random_polygon(m, rng, stop)
+        g = with_ears(core, rng, draw(st.sampled_from((0.5, 0.9, 1.0))))
+        while g.n <= 10 or g.m == g.n:
+            g = with_ears(core, rng, 1.0)
+    elif kind == "fan":
+        g = fan(draw(st.integers(11, 300)))
+    elif kind == "strip":
+        g = zigzag_triangulation(draw(st.integers(11, 300)))
+    else:
+        g = random_polygon(draw(st.integers(11, 300)), rng, stop)
+    n = g.n
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        g = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ear_search_matches_the_reference_on_large_blocks(data):
+    g = data.draw(large_blocks())
+    emb = outer_embedding(g)
+    for x in data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=6)):
+        assert find_good_ear_or_chain(g, emb, x) == reference_find_good_ear_or_chain(g, emb, x)
 
 
 

@@ -1,4 +1,4 @@
-"""Per-layer timings of pcfcolor, written to BENCH_12.json.
+"""Per-layer timings of pcfcolor, written to BENCH_13.json.
 
 Times, in this process, the layers a repeated solve and the command line
 spend their time in:
@@ -24,7 +24,16 @@ spend their time in:
   vertices; each with the garbage collector on and, as `.gc_off`, off;
 - warm `solve` (the structure cached, so only the list work and the
   coloring pass run) on paths, fans and strips of 200, 400 and 800
-  vertices, with the lists {1, ..., deg(v)+2}.
+  vertices, with the lists {1, ..., deg(v)+2};
+- the ear search (`find_good_ear_or_chain`, embeddings built first): the
+  14,296 searches of the ear-search digest in `tests/test_structure.py`
+  (every 2-connected non-cycle outerplanar graph of 4 to 10 vertices at
+  every anchor) as one batch, and a fan and a strip of 1,000 vertices at
+  every 50th anchor.  With `--baseline SRC` the same searches also run on
+  the package under SRC (another checkout's `src/`), loaded beside this
+  one in the same process; its batches, named `baseline.ear_search.*`,
+  take turns with this tree's, so the two are compared in one run rather
+  than across two files.
 
 Each entry is the fastest of 20 timings of one whole batch (5 for the
 first solves), reported per operation; the fastest run is the one least
@@ -32,21 +41,24 @@ disturbed by other work on the host, and entries measured together take
 turns.  `ratios` divides the time on a fan by the time on a fan a quarter
 its size (for `is_outerplanar`: 4 means linear time, 16 quadratic), and
 each first or warm solve by the one of half its size (2 linear, 4
-quadratic).
+quadratic); for each ear-search batch it gives the median, over the
+rounds, of its time divided by its baseline's in the same round.
 
 Nothing is asserted about the numbers.  Run from the repository root (it
 imports the package from the `src/` beside this file):
 
-    python tools/bench_layers.py [--out BENCH_12.json]
+    python tools/bench_layers.py [--out BENCH_13.json] [--baseline SRC]
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import json
 import platform
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -55,8 +67,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from pcfcolor import solver  # noqa: E402
+from pcfcolor import structure  # noqa: E402
 from pcfcolor.families import (  # noqa: E402
     enumerate_connected_outerplanar,
+    enumerate_two_connected_outerplanar,
     random_cactus,
     random_outerplanar,
 )
@@ -125,15 +139,73 @@ def enumeration_candidates(max_n):
     return out
 
 
-def fastest(batches, repeat=REPEAT, setup=None, gc_off=()):
+def load_package(src):
+    """The pcfcolor package under `src`, imported as `pcfcolor_baseline`
+    beside this tree's own."""
+    pkg = Path(src).resolve() / "pcfcolor"
+    spec = importlib.util.spec_from_file_location(
+        "pcfcolor_baseline", pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def ear_batches(pkg_structure, pkg_graph, prefix=""):
+    """The ear-search batches, with graphs and embeddings built by the
+    package whose `structure` module and `Graph` class are given."""
+    digest = []
+    for n in range(4, 11):
+        for g in enumerate_two_connected_outerplanar(n):
+            if g.m > g.n:
+                h = pkg_graph(n, g.edges())
+                emb = pkg_structure.outer_embedding(h)
+                digest.extend((h, emb, x) for x in range(n))
+    searches = {"digest": digest}
+    for name, make in (("fan", fan), ("strip", strip)):
+        h = pkg_graph(1000, make(1000).edges())
+        emb = pkg_structure.outer_embedding(h)
+        searches[f"{name}1000"] = [(h, emb, x) for x in range(0, 1000, 50)]
+
+    def batch(todo, find=pkg_structure.find_good_ear_or_chain):
+        for h, emb, x in todo:
+            find(h, emb, x)
+
+    return {
+        f"{prefix}ear_search.{name}": (lambda todo=todo: batch(todo), len(todo))
+        for name, todo in searches.items()
+    }
+
+
+def measure_ears(baseline=None):
+    """The ear-search batches; against a baseline, each of ours also gets
+    the median over rounds of its time divided by the baseline's in the
+    same round, which a slow spell on the host moves less than a ratio of
+    two fastest times."""
+    ours = ear_batches(structure, Graph)
+    if baseline is None:
+        return fastest(ours)
+    theirs = ear_batches(baseline.structure, baseline.graphs.Graph, "baseline.")
+    rounds = {}
+    # interleaved, so each batch runs right beside its baseline's
+    out = fastest({k: v for pair in zip(theirs.items(), ours.items()) for k, v in pair}, rounds=rounds)
+    for name in ours:
+        ratios = [a / b for a, b in zip(rounds[name], rounds[f"baseline.{name}"])]
+        out[name]["baseline_ratio_median"] = round(statistics.median(ratios), 3)
+    return out
+
+
+def fastest(batches, repeat=REPEAT, setup=None, gc_off=(), rounds=None):
     """Fastest of `repeat` timings of each batch, as a dict of per-op
     figures per name.  `batches` maps a name to (batch, ops); the batches
-    take turns, so a slow spell on the host falls on all of them, and each
-    run follows an untimed setup().  The batches named in `gc_off` run
-    with the garbage collector disabled."""
+    take turns, in reverse order every other round, so a slow spell on the
+    host falls on all of them, and each run follows an untimed setup().
+    The batches named in `gc_off` run with the garbage collector disabled.
+    A `rounds` dict receives every timing of each batch, in seconds."""
     best = dict.fromkeys(batches, float("inf"))
-    for _ in range(repeat):
-        for name, (batch, _) in batches.items():
+    for r in range(repeat):
+        for name, (batch, _) in list(batches.items())[:: -1 if r % 2 else 1]:
             if setup is not None:
                 setup()
             if name in gc_off:
@@ -141,9 +213,12 @@ def fastest(batches, repeat=REPEAT, setup=None, gc_off=()):
             try:
                 start = time.perf_counter()
                 batch()
-                best[name] = min(best[name], time.perf_counter() - start)
+                elapsed = time.perf_counter() - start
             finally:
                 gc.enable()
+            best[name] = min(best[name], elapsed)
+            if rounds is not None:
+                rounds.setdefault(name, []).append(elapsed)
     return {
         name: {"ops": ops, "batch_ms": round(best[name] * 1e3, 4),
                "per_op_us": round(best[name] * 1e6 / ops, 3)}
@@ -241,14 +316,19 @@ def ratios(results):
         for small, big in zip(sizes, sizes[1:]):
             out[f"solve.warm.{family}{big}/{family}{small}"] = round(
                 ms(f"solve.warm.{family}{big}") / ms(f"solve.warm.{family}{small}"), 2)
+    for key, entry in results.items():
+        if "baseline_ratio_median" in entry:
+            out[f"{key}/baseline"] = entry["baseline_ratio_median"]
     return out
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default=str(ROOT / "BENCH_12.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_13.json"))
+    ap.add_argument("--baseline", metavar="SRC", help="src/ of a checkout to compare the ear search with")
     args = ap.parse_args(argv)
-    timings = measure()
+    timings = measure_ears(None if args.baseline is None else load_package(args.baseline))
+    timings |= measure()
     doc = {
         "script": "tools/bench_layers.py",
         "python": platform.python_version(),
