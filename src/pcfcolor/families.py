@@ -127,54 +127,86 @@ def degree_plus_one_gadget(host: Graph, v0: int) -> NamedInstance:
 # -- canonical forms and corpora -------------------------------------------
 
 
+def _refined_colors(g: Graph) -> list[int]:
+    """Color refinement from the degrees: each vertex's color is the rank
+    of (its color, its neighbors' sorted colors), repeated until a round
+    splits no class.  Such a round would rank the colors onto themselves,
+    so it ends the loop unapplied.  An automorphism maps every vertex to
+    one of its own color."""
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    colors = [len(nb) for nb in nbrs]
+    count = -1
+    while True:
+        sig = [(c, tuple(sorted([colors[w] for w in nb]))) for c, nb in zip(colors, nbrs)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        if len(rank) == count:
+            return colors
+        colors = [rank[s] for s in sig]
+        count = len(rank)
+
+
 def canonical_form(g: Graph) -> tuple[int, tuple[Edge, ...]]:
     """Isomorphism-invariant normal form: relabel within refinement classes
-    to lexicographically minimize the adjacency rows, return the edges."""
+    to lexicographically minimize the adjacency rows, return the edges.
+
+    The search tries one vertex per twin class at each slot.  Twins (two
+    vertices with the same neighbors besides each other) have one color,
+    and swapping two unplaced twins is an automorphism that fixes every
+    placed vertex, so it maps the orderings that put one of them next onto
+    those that put the other next, with the same rows: skipping the second
+    leaves the minimum unchanged."""
     n = g.n
     if n == 0:
         return (0, ())
-    colors = [g.degree(v) for v in range(n)]
-    while True:
-        sig = [
-            (colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
-            for v in range(n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [rank[sig[v]] for v in range(n)]
-        if new == colors:
-            break
-        colors = new
+    colors = _refined_colors(g)
+    nbrs = [g.neighbor_set(v) for v in range(n)]
     classes: dict[int, list[int]] = {}
+    twin = list(range(n))
     for v in range(n):
-        classes.setdefault(colors[v], []).append(v)
+        members = classes.setdefault(colors[v], [])
+        for u in members:
+            if nbrs[u] - {v} == nbrs[v] - {u}:
+                twin[v] = twin[u]
+                break
+        members.append(v)
     slot_class = [c for c in sorted(classes) for _ in classes[c]]
 
-    best: "list[int] | None" = None
+    best: list[int] = []
     slot_of: dict[int, int] = {}
     rows: list[int] = []
 
-    def descend(i: int) -> None:
+    def descend(i: int, tight: bool) -> bool:
+        """Extend `rows` from slot i; `tight` says rows equals the prefix
+        of `best` (false before the first leaf).  Returns whether `best`
+        was replaced, after which rows is again its prefix."""
         nonlocal best
         if i == n:
-            if best is None or rows < best:
-                best = rows.copy()
-            return
+            if tight:
+                return False
+            best = rows.copy()
+            return True
+        replaced = False
+        tried = set()
         for v in classes[slot_class[i]]:
-            if v in slot_of:
+            if v in slot_of or twin[v] in tried:
                 continue
+            tried.add(twin[v])
             row = 0
-            for w in g.neighbors(v):
+            for w in nbrs[v]:
                 j = slot_of.get(w)
                 if j is not None:
                     row |= 1 << j
+            if tight and row > best[i]:
+                continue
             rows.append(row)
-            if best is None or rows <= best[: len(rows)]:
-                slot_of[v] = i
-                descend(i + 1)
-                del slot_of[v]
+            slot_of[v] = i
+            if descend(i + 1, tight and row == best[i]):
+                replaced = tight = True
+            del slot_of[v]
             rows.pop()
+        return replaced
 
-    descend(0)
+    descend(0, False)
     edges = []
     for i, row in enumerate(best):
         for j in range(i):
@@ -183,28 +215,96 @@ def canonical_form(g: Graph) -> tuple[int, tuple[Edge, ...]]:
     return (n, tuple(sorted(edges)))
 
 
+def _automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Every automorphism of g as a tuple p with p[v] the image of v, the
+    identity first: a search that maps 0, 1, ... in turn onto unused
+    vertices of the same refined color, keeping adjacency to the vertices
+    mapped so far."""
+    n = g.n
+    colors = _refined_colors(g)
+    nbrs = [g.neighbor_set(v) for v in range(n)]
+    image = list(range(n))
+    used = [False] * n
+    found: list[tuple[int, ...]] = []
+
+    def extend(v: int) -> None:
+        if v == n:
+            found.append(tuple(image))
+            return
+        for w in range(n):
+            if used[w] or colors[w] != colors[v]:
+                continue
+            if any((u in nbrs[v]) != (image[u] in nbrs[w]) for u in range(v)):
+                continue
+            image[v] = w
+            used[w] = True
+            extend(v + 1)
+            used[w] = False
+
+    extend(0)
+    return tuple(found)
+
+
 @lru_cache(maxsize=None)
 def enumerate_connected_outerplanar(n: int) -> tuple[Graph, ...]:
     """All connected outerplanar graphs on n vertices, one per isomorphism
     class.  Grows each (n-1)-vertex graph by one vertex attached to every
     nonempty subset; some deletion order reaches every class because every
-    connected graph has a vertex whose removal keeps it connected."""
+    connected graph has a vertex whose removal keeps it connected.
+
+    Candidates are taken parent by parent in tuple order, each parent's
+    subsets as ascending bit masks; each class keeps the first outerplanar
+    candidate reached, and the result is sorted by `canonical_form`.  A
+    candidate is skipped, with no `Graph` built, when it provably cannot
+    be the first of a new class:
+
+    - its edges exceed 2n - 3, which no outerplanar graph on n >= 2
+      vertices has;
+    - dropping one of its new edges gives a candidate found not
+      outerplanar: that candidate is a subgraph, outerplanarity is closed
+      under subgraphs, and every submask is a smaller number, so it was
+      judged first;
+    - an automorphism of the parent maps its mask to a smaller one: the
+      automorphism, extended by fixing the new vertex, is an isomorphism
+      from this candidate to that earlier one, so both have the same
+      outerplanarity and class, and the earlier one came first.
+
+    A one-edge (pendant) extension of an outerplanar graph is outerplanar,
+    so it is counted without a test."""
     if n < 1:
         raise ValueError("need at least one vertex")
     if n > 9:
         raise ValueError("enumeration is exponential; capped at 9 vertices")
     if n == 1:
         return (Graph(1, ()),)
+    k = n - 1
     by_key: dict = {}
-    for g in enumerate_connected_outerplanar(n - 1):
+    for g in enumerate_connected_outerplanar(k):
         base = list(g.edges())
-        for mask in range(1, 1 << (n - 1)):
-            extra = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
-            h = Graph(n, base + extra)
-            if not is_outerplanar(h):
+        room = 2 * n - 3 - g.m
+        others = _automorphisms(g)[1:]
+        passed = bytearray(1 << k)  # the candidate of each mask is outerplanar
+        passed[0] = 1
+        first = [0] * (1 << k)  # the smaller mask in the same orbit, if any
+        for mask in range(1, 1 << k):
+            if mask.bit_count() > room:
                 continue
+            if first[mask]:
+                passed[mask] = passed[first[mask]]
+                continue
+            ends = [v for v in range(k) if mask >> v & 1]
+            if not all(passed[mask ^ 1 << v] for v in ends):
+                continue
+            for p in others:
+                image = sum(1 << p[v] for v in ends)
+                if image > mask:
+                    first[image] = mask
+            h = Graph(n, base + [(v, k) for v in ends])
+            if len(ends) > 1 and not is_outerplanar(h):
+                continue
+            passed[mask] = 1
             by_key.setdefault(canonical_form(h), h)
-    return tuple(by_key[k] for k in sorted(by_key))
+    return tuple(by_key[key] for key in sorted(by_key))
 
 
 @lru_cache(maxsize=None)
@@ -212,7 +312,15 @@ def enumerate_two_connected_outerplanar(n: int) -> tuple[Graph, ...]:
     """All 2-connected outerplanar graphs on n vertices up to isomorphism:
     an n-gon plus each non-crossing chord set, deduplicated under the
     dihedral symmetries.  That exhausts the class because such a graph has
-    a unique Hamiltonian cycle, which any isomorphism must respect."""
+    a unique Hamiltonian cycle, which any isomorphism must respect.
+
+    Chord sets are visited depth first with chords in lexicographic order,
+    and each class keeps the first one visited.  Two chord sets are in one
+    class exactly when they have the same smallest image, as a bit mask
+    over the chords, under the 2n rotations and reflections; the images of
+    a set grow one chord at a time from precomputed chord permutations.
+    The sort key, the smallest image as a sorted edge list, is computed
+    once per class."""
     if n < 3:
         raise ValueError("2-connected graphs need at least 3 vertices")
     if n > 12:
@@ -239,27 +347,30 @@ def enumerate_two_connected_outerplanar(n: int) -> tuple[Graph, ...]:
                 best = img
         return best
 
-    found: dict[tuple, Graph] = {}
-
-    def crossing(c: Edge, d: Edge) -> bool:
-        (a, b), (p, q) = c, d
-        return a < p < b < q or p < a < q < b
-
+    bit = {c: 1 << i for i, c in enumerate(chords)}
+    # the bit of each chord's image under every map, the identity first
+    images = [
+        tuple(bit[tuple(sorted((f(a), f(b))))] for f in maps) for a, b in chords
+    ]
+    crossed = [
+        sum(bit[d] for d in chords if a < d[0] < b < d[1] or d[0] < a < d[1] < b)
+        for a, b in chords
+    ]
+    found: dict[int, tuple[tuple, Graph]] = {}
     chosen: list[Edge] = []
 
-    def grow(start: int) -> None:
-        key = key_of(chosen)
-        if key not in found:
-            found[key] = Graph(n, rim + chosen)
+    def grow(start: int, masks: list[int]) -> None:
+        least = min(masks)
+        if least not in found:
+            found[least] = (key_of(chosen), Graph(n, rim + chosen))
         for idx in range(start, len(chords)):
-            c = chords[idx]
-            if all(not crossing(c, d) for d in chosen):
-                chosen.append(c)
-                grow(idx + 1)
+            if not crossed[idx] & masks[0]:
+                chosen.append(chords[idx])
+                grow(idx + 1, [m | b for m, b in zip(masks, images[idx])])
                 chosen.pop()
 
-    grow(0)
-    return tuple(found[k] for k in sorted(found))
+    grow(0, [0] * len(maps))
+    return tuple(g for _, g in sorted(found.values(), key=lambda kg: kg[0]))
 
 
 def random_outerplanar(n: int, seed) -> Graph:

@@ -6,8 +6,9 @@ implementations: a brute-force product-enumeration solver, an outerplanarity
 test via apex planarity, and the goodness predicates for ears and chains.
 The exceptions are the references at the end: the package's earlier,
 simpler outer embedding and peel, kept as the yardsticks for the
-linear-work ones, and its earlier ear search, which built the ears of a
-span from the outer cycle rather than from the ear table.
+linear-work ones, its earlier ear search, which built the ears of a
+span from the outer cycle rather than from the ear table, and its earlier
+canonical form and enumerators, which tested every candidate.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 
 import networkx as nx
 
+from pcfcolor.families import canonical_form
 from pcfcolor.graphs import Edge, Graph, normalize_edge
 from pcfcolor.solver import REASON_DISCONNECTED, REASON_NOT_OUTERPLANAR, Obstruction
 from pcfcolor.structure import (
@@ -574,3 +576,139 @@ def _walk_path(adj, start) -> list[int]:
         if len(nxt) > 1:
             raise StructureError("path walk hit a branching vertex")
         path.append(nxt[0])
+
+
+# -- reference canonical form and enumerators -----------------------------------
+
+
+def reference_canonical_form(g: Graph) -> tuple[int, tuple[Edge, ...]]:
+    """Isomorphism-invariant normal form: relabel within refinement classes
+    to lexicographically minimize the adjacency rows, return the edges."""
+    n = g.n
+    if n == 0:
+        return (0, ())
+    colors = [g.degree(v) for v in range(n)]
+    while True:
+        sig = [
+            (colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
+            for v in range(n)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [rank[sig[v]] for v in range(n)]
+        if new == colors:
+            break
+        colors = new
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(colors[v], []).append(v)
+    slot_class = [c for c in sorted(classes) for _ in classes[c]]
+
+    best: "list[int] | None" = None
+    slot_of: dict[int, int] = {}
+    rows: list[int] = []
+
+    def descend(i: int) -> None:
+        nonlocal best
+        if i == n:
+            if best is None or rows < best:
+                best = rows.copy()
+            return
+        for v in classes[slot_class[i]]:
+            if v in slot_of:
+                continue
+            row = 0
+            for w in g.neighbors(v):
+                j = slot_of.get(w)
+                if j is not None:
+                    row |= 1 << j
+            rows.append(row)
+            if best is None or rows <= best[: len(rows)]:
+                slot_of[v] = i
+                descend(i + 1)
+                del slot_of[v]
+            rows.pop()
+
+    descend(0)
+    edges = []
+    for i, row in enumerate(best):
+        for j in range(i):
+            if row >> j & 1:
+                edges.append((j, i))
+    return (n, tuple(sorted(edges)))
+
+
+def reference_enumerate_connected_outerplanar(n: int) -> tuple[Graph, ...]:
+    """All connected outerplanar graphs on n vertices, one per isomorphism
+    class.  Grows each (n-1)-vertex graph by one vertex attached to every
+    nonempty subset; some deletion order reaches every class because every
+    connected graph has a vertex whose removal keeps it connected."""
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    if n > 9:
+        raise ValueError("enumeration is exponential; capped at 9 vertices")
+    if n == 1:
+        return (Graph(1, ()),)
+    by_key: dict = {}
+    for g in reference_enumerate_connected_outerplanar(n - 1):
+        base = list(g.edges())
+        for mask in range(1, 1 << (n - 1)):
+            extra = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
+            h = Graph(n, base + extra)
+            if not is_outerplanar(h):
+                continue
+            by_key.setdefault(canonical_form(h), h)
+    return tuple(by_key[k] for k in sorted(by_key))
+
+
+def reference_enumerate_two_connected_outerplanar(n: int) -> tuple[Graph, ...]:
+    """All 2-connected outerplanar graphs on n vertices up to isomorphism:
+    an n-gon plus each non-crossing chord set, deduplicated under the
+    dihedral symmetries.  That exhausts the class because such a graph has
+    a unique Hamiltonian cycle, which any isomorphism must respect."""
+    if n < 3:
+        raise ValueError("2-connected graphs need at least 3 vertices")
+    if n > 12:
+        raise ValueError("dissection enumeration capped at 12 vertices")
+    rim = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    chords = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 2, n)
+        if (i, j) != (0, n - 1)
+    ]
+    maps = []
+    for r in range(n):
+        maps.append(lambda v, r=r: (v + r) % n)
+        maps.append(lambda v, r=r: (r - v) % n)
+
+    def key_of(chosen: list[Edge]) -> tuple:
+        best = None
+        for f in maps:
+            img = tuple(
+                sorted(tuple(sorted((f(a), f(b)))) for a, b in chosen)
+            )
+            if best is None or img < best:
+                best = img
+        return best
+
+    found: dict[tuple, Graph] = {}
+
+    def crossing(c: Edge, d: Edge) -> bool:
+        (a, b), (p, q) = c, d
+        return a < p < b < q or p < a < q < b
+
+    chosen: list[Edge] = []
+
+    def grow(start: int) -> None:
+        key = key_of(chosen)
+        if key not in found:
+            found[key] = Graph(n, rim + chosen)
+        for idx in range(start, len(chords)):
+            c = chords[idx]
+            if all(not crossing(c, d) for d in chosen):
+                chosen.append(c)
+                grow(idx + 1)
+                chosen.pop()
+
+    grow(0)
+    return tuple(found[k] for k in sorted(found))

@@ -1,20 +1,30 @@
+import hashlib
+import itertools
 import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import nx_outerplanar
+from conftest import (
+    nx_outerplanar,
+    reference_canonical_form,
+    reference_enumerate_connected_outerplanar,
+    reference_enumerate_two_connected_outerplanar,
+)
 from pcfcolor.families import (
+    _automorphisms,
     c5_uniform,
     canonical_form,
     degree_plus_one_gadget,
     enumerate_connected_outerplanar,
     enumerate_two_connected_outerplanar,
+    random_cactus,
     random_outerplanar,
     theta,
     theta_hard_lists,
 )
-from pcfcolor.graphs import Graph, cycle_graph, path_graph
+from pcfcolor.graphs import Graph, cycle_graph, path_graph, write_graph6
 from pcfcolor.structure import block_decomposition, is_outerplanar
 
 
@@ -113,7 +123,8 @@ def test_enumeration_matches_atlas_up_to_seven():
 def test_enumeration_count_frozen_at_eight():
     # derived once from the enumerator and cross-checked against the
     # atlas-backed counts below 8; guards against regressions
-    assert len(enumerate_connected_outerplanar(8)) == 777
+    counts = [len(enumerate_connected_outerplanar(n)) for n in range(1, 9)]
+    assert counts == [1, 1, 2, 5, 13, 46, 172, 777]
 
 
 def test_two_connected_enumeration_agrees_with_filter():
@@ -126,6 +137,97 @@ def test_two_connected_enumeration_agrees_with_filter():
         got = [canonical_form(g) for g in enumerate_two_connected_outerplanar(n)]
         assert len(got) == len(set(got))
         assert set(got) == filtered
+
+
+def test_canonical_form_matches_the_reference():
+    rng = random.Random(5)
+    graphs = [g for n in range(1, 9) for g in enumerate_connected_outerplanar(n)]
+    graphs += [g for n in range(3, 10) for g in enumerate_two_connected_outerplanar(n)]
+    for _ in range(200):
+        n = rng.randrange(1, 8)
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs.append(Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1))))
+    for g in graphs:
+        assert canonical_form(g) == reference_canonical_form(g), g.edges()
+
+
+def test_connected_enumeration_matches_the_reference():
+    for n in range(1, 9):
+        got = [g.edges() for g in enumerate_connected_outerplanar(n)]
+        assert got == [g.edges() for g in reference_enumerate_connected_outerplanar(n)], n
+
+
+def test_two_connected_enumeration_matches_the_reference():
+    for n in range(3, 11):
+        got = [g.edges() for g in enumerate_two_connected_outerplanar(n)]
+        assert got == [g.edges() for g in reference_enumerate_two_connected_outerplanar(n)], n
+
+
+# sha256 of the graph6 strings, one per line, of each enumeration in order
+# (connected n = 1..8, 2-connected n = 3..10); any change to the graphs
+# kept or to their order changes it
+CONNECTED_DIGEST = "d82bb25562d3ecca0e48b349b15fef5135295559f15b521bde4729e2bbcc84ad"
+TWO_CONNECTED_DIGEST = "7b4ddb33bab21b5ed7c53998bf1b8b6708fadc8a85552dd57145ff2cf49bc185"
+
+
+def test_enumerations_match_the_recorded_digests():
+    for enumerate_graphs, sizes, digest in (
+        (enumerate_connected_outerplanar, range(1, 9), CONNECTED_DIGEST),
+        (enumerate_two_connected_outerplanar, range(3, 11), TWO_CONNECTED_DIGEST),
+    ):
+        h = hashlib.sha256()
+        for n in sizes:
+            for g in enumerate_graphs(n):
+                h.update(write_graph6(g).encode() + b"\n")
+        assert h.hexdigest() == digest
+
+
+@st.composite
+def outerplanar_graphs(draw):
+    kind = draw(st.sampled_from(("random", "cactus", "dissection")))
+    if kind == "dissection":
+        return draw(st.sampled_from(enumerate_two_connected_outerplanar(draw(st.integers(3, 9)))))
+    make = random_outerplanar if kind == "random" else random_cactus
+    return make(draw(st.integers(1, 60)), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(outerplanar_graphs())
+def test_deleting_an_edge_keeps_a_graph_outerplanar(g):
+    # the premise of the enumerator's subset skip: outerplanarity is
+    # closed under subgraphs
+    assert is_outerplanar(g)
+    edges = g.edges()
+    for i in range(len(edges)):
+        assert is_outerplanar(Graph(g.n, edges[:i] + edges[i + 1:])), edges[i]
+
+
+def test_automorphisms_match_brute_force():
+    for n in range(1, 7):
+        for g in enumerate_connected_outerplanar(n):
+            edges = set(g.edges())
+            expect = {
+                p
+                for p in itertools.permutations(range(n))
+                if {tuple(sorted((p[u], p[v]))) for u, v in edges} == edges
+            }
+            got = _automorphisms(g)
+            assert got[0] == tuple(range(n))
+            assert len(got) == len(set(got)) and set(got) == expect, g.edges()
+
+
+def test_automorphic_masks_give_one_canonical_form():
+    # the premise of the enumerator's orbit skip: an automorphism of the
+    # parent maps each candidate onto an isomorphic one
+    for k in range(1, 7):
+        for g in enumerate_connected_outerplanar(k):
+            autos = _automorphisms(g)
+            for mask in range(1, 1 << k):
+                ends = [v for v in range(k) if mask >> v & 1]
+                form = canonical_form(Graph(k + 1, g.edges() + tuple((v, k) for v in ends)))
+                for p in autos:
+                    h = Graph(k + 1, g.edges() + tuple((p[v], k) for v in ends))
+                    assert canonical_form(h) == form
 
 
 def test_random_outerplanar_is_reproducible_and_valid():

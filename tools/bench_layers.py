@@ -1,7 +1,7 @@
-"""Per-layer timings of pcfcolor, written to BENCH_13.json.
+"""Per-layer timings of pcfcolor, written to BENCH_14.json.
 
 Times, in this process, the layers a repeated solve and the command line
-spend their time in:
+spend their time in, and the enumeration of the graph corpora:
 
 - warm `solve` on every connected outerplanar graph of 4 and of 8
   vertices (the per-graph structure cache filled first), with degree+2
@@ -13,9 +13,11 @@ spend their time in:
   n = 128 and 1,000;
 - `solve_exact` on the corpus graphs of 6, 7 and 8 vertices with one
   degree+2 list draw each;
-- `is_outerplanar` on the 25,238 candidate graphs that enumerating the
-  connected outerplanar graphs of up to 8 vertices tests, and on fans
-  (vertex 0 joined to the path 1..n-1) of 1,000 and 4,000 vertices;
+- `is_outerplanar` on the 25,238 raw candidates of the enumeration up
+  to 8 vertices (each connected outerplanar graph of up to 7 vertices
+  plus one new vertex joined to a nonempty subset; the enumerator itself
+  tests about 4,900 of them), and on fans (vertex 0 joined to the path
+  1..n-1) of 1,000 and 4,000 vertices;
 - the graph-only pass of a first solve (`solver._structure`, its cache
   cleared before each run) on paths and cactus graphs
   (`families.random_cactus`) of 1,000, 2,000, 4,000 and 8,000 vertices,
@@ -29,31 +31,40 @@ spend their time in:
   14,296 searches of the ear-search digest in `tests/test_structure.py`
   (every 2-connected non-cycle outerplanar graph of 4 to 10 vertices at
   every anchor) as one batch, and a fan and a strip of 1,000 vertices at
-  every 50th anchor.  With `--baseline SRC` the same searches also run on
-  the package under SRC (another checkout's `src/`), loaded beside this
-  one in the same process; its batches, named `baseline.ear_search.*`,
-  take turns with this tree's, so the two are compared in one run rather
-  than across two files.
+  every 50th anchor;
+- cold enumeration: `enumerate_connected_outerplanar(8)` and
+  `enumerate_two_connected_outerplanar(10)`, their caches cleared before
+  each run, so each run also enumerates every smaller size it builds on.
+
+With `--baseline SRC` the warm solves at n = 4 and 8 with their `verify`
+and `unique_colors` batches, the ear search and the enumerations also run
+on the package under SRC (another checkout's `src/`), loaded beside this
+one in the same process.  Its batches, named `baseline.*`, take turns with
+this tree's, so the two are compared in one run rather than across two
+files: batches of a few microseconds per operation move by about 10% from
+one process to the next.
 
 Each entry is the fastest of 20 timings of one whole batch (5 for the
-first solves), reported per operation; the fastest run is the one least
-disturbed by other work on the host, and entries measured together take
-turns.  `ratios` divides the time on a fan by the time on a fan a quarter
-its size (for `is_outerplanar`: 4 means linear time, 16 quadratic), and
-each first or warm solve by the one of half its size (2 linear, 4
-quadratic); for each ear-search batch it gives the median, over the
-rounds, of its time divided by its baseline's in the same round.
+first solves, 10 for the enumerations), reported per operation; the
+fastest run is the one least disturbed by other work on the host, and
+entries measured together take turns.  `ratios` divides the time on a fan
+by the time on a fan a quarter its size (for `is_outerplanar`: 4 means
+linear time, 16 quadratic), and each first or warm solve by the one of
+half its size (2 linear, 4 quadratic); for each batch compared with a
+baseline it gives the median, over the rounds, of its time divided by its
+baseline's in the same round (the entry also has the quartiles).
 
 Nothing is asserted about the numbers.  Run from the repository root (it
 imports the package from the `src/` beside this file):
 
-    python tools/bench_layers.py [--out BENCH_13.json] [--baseline SRC]
+    python tools/bench_layers.py [--out BENCH_14.json] [--baseline SRC]
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import importlib.util
 import json
 import platform
@@ -66,8 +77,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import pcfcolor  # noqa: E402
 from pcfcolor import solver  # noqa: E402
-from pcfcolor import structure  # noqa: E402
 from pcfcolor.families import (  # noqa: E402
     enumerate_connected_outerplanar,
     enumerate_two_connected_outerplanar,
@@ -75,12 +86,13 @@ from pcfcolor.families import (  # noqa: E402
     random_outerplanar,
 )
 from pcfcolor.graphs import Graph, parse_graph6, path_graph, write_graph6  # noqa: E402
-from pcfcolor.kernel import ListAssignment, degree_plus_k_lists, unique_colors, verify  # noqa: E402
+from pcfcolor.kernel import ListAssignment, degree_plus_k_lists  # noqa: E402
 from pcfcolor.oracle import solve_exact  # noqa: E402
 from pcfcolor.solver import solve  # noqa: E402
 from pcfcolor.structure import is_outerplanar  # noqa: E402
 
 REPEAT = 20
+ENUMERATION_REPEAT = 10
 SEED = 1
 
 
@@ -127,9 +139,10 @@ WARM_SOLVES = {
 
 
 def enumeration_candidates(max_n):
-    """Every graph `enumerate_connected_outerplanar` tests for outerplanarity
-    on its way to max_n vertices: each smaller graph plus one new vertex
-    joined to a nonempty subset."""
+    """The raw candidates of the enumeration up to max_n vertices: each
+    connected outerplanar graph of fewer vertices plus one new vertex
+    joined to a nonempty subset, every one of them, although
+    `enumerate_connected_outerplanar` skips most without a test."""
     out = []
     for n in range(2, max_n + 1):
         for g in enumerate_connected_outerplanar(n - 1):
@@ -141,7 +154,7 @@ def enumeration_candidates(max_n):
 
 def load_package(src):
     """The pcfcolor package under `src`, imported as `pcfcolor_baseline`
-    beside this tree's own."""
+    beside this tree's own, with its `families` module loaded."""
     pkg = Path(src).resolve() / "pcfcolor"
     spec = importlib.util.spec_from_file_location(
         "pcfcolor_baseline", pkg / "__init__.py", submodule_search_locations=[str(pkg)]
@@ -149,50 +162,103 @@ def load_package(src):
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod
     spec.loader.exec_module(mod)
+    importlib.import_module(f"{spec.name}.families")
     return mod
 
 
-def ear_batches(pkg_structure, pkg_graph, prefix=""):
+def small_batches(pkg, n, draws):
+    """Warm `solve`, `verify` and `unique_colors` on the corpus graphs of n
+    vertices, `draws` list draws each, run by the package `pkg`."""
+    inst = [(pkg.graphs.Graph(g.n, g.edges()), pkg.kernel.ListAssignment(lists))
+            for g, lists in instances([n], draws)]
+    colored = []
+    for g, lists in inst:
+        res = pkg.solver.solve(g, lists)  # fills the structure cache: the timed solves are warm
+        if res.ok:
+            colored.append((g, res.coloring, lists))
+
+    def solve_all(solve=pkg.solver.solve):
+        for g, lists in inst:
+            solve(g, lists)
+
+    def verify_all(verify=pkg.kernel.verify):
+        for g, colors, lists in colored:
+            verify(g, colors, lists)
+
+    def unique_all(unique_colors=pkg.kernel.unique_colors):
+        for g, colors, _ in colored:
+            for v in range(g.n):
+                unique_colors(g, colors, v)
+
+    return {
+        f"solve.warm.n{n}": (solve_all, len(inst)),
+        f"verify.n{n}": (verify_all, len(colored)),
+        f"unique_colors.n{n}": (unique_all, sum(g.n for g, _, _ in colored)),
+    }
+
+
+def ear_batches(pkg):
     """The ear-search batches, with graphs and embeddings built by the
-    package whose `structure` module and `Graph` class are given."""
+    package `pkg`."""
     digest = []
     for n in range(4, 11):
         for g in enumerate_two_connected_outerplanar(n):
             if g.m > g.n:
-                h = pkg_graph(n, g.edges())
-                emb = pkg_structure.outer_embedding(h)
+                h = pkg.graphs.Graph(n, g.edges())
+                emb = pkg.structure.outer_embedding(h)
                 digest.extend((h, emb, x) for x in range(n))
     searches = {"digest": digest}
     for name, make in (("fan", fan), ("strip", strip)):
-        h = pkg_graph(1000, make(1000).edges())
-        emb = pkg_structure.outer_embedding(h)
+        h = pkg.graphs.Graph(1000, make(1000).edges())
+        emb = pkg.structure.outer_embedding(h)
         searches[f"{name}1000"] = [(h, emb, x) for x in range(0, 1000, 50)]
 
-    def batch(todo, find=pkg_structure.find_good_ear_or_chain):
+    def batch(todo, find=pkg.structure.find_good_ear_or_chain):
         for h, emb, x in todo:
             find(h, emb, x)
 
     return {
-        f"{prefix}ear_search.{name}": (lambda todo=todo: batch(todo), len(todo))
+        f"ear_search.{name}": (lambda todo=todo: batch(todo), len(todo))
         for name, todo in searches.items()
     }
 
 
-def measure_ears(baseline=None):
-    """The ear-search batches; against a baseline, each of ours also gets
-    the median over rounds of its time divided by the baseline's in the
-    same round, which a slow spell on the host moves less than a ratio of
-    two fastest times."""
-    ours = ear_batches(structure, Graph)
+def enumeration_batches(pkg):
+    """Cold enumerations by the package `pkg`; each run needs its caches
+    cleared first (`clear_enumerations`)."""
+    fam = pkg.families
+    return {
+        "enumerate.connected.n8": (lambda: fam.enumerate_connected_outerplanar(8), 1),
+        "enumerate.two_connected.n10": (lambda: fam.enumerate_two_connected_outerplanar(10), 1),
+    }
+
+
+def clear_enumerations(*pkgs):
+    for pkg in pkgs:
+        pkg.families.enumerate_connected_outerplanar.cache_clear()
+        pkg.families.enumerate_two_connected_outerplanar.cache_clear()
+    gc.collect()
+
+
+def measure_series(make, baseline=None, **kw):
+    """`fastest` over the batches make(package) of this tree; against a
+    baseline package, over the baseline's too, named `baseline.*`, each
+    beside its partner.  Each of ours then also gets the median and the
+    quartiles, over the rounds, of its time divided by the baseline's in
+    the same round, which a slow spell on the host moves less than a
+    ratio of two fastest times."""
+    ours = make(pcfcolor)
     if baseline is None:
-        return fastest(ours)
-    theirs = ear_batches(baseline.structure, baseline.graphs.Graph, "baseline.")
+        return fastest(ours, **kw)
+    theirs = {f"baseline.{name}": batch for name, batch in make(baseline).items()}
     rounds = {}
-    # interleaved, so each batch runs right beside its baseline's
-    out = fastest({k: v for pair in zip(theirs.items(), ours.items()) for k, v in pair}, rounds=rounds)
+    out = fastest({k: v for pair in zip(theirs.items(), ours.items()) for k, v in pair},
+                  rounds=rounds, **kw)
     for name in ours:
         ratios = [a / b for a, b in zip(rounds[name], rounds[f"baseline.{name}"])]
+        q1, _, q3 = statistics.quantiles(ratios, n=4)
         out[name]["baseline_ratio_median"] = round(statistics.median(ratios), 3)
+        out[name]["baseline_ratio_quartiles"] = [round(q1, 3), round(q3, 3)]
     return out
 
 
@@ -226,34 +292,13 @@ def fastest(batches, repeat=REPEAT, setup=None, gc_off=(), rounds=None):
     }
 
 
-def measure():
-    results = {}
+def measure(baseline=None):
+    results = measure_series(ear_batches, baseline)
+    pkgs = (pcfcolor,) if baseline is None else (pcfcolor, baseline)
+    results |= measure_series(enumeration_batches, baseline, repeat=ENUMERATION_REPEAT,
+                              setup=lambda: clear_enumerations(*pkgs))
     for n, draws in ((4, 40), (8, 1)):
-        inst = instances([n], draws)
-        colored = []
-        for g, lists in inst:
-            res = solve(g, lists)  # fills the structure cache: the timed solves are warm
-            if res.ok:
-                colored.append((g, res.coloring, lists))
-
-        def solve_all(inst=inst):
-            for g, lists in inst:
-                solve(g, lists)
-
-        def verify_all(colored=colored):
-            for g, colors, lists in colored:
-                verify(g, colors, lists)
-
-        def unique_all(colored=colored):
-            for g, colors, _ in colored:
-                for v in range(g.n):
-                    unique_colors(g, colors, v)
-
-        results.update(fastest({
-            f"solve.warm.n{n}": (solve_all, len(inst)),
-            f"verify.n{n}": (verify_all, len(colored)),
-            f"unique_colors.n{n}": (unique_all, sum(g.n for g, _, _ in colored)),
-        }))
+        results |= measure_series(lambda pkg: small_batches(pkg, n, draws), baseline)
     for n in (128, 1000):
         g = random_outerplanar(n, 1)
         text = write_graph6(g)
@@ -324,11 +369,11 @@ def ratios(results):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default=str(ROOT / "BENCH_13.json"))
-    ap.add_argument("--baseline", metavar="SRC", help="src/ of a checkout to compare the ear search with")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_14.json"))
+    ap.add_argument("--baseline", metavar="SRC",
+                    help="src/ of a checkout to compare the warm solves, ear search and enumerations with")
     args = ap.parse_args(argv)
-    timings = measure_ears(None if args.baseline is None else load_package(args.baseline))
-    timings |= measure()
+    timings = measure(None if args.baseline is None else load_package(args.baseline))
     doc = {
         "script": "tools/bench_layers.py",
         "python": platform.python_version(),
