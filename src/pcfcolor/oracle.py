@@ -4,6 +4,12 @@ Everything here is brute force with sound pruning, intended for small
 graphs and for cross-checking the constructive solver.  An exceeded node
 budget always raises or reports inconclusive; it is never folded into an
 unsatisfiable answer.
+
+The backtracking search keeps, for every vertex, counts of the colors
+around it and of its uncolored neighbors, updated as vertices are colored
+and uncolored, so each search node costs O(deg v) for the vertex v it
+colors rather than a rescan of every neighborhood around v.  A SAT answer
+is re-checked by `verify` before it is returned.
 """
 
 from __future__ import annotations
@@ -12,7 +18,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import Graph
-from .kernel import Coloring, ListAssignment, unique_colors, verify
+# the search counts colors itself; `unique_colors` stays importable here
+# because perfbench's per-layer counter looks it up on this module
+from .kernel import Coloring, ListAssignment, unique_colors, verify  # noqa: F401
 
 DEFAULT_BUDGET = 10**8
 
@@ -42,55 +50,86 @@ def solve_exact(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -
     in ascending order, so results are deterministic.  A branch dies when
     properness fails or some vertex with a fully colored neighborhood has
     no color appearing exactly once in it.
+
+    Each vertex w keeps three counters over its neighbors: `left[w]`, how
+    many are uncolored; `cnt[w]`, how many colored ones have each color;
+    and `ones[w]`, how many colors appear exactly once.  Coloring or
+    uncoloring v updates them in one walk of N(v), so a search node costs
+    O(deg v): c clashes when `c in cnt[v]`, and the branch dies when some
+    w in N[v] with a neighbor has `left[w]` and `ones[w]` both 0.
+
+    `nodes` counts the colors tried; a call that would try more than
+    `budget` raises `BudgetExceededError`.  A coloring found is checked by
+    `verify`, and one it rejects raises `AssertionError`.
     """
     if len(lists) != g.n:
         raise ValueError(f"list assignment has {len(lists)} entries for a graph on {g.n} vertices")
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    palette = [sorted(lists[v]) for v in range(g.n)]
-    colors: Coloring = [None] * g.n
+    n = g.n
+    adj = [g.neighbors(v) for v in range(n)]
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    palette = [sorted(lists[v]) for v in range(n)]
+    colors: Coloring = [None] * n
+    left = [len(nb) for nb in adj]
+    cnt: list[dict[int, int]] = [{} for _ in range(n)]
+    ones = [0] * n
     nodes = 0
 
-    def dead_end(v: int) -> bool:
-        # v was just colored; the only constraints newly pinned down are the
-        # unique-color requirements of v and its neighbors.
-        for w in (v, *g.neighbors(v)):
-            nb = g.neighbors(w)
-            if nb and all(colors[x] is not None for x in nb):
-                if not unique_colors(g, colors, w):
-                    return True
-        return False
-
     # Depth-first over positions without recursion, so any number of
-    # vertices fits: nxt[pos] is the palette index to try next at pos.
-    nxt = [0] * g.n
+    # vertices fits: nxt[pos] is the palette index to try next at pos, and
+    # each pass of the loop takes one search node or one step back.
+    nxt = [0] * n
     pos = 0
-    while 0 <= pos < g.n:
+    while 0 <= pos < n:
         v = order[pos]
-        colors[v] = None  # still holds the last color tried when backtracking
+        nb = adj[v]
+        c = colors[v]
+        if c is not None:  # a dead end or a step back: take back v's color
+            colors[v] = None
+            for w in nb:
+                left[w] += 1
+                seen = cnt[w]
+                k = seen[c]
+                if k == 1:
+                    del seen[c]
+                    ones[w] -= 1
+                else:
+                    seen[c] = k - 1
+                    if k == 2:
+                        ones[w] += 1
         pal = palette[v]
         i = nxt[pos]
-        while i < len(pal):
-            c = pal[i]
-            i += 1
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(nodes)
-            if any(colors[w] == c for w in g.neighbors(v)):
-                continue
-            colors[v] = c
-            if not dead_end(v):
-                break
-            colors[v] = None
-        else:
+        if i == len(pal):
             nxt[pos] = 0
             pos -= 1
             continue
-        nxt[pos] = i
-        pos += 1
+        c = pal[i]
+        nxt[pos] = i + 1
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(nodes)
+        # a clash, or v's neighbors all colored and none of them uniquely
+        if c in cnt[v] or (nb and not left[v] and not ones[v]):
+            continue
+        colors[v] = c
+        dead = False
+        for w in nb:
+            left[w] -= 1
+            seen = cnt[w]
+            k = seen.get(c, 0)
+            seen[c] = k + 1
+            if k == 0:
+                ones[w] += 1
+            elif k == 1:
+                ones[w] -= 1
+            if not left[w] and not ones[w]:
+                dead = True
+        if not dead:
+            pos += 1
 
-    if pos == g.n:
+    if pos == n:
         verdict = verify(g, colors, lists)
-        assert verdict.ok, f"oracle produced an invalid coloring: {verdict.violations}"
+        if not verdict.ok:
+            raise AssertionError(f"oracle produced an invalid coloring: {verdict.violations}")
         return OracleResult(SAT, list(colors), nodes)
     return OracleResult(UNSAT, None, nodes)
 
@@ -139,11 +178,17 @@ def refute_choosability(
     in index order, each list takes some already-used colors plus a block
     of fresh ones, and structurally identical assignments are skipped.
     Assignments that reuse few colors come first, so tight uniform lists
-    are tried early.
+    are tried early.  A negative k, or a `universe_bound` too small for
+    the largest list, raises `ValueError`: no assignment would be checked.
     """
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     sizes = [g.degree(v) + k for v in range(g.n)]
     cap = sum(sizes)
     if universe_bound is not None:
+        largest = max(sizes, default=0)
+        if universe_bound < largest:
+            raise ValueError(f"universe bound {universe_bound} is below the largest list size {largest}")
         cap = min(cap, universe_bound)
     nodes = 0
     checked = 0

@@ -7,8 +7,9 @@ test via apex planarity, and the goodness predicates for ears and chains.
 The exceptions are the references at the end: the package's earlier,
 simpler outer embedding and peel, kept as the yardsticks for the
 linear-work ones, its earlier ear search, which built the ears of a
-span from the outer cycle rather than from the ear table, and its earlier
-canonical form and enumerators, which tested every candidate.
+span from the outer cycle rather than from the ear table, its earlier
+canonical form and enumerators, which tested every candidate, and its
+earlier exact search, which rescanned each neighborhood at every node.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import networkx as nx
 
 from pcfcolor.families import canonical_form
 from pcfcolor.graphs import Edge, Graph, normalize_edge
+from pcfcolor.kernel import Coloring, ListAssignment, unique_colors, verify
+from pcfcolor.oracle import DEFAULT_BUDGET, SAT, UNSAT, BudgetExceededError, OracleResult
 from pcfcolor.solver import REASON_DISCONNECTED, REASON_NOT_OUTERPLANAR, Obstruction
 from pcfcolor.structure import (
     KIND_CYCLE,
@@ -712,3 +715,66 @@ def reference_enumerate_two_connected_outerplanar(n: int) -> tuple[Graph, ...]:
 
     grow(0)
     return tuple(found[k] for k in sorted(found))
+
+
+# -- reference exact search -------------------------------------------------------
+
+
+def reference_solve_exact(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -> OracleResult:
+    """Decide PCF list colorability by backtracking.
+
+    Vertices are processed by descending degree (ties by index) and colors
+    in ascending order, so results are deterministic.  A branch dies when
+    properness fails or some vertex with a fully colored neighborhood has
+    no color appearing exactly once in it.
+    """
+    if len(lists) != g.n:
+        raise ValueError(f"list assignment has {len(lists)} entries for a graph on {g.n} vertices")
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    palette = [sorted(lists[v]) for v in range(g.n)]
+    colors: Coloring = [None] * g.n
+    nodes = 0
+
+    def dead_end(v: int) -> bool:
+        # v was just colored; the only constraints newly pinned down are the
+        # unique-color requirements of v and its neighbors.
+        for w in (v, *g.neighbors(v)):
+            nb = g.neighbors(w)
+            if nb and all(colors[x] is not None for x in nb):
+                if not unique_colors(g, colors, w):
+                    return True
+        return False
+
+    # Depth-first over positions without recursion, so any number of
+    # vertices fits: nxt[pos] is the palette index to try next at pos.
+    nxt = [0] * g.n
+    pos = 0
+    while 0 <= pos < g.n:
+        v = order[pos]
+        colors[v] = None  # still holds the last color tried when backtracking
+        pal = palette[v]
+        i = nxt[pos]
+        while i < len(pal):
+            c = pal[i]
+            i += 1
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(nodes)
+            if any(colors[w] == c for w in g.neighbors(v)):
+                continue
+            colors[v] = c
+            if not dead_end(v):
+                break
+            colors[v] = None
+        else:
+            nxt[pos] = 0
+            pos -= 1
+            continue
+        nxt[pos] = i
+        pos += 1
+
+    if pos == g.n:
+        verdict = verify(g, colors, lists)
+        assert verdict.ok, f"oracle produced an invalid coloring: {verdict.violations}"
+        return OracleResult(SAT, list(colors), nodes)
+    return OracleResult(UNSAT, None, nodes)

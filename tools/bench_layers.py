@@ -1,4 +1,4 @@
-"""Per-layer timings of pcfcolor, written to BENCH_14.json.
+"""Per-layer timings of pcfcolor, written to BENCH_15.json.
 
 Times, in this process, the layers a repeated solve and the command line
 spend their time in, and the enumeration of the graph corpora:
@@ -11,8 +11,11 @@ spend their time in, and the enumeration of the graph corpora:
   every vertex of them;
 - `parse_graph6` and `write_graph6` on `random_outerplanar(n, 1)` for
   n = 128 and 1,000;
-- `solve_exact` on the corpus graphs of 6, 7 and 8 vertices with one
-  degree+2 list draw each;
+- the exact oracle: `solve_exact` on the corpus graphs of 6, 7 and 8
+  vertices with one degree+2 list draw each, `pcf_chromatic_number` on
+  the twelve evenly spaced 8-vertex corpus graphs the benchmark's
+  `oracle` workload uses, and `refute_choosability` on C4 with k = 1 and
+  on P4 with k = 2 and a universe of 5 colors;
 - `is_outerplanar` on the 25,238 raw candidates of the enumeration up
   to 8 vertices (each connected outerplanar graph of up to 7 vertices
   plus one new vertex joined to a nonempty subset; the enumerator itself
@@ -37,12 +40,13 @@ spend their time in, and the enumeration of the graph corpora:
   each run, so each run also enumerates every smaller size it builds on.
 
 With `--baseline SRC` the warm solves at n = 4 and 8 with their `verify`
-and `unique_colors` batches, the ear search and the enumerations also run
-on the package under SRC (another checkout's `src/`), loaded beside this
-one in the same process.  Its batches, named `baseline.*`, take turns with
-this tree's, so the two are compared in one run rather than across two
-files: batches of a few microseconds per operation move by about 10% from
-one process to the next.
+and `unique_colors` batches, the ear search, the enumerations and the
+three oracle batches also run on the package under SRC (another
+checkout's `src/`), loaded beside this one in the same process.  Its
+batches, named `baseline.*`, take turns with this tree's, so the two are
+compared in one run rather than across two files: batches of a few
+microseconds per operation move by about 10% from one process to the
+next.
 
 Each entry is the fastest of 20 timings of one whole batch (5 for the
 first solves, 10 for the enumerations), reported per operation; the
@@ -57,7 +61,7 @@ baseline's in the same round (the entry also has the quartiles).
 Nothing is asserted about the numbers.  Run from the repository root (it
 imports the package from the `src/` beside this file):
 
-    python tools/bench_layers.py [--out BENCH_14.json] [--baseline SRC]
+    python tools/bench_layers.py [--out BENCH_15.json] [--baseline SRC]
 """
 
 from __future__ import annotations
@@ -85,15 +89,15 @@ from pcfcolor.families import (  # noqa: E402
     random_cactus,
     random_outerplanar,
 )
-from pcfcolor.graphs import Graph, parse_graph6, path_graph, write_graph6  # noqa: E402
+from pcfcolor.graphs import Graph, cycle_graph, parse_graph6, path_graph, write_graph6  # noqa: E402
 from pcfcolor.kernel import ListAssignment, degree_plus_k_lists  # noqa: E402
-from pcfcolor.oracle import solve_exact  # noqa: E402
 from pcfcolor.solver import solve  # noqa: E402
 from pcfcolor.structure import is_outerplanar  # noqa: E402
 
 REPEAT = 20
 ENUMERATION_REPEAT = 10
 SEED = 1
+CHI_AT_8 = 12  # evenly spaced 8-vertex graphs, as in the `oracle` workload
 
 
 def instances(ns, draws=1):
@@ -223,6 +227,34 @@ def ear_batches(pkg):
     }
 
 
+def oracle_batches(pkg):
+    """`solve_exact`, `pcf_chromatic_number` and `refute_choosability` run
+    by the package `pkg`, on graphs and lists it built."""
+    G, L, orc = pkg.graphs.Graph, pkg.kernel.ListAssignment, pkg.oracle
+    exact = [(G(g.n, g.edges()), L(lists)) for g, lists in instances([6, 7, 8])]
+    by_8 = enumerate_connected_outerplanar(8)
+    chi = [G(8, g.edges()) for g in by_8[:: len(by_8) // CHI_AT_8][:CHI_AT_8]]
+    refute = [(G(4, cycle_graph(4).edges()), 1, None), (G(4, path_graph(4).edges()), 2, 5)]
+
+    def exact_all(solve_exact=orc.solve_exact):
+        for g, lists in exact:
+            solve_exact(g, lists)
+
+    def chi_all(chromatic=orc.pcf_chromatic_number):
+        for g in chi:
+            chromatic(g)
+
+    def refute_all(refute_choosability=orc.refute_choosability):
+        for g, k, bound in refute:
+            refute_choosability(g, k, universe_bound=bound)
+
+    return {
+        "solve_exact.n6-8": (exact_all, len(exact)),
+        "pcf_chromatic_number.n8": (chi_all, len(chi)),
+        "refute_choosability.c4k1-p4k2": (refute_all, len(refute)),
+    }
+
+
 def enumeration_batches(pkg):
     """Cold enumerations by the package `pkg`; each run needs its caches
     cleared first (`clear_enumerations`)."""
@@ -306,13 +338,7 @@ def measure(baseline=None):
             f"write_graph6.n{n}": (lambda g=g: write_graph6(g), 1),
             f"parse_graph6.n{n}": (lambda t=text: parse_graph6(t), 1),
         }))
-    inst = instances([6, 7, 8])
-
-    def exact_all():
-        for g, lists in inst:
-            solve_exact(g, lists)
-
-    results.update(fastest({"solve_exact.n6-8": (exact_all, len(inst))}))
+    results |= measure_series(oracle_batches, baseline)
 
     cands = enumeration_candidates(8)
     results.update(fastest({
@@ -369,9 +395,9 @@ def ratios(results):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default=str(ROOT / "BENCH_14.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_15.json"))
     ap.add_argument("--baseline", metavar="SRC",
-                    help="src/ of a checkout to compare the warm solves, ear search and enumerations with")
+                    help="src/ of a checkout to compare the warm solves, ear search, enumerations and oracle with")
     args = ap.parse_args(argv)
     timings = measure(None if args.baseline is None else load_package(args.baseline))
     doc = {
