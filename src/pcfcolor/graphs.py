@@ -59,6 +59,8 @@ class Graph:
     def neighbor_set(self, v: int) -> frozenset[int]:
         return self._adj_sets[v]
 
+    __getitem__ = neighbor_set  # g[v]: the ear search reads any vertex -> neighbor set mapping
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj_sets[u]
 

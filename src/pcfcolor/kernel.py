@@ -9,8 +9,8 @@ every violation; it is the single source of truth the rest of the package
 `unique_colors` and `verify` walk each adjacency once and count colors
 with two sets, the colors seen once and the colors seen more than once;
 in `verify` that one walk also finds the clashing and the uncolored
-neighbors.  They run on every coloring step of the solver and on every
-pruning step of the oracle, which is why they are kept to that one walk.
+neighbors.  `unique_colors` runs on coloring steps of the solver and
+`verify` on every coloring either engine returns, so both keep to one walk.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ graph-only pass (connectivity and outerplanarity screens plus the peel)
 is cached per graph up to `STRUCTURE_CACHE_MAX_N` vertices; a repeated
 graph pays only for the list work: list-size screens, color
 reservations, the coloring pass and the final verification.  The
-graph-only pass makes one block decomposition, then peels over a block
-tree kept up to date in place; each step works in time linear in its end
-block.  So a graph's first solve takes time linear in the number of
+graph-only pass makes one block decomposition and embeds each block
+once, in the screen, then peels over a block tree and outer cycles kept
+up to date in place; each step works in host ids, in time linear in its
+end block.  So a graph's first solve takes time linear in the number of
 vertices, apart from the work inside one large block, which is quadratic
 in that block (a fan or a strip triangulation).  The coloring pass takes
 time linear in each step, plus one `unique_colors` walk of the step's
@@ -486,9 +487,9 @@ def _structure_pass(g: Graph) -> "tuple[Obstruction | None, tuple[EndBlockCase, 
     blocks = list(_blocks(g, (0,), disc))
     if -1 in disc:
         return Obstruction(REASON_DISCONNECTED, "input graph is disconnected"), (), ()
-    if (n >= 2 and g.m > 2 * n - 3) or not all(_block_embeds(edges) for edges in blocks):
+    if (n >= 2 and g.m > 2 * n - 3) or None in (cycles := [_block_embeds(e) for e in blocks]):
         return Obstruction(REASON_NOT_OUTERPLANAR, "input graph is not outerplanar"), (), ()
-    plan, rest = _peel(n, blocks)
+    plan, rest = _peel(n, blocks, cycles)
     return None, plan, rest
 
 
@@ -498,9 +499,10 @@ def _structure_pass(g: Graph) -> "tuple[Obstruction | None, tuple[EndBlockCase, 
 _structure = lru_cache(maxsize=4096)(_structure_pass)
 
 
-def _peel(n: int, block_edges) -> "tuple[tuple[EndBlockCase, ...], tuple[int, ...]]":
-    """Peel a connected outerplanar graph, given the edge lists of its
-    blocks, over a block tree kept up to date in place.
+def _peel(n: int, edges, cycles) -> "tuple[tuple[EndBlockCase, ...], tuple[int, ...]]":
+    """Peel a connected outerplanar graph, given the lists of the edges and
+    of the outer cycles of its blocks, over a block tree kept up to date in
+    place, those two lists with it.
 
     The end block peeled next is the one `BlockDecomposition.end_blocks()`
     lists first, by the key (smallest vertex, size, vertex tuple); end
@@ -514,9 +516,8 @@ def _peel(n: int, block_edges) -> "tuple[tuple[EndBlockCase, ...], tuple[int, ..
     block's key changes.  Each step costs time linear in its block.
     """
     verts: "list[tuple[int, ...] | None]" = [
-        tuple(sorted({v for e in edges for v in e})) for edges in block_edges
+        tuple(sorted({v for e in block_edges for v in e})) for block_edges in edges
     ]
-    edges = list(block_edges)
     count = [0] * n  # blocks containing each vertex
     for block in verts:
         for v in block:
@@ -538,7 +539,7 @@ def _peel(n: int, block_edges) -> "tuple[tuple[EndBlockCase, ...], tuple[int, ..
         if verts[i] is not block:
             continue  # the block has shrunk or gone since this entry
         anchor = next((v for v in block if count[v] > 1), block[0])
-        case = classify_block(block, edges[i], anchor)
+        case = classify_block(block, edges[i], cycles[i], anchor)
         if case.kind == KIND_CYCLE and len(block) == left:
             return tuple(plan), case.cycle_order
         if case.kind not in _STEPS:
@@ -559,6 +560,7 @@ def _peel(n: int, block_edges) -> "tuple[tuple[EndBlockCase, ...], tuple[int, ..
         else:
             verts[i] = block = tuple(v for v in block if not gone[v])
             edges[i] = [e for e in edges[i] if not (gone[e[0]] or gone[e[1]])]
+            cycles[i] = [v for v in cycles[i] if not gone[v]]  # the smaller block's outer cycle
             heappush(heap, (block[0], len(block), block, i))
     return tuple(plan), tuple(v for v in range(n) if not gone[v])
 

@@ -4,19 +4,19 @@ Three layers, each feeding the next:
 
 1. block/cut decomposition (any connected graph), by one iterative Tarjan
    depth-first search;
-2. outer-cycle embeddings of 2-connected blocks, which double as the
-   outerplanarity test: degree-2 vertices are eliminated from a worklist,
-   put back into a doubly linked cycle, and one stack pass over the cycle
-   checks that the chords nest (Mitchell 1979, "Linear algorithms to
-   recognize outerplanar and maximal outerplanar graphs");
+2. outer cycles of 2-connected blocks, found once, by the outerplanarity
+   test: degree-2 vertices are eliminated from a worklist, put back into a
+   doubly linked cycle, and one stack pass over the cycle checks that the
+   chords nest (Mitchell 1979, "Linear algorithms to recognize outerplanar
+   and maximal outerplanar graphs");
 3. the unavoidable substructures of 2-connected non-cycle outerplanar
    graphs: an *ear* (a cycle hanging off one chord, interior degrees 2) or
    an *ear chain* (ears whose root edges form a path v_1..v_s closed by the
-   edge v_1 v_s, junction degrees 4), found "good" for a given anchor
-   vertex x, meaning x avoids the part that gets recolored.  Every ear
-   and chain is read from one ear table, built once per search.
+   edge v_1 v_s, junction degrees 4), found "good" for a given anchor vertex
+   x, meaning x avoids the part that gets recolored.  Every ear and chain is
+   read from one ear table, built once per search over neighbor sets.
 
-Each call works in time linear in its graph, up to sorting blocks and
+Each call works in time linear in its input, up to sorting blocks and
 chords.  The search in `find_good_ear_or_chain` follows a constructive
 existence proof, so every branch ends in an assertion rather than a failure
 path; a `StructureError` here means a bug, not an unlucky input.
@@ -232,17 +232,21 @@ def outer_embedding(block: Graph) -> "OuterEmbedding | None":
     Hamiltonian cycle; the result starts it at vertex 0 and walks toward
     the smaller neighbor of 0.
     """
-    cycle = _outer_cycle({v: block.neighbor_set(v) for v in block.vertices()})
-    if cycle is None:
-        return None
-    n = block.n
-    i0 = cycle.index(0)
+    cycle = _outer_cycle({v: block[v] for v in block.vertices()})
+    return None if cycle is None else _embedding(cycle, block.edges())
+
+
+def _embedding(cycle: list[int], edges) -> OuterEmbedding:
+    """`cycle` from its smallest vertex toward that vertex's smaller
+    neighbor, with the block's chords (normalized, sorted) from `edges`."""
+    n = len(cycle)
+    i0 = cycle.index(min(cycle))
     cyc = cycle[i0:] + cycle[:i0]
     if cyc[1] > cyc[-1]:
         cyc = [cyc[0]] + cyc[:0:-1]
     pos = {v: i for i, v in enumerate(cyc)}
-    chords = tuple(e for e in block.edges() if (pos[e[0]] - pos[e[1]]) % n not in (1, n - 1))
-    return OuterEmbedding(tuple(cyc), chords)
+    chords = sorted(normalize_edge(u, v) for u, v in edges if (pos[u] - pos[v]) % n not in (1, n - 1))
+    return OuterEmbedding(tuple(cyc), tuple(chords))
 
 
 def is_outerplanar(g: Graph) -> bool:
@@ -257,21 +261,21 @@ def is_outerplanar(g: Graph) -> bool:
     n = g.n
     if n >= 2 and g.m > 2 * n - 3:
         return False
-    return all(_block_embeds(edges) for edges in _blocks(g, range(n), [-1] * n))
+    return all(_block_embeds(edges) is not None for edges in _blocks(g, range(n), [-1] * n))
 
 
-def _block_embeds(edges) -> bool:
-    """Whether the block with this edge list is outerplanar: a bridge, or
-    a cycle (as many edges as vertices), passes at once."""
+def _block_embeds(edges) -> "list[int] | tuple[()] | None":
+    """The block's outer cycle, or None if it is not outerplanar; empty
+    for a bridge or a cycle (as many edges as vertices), passed at once."""
     if len(edges) == 1:
-        return True
+        return ()
     adj: dict[int, set[int]] = {}
     for u, v in edges:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
     if len(edges) == len(adj):
-        return True
-    return len(edges) <= 2 * len(adj) - 3 and _outer_cycle(adj) is not None
+        return ()
+    return _outer_cycle(adj) if len(edges) <= 2 * len(adj) - 3 else None
 
 
 # -- ears and ear chains ------------------------------------------------------
@@ -293,10 +297,6 @@ class Ear:
     def reversed(self) -> "Ear":
         return Ear((self.root[1], self.root[0]), tuple(reversed(self.interior)))
 
-    def relabel(self, ids) -> "Ear":
-        """The same ear with every vertex v renamed ids[v]."""
-        return Ear((ids[self.root[0]], ids[self.root[1]]), tuple(ids[w] for w in self.interior))
-
 
 @dataclass(frozen=True)
 class EarChain:
@@ -317,49 +317,45 @@ class EarChain:
             tuple(e.reversed() for e in reversed(self.ears)),
         )
 
-    def relabel(self, ids) -> "EarChain":
-        """The same chain with every vertex v renamed ids[v]."""
-        return EarChain(tuple(ids[v] for v in self.spine), tuple(e.relabel(ids) for e in self.ears))
 
-
-def _check_ear(b: Graph, ear: Ear) -> None:
+def _check_ear(b, ear: Ear) -> None:
     u1, ur = ear.root
-    if not b.has_edge(u1, ur):
+    if ur not in b[u1]:
         raise StructureError(f"ear root {ear.root} is not an edge")
     path = ear.vertices()
     for i in range(len(path) - 1):
-        if not b.has_edge(path[i], path[i + 1]):
+        if path[i + 1] not in b[path[i]]:
             raise StructureError(f"ear path breaks at {path[i]}-{path[i + 1]}")
     for w in ear.interior:
-        if b.degree(w) != 2:
-            raise StructureError(f"ear interior vertex {w} has degree {b.degree(w)}")
+        if len(b[w]) != 2:
+            raise StructureError(f"ear interior vertex {w} has degree {len(b[w])}")
     if not ear.interior:
         raise StructureError("ear must have at least one interior vertex")
 
 
-def _check_chain(b: Graph, chain: EarChain) -> None:
+def _check_chain(b, chain: EarChain) -> None:
     s = len(chain.spine)
     if s < 3 or len(chain.ears) != s - 1:
         raise StructureError("malformed ear chain")
-    if not b.has_edge(chain.spine[0], chain.spine[-1]):
+    if chain.spine[-1] not in b[chain.spine[0]]:
         raise StructureError("ear chain root edge missing")
     for i, ear in enumerate(chain.ears):
         if ear.root != (chain.spine[i], chain.spine[i + 1]):
             raise StructureError("ear chain root edges do not follow the spine")
         _check_ear(b, ear)
     for v in chain.spine[1:-1]:
-        if b.degree(v) != 4:
-            raise StructureError(f"ear chain junction {v} has degree {b.degree(v)}")
+        if len(b[v]) != 4:
+            raise StructureError(f"ear chain junction {v} has degree {len(b[v])}")
 
 
-def ear_is_good(b: Graph, ear: Ear, x: int) -> bool:
+def ear_is_good(b, ear: Ear, x: int) -> bool:
     """Goodness in the orientation the solver consumes: the root[1] endpoint
     has degree 3 and x avoids everything except possibly root[0]."""
     u1, ur = ear.root
-    return b.degree(ur) == 3 and x != ur and x not in ear.interior
+    return len(b[ur]) == 3 and x != ur and x not in ear.interior
 
 
-def chain_is_good(b: Graph, chain: EarChain, x: int) -> bool:
+def chain_is_good(b, chain: EarChain, x: int) -> bool:
     ends = {chain.spine[0], chain.spine[-1]}
     return all(v in ends for v in chain.vertices() if v == x)
 
@@ -370,17 +366,18 @@ def _arc(order: tuple[int, ...], p: int, step: int, length: int) -> list[int]:
     return [order[(p + step * t) % n] for t in range(1, length + 1)]
 
 
-def find_good_ear_or_chain(b: Graph, emb: OuterEmbedding, x: int) -> "Ear | EarChain":
+def find_good_ear_or_chain(b, emb: OuterEmbedding, x: int) -> "Ear | EarChain":
     """An ear or ear chain of b good for x.
 
-    b must be 2-connected outerplanar and not a cycle.  Follows the
-    existence proof: collect the root edges of ears (E1); if every chord is
-    such a root edge, the graph they induce (G1) is a single cycle (yield
-    the chain missing the ear containing x) or a forest of paths (yield the
-    ear at a degree-1 endpoint avoiding x); otherwise pick the non-root
-    chord uv spanning the fewest vertices on the side avoiding x and
-    recurse into that span, where the root edges either form a u-v path
-    (yield it as a chain) or again have a free endpoint (yield its ear).
+    b maps each vertex to its neighbor set (a `Graph` qualifies) and must
+    be 2-connected outerplanar and not a cycle.  Follows the existence
+    proof: collect the root edges of ears (E1); if every chord is such a
+    root edge, the graph they induce (G1) is a single cycle (yield the
+    chain missing the ear containing x) or a forest of paths (yield the ear
+    at a degree-1 endpoint avoiding x); otherwise pick the non-root chord
+    uv spanning the fewest vertices on the side avoiding x and recurse into
+    that span, where the root edges either form a u-v path (yield it as a
+    chain) or again have a free endpoint (yield its ear).
 
     Each arc of a chord is judged from cycle positions alone: it is an ear
     arc iff its interior fits in the run of degree-2 vertices after its
@@ -400,10 +397,10 @@ def find_good_ear_or_chain(b: Graph, emb: OuterEmbedding, x: int) -> "Ear | EarC
     # run[i]: how many degree-2 vertices follow position i on the cycle;
     # a chord has an endpoint of degree 3 or more, where the count restarts
     run = [0] * n
-    k = next(i for i in range(n) if b.degree(order[i]) != 2)
+    k = next(i for i in range(n) if len(b[order[i]]) != 2)
     for i in range(k - 1, k - n - 1, -1):
         j = (i + 1) % n
-        run[i % n] = run[j] + 1 if b.degree(order[j]) == 2 else 0
+        run[i % n] = run[j] + 1 if len(b[order[j]]) == 2 else 0
 
     # the ear table: the ears of each root edge (u, v), interiors from u to v
     ears_by_edge: dict[Edge, list[Ear]] = {}
@@ -517,8 +514,8 @@ def _ear_at_free_endpoint(b, x, adj, ears_by_edge, banned) -> Ear:
         for far, near in ((a, c), (c, a)):
             if len(adj[far]) != 1 or far in banned:
                 continue
-            if b.degree(far) != 3:
-                raise StructureError(f"free endpoint {far} has degree {b.degree(far)}")
+            if len(b[far]) != 3:
+                raise StructureError(f"free endpoint {far} has degree {len(b[far])}")
             for ear in ears_by_edge[a, c]:
                 oriented = ear if ear.root == (near, far) else ear.reversed()
                 _check_ear(b, oriented)
@@ -581,39 +578,40 @@ def classify_end_block(g: Graph) -> EndBlockCase:
     in_block_cuts = [v for v in block if v in decomp.cut_vertices]
     anchor = in_block_cuts[0] if in_block_cuts else block[0]
     inside = set(block)
-    return classify_block(block, [e for e in g.edges() if e[0] in inside and e[1] in inside], anchor)
+    return classify_block(block, [e for e in g.edges() if e[0] in inside and e[1] in inside], (), anchor)
 
 
-def classify_block(block: tuple[int, ...], edges, anchor: int) -> EndBlockCase:
+def classify_block(block: tuple[int, ...], edges, cycle, anchor: int) -> EndBlockCase:
     """The inductive case of one end block peeled at `anchor`.
 
-    `block` lists the block's vertices sorted and `edges` its edges, both
-    in host ids.  Works in time linear in the block: only the block is
-    built as a `Graph`, its vertices numbered in host order so that the
-    embedding's rotation and every tie-break of the ear search follow the
-    host ids.
+    `block` lists the block's vertices sorted, `edges` its edges and
+    `cycle` its outer cycle (from any vertex, either way round), all in
+    host ids; an empty `cycle` is found here.  Works in time linear in the
+    block: the ear search reads the block as a dict of neighbor sets, and
+    every tie-break follows the order of the ids, not their values, so
+    the case comes out in host ids with no renaming.
     """
     if len(block) == 2:
         return EndBlockCase(KIND_K2, anchor, pendant=block[0] if block[1] == anchor else block[1])
 
-    loc = {v: i for i, v in enumerate(block)}
-    bsub = Graph(len(block), [(loc[u], loc[v]) for u, v in edges])
-    emb = outer_embedding(bsub)
-    if emb is None:
+    b: dict[int, set[int]] = {v: set() for v in block}
+    for u, v in edges:
+        b[u].add(v)
+        b[v].add(u)
+    cycle = cycle or _outer_cycle(b)
+    if cycle is None:
         raise StructureError("end block is not outerplanar")
+    emb = _embedding(cycle, edges)
 
-    if bsub.m == bsub.n:  # 2-regular: the block is a cycle
-        order = [block[v] for v in emb.order]
-        i = order.index(anchor)
-        return EndBlockCase(KIND_CYCLE, anchor, cycle_order=tuple(order[i:] + order[:i]))
+    if len(edges) == len(block):  # 2-regular: the block is a cycle
+        i = emb.order.index(anchor)
+        return EndBlockCase(KIND_CYCLE, anchor, cycle_order=emb.order[i:] + emb.order[:i])
 
-    found = find_good_ear_or_chain(bsub, emb, loc[anchor])
+    found = find_good_ear_or_chain(b, emb, anchor)
     if isinstance(found, Ear):
-        return EndBlockCase(KIND_GOOD_EAR, anchor, ear=found.relabel(block))
+        return EndBlockCase(KIND_GOOD_EAR, anchor, ear=found)
 
-    chain = found.relabel(block)
-    if anchor == chain.spine[-1]:
-        chain = chain.reversed()
+    chain = found.reversed() if anchor == found.spine[-1] else found
     last = chain.ears[-1]
     if last.size() >= 6:
         # the closing ear is long and free of the anchor: the long-ear

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import in_lists, pcf_ok, reference_structure
-from pcfcolor import kernel, solver
+from pcfcolor import kernel, solver, structure
 from pcfcolor.families import (
     enumerate_connected_outerplanar,
     enumerate_two_connected_outerplanar,
@@ -451,12 +451,35 @@ def test_large_random_outerplanar_solves():
 
 
 def test_large_single_blocks_solve():
-    # one block of 200 vertices: every peel step embeds it and searches
-    # its ears again
+    # one block of 200 vertices: embedded once, then every peel step
+    # searches the ears of what is left of it again
     for g in (fan(200), zigzag_triangulation(200)):
         assert g.m == 2 * g.n - 3
         res = solved_ok(g, plus2_lists(g, 200))
         assert replay_trace(g.n, res.trace) == res.coloring
+
+
+def test_a_first_solve_embeds_each_block_once(monkeypatch):
+    # the outer cycle the outerplanarity screen finds is kept through the
+    # peel: no block is built as a Graph or embedded again
+    for g in (fan(200), zigzag_triangulation(200), flower(3, 4, 2)):
+        blocks = sum(len(b) >= 3 for b in structure.block_decomposition(g).blocks)
+        calls = {"_outer_cycle": 0, "outer_embedding": 0, "Graph": 0}
+
+        def counted(name, f):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return call
+
+        with monkeypatch.context() as m:
+            m.setattr(structure, "_outer_cycle", counted("_outer_cycle", structure._outer_cycle))
+            m.setattr(structure, "outer_embedding", counted("outer_embedding", structure.outer_embedding))
+            m.setattr(Graph, "__init__", counted("Graph", Graph.__init__))
+            screened, plan, _ = solver._structure_pass(g)
+        assert screened is None and plan
+        assert calls["Graph"] == 0 and calls["outer_embedding"] == 0, calls
+        assert calls["_outer_cycle"] <= blocks, calls
 
 
 def test_solve_is_deterministic():

@@ -27,6 +27,7 @@ from pcfcolor.structure import (
     KIND_GOOD_EAR,
     KIND_K2,
     KIND_LONG_EAR,
+    OuterEmbedding,
     _is_outer_cycle,
     block_decomposition,
     classify_end_block,
@@ -354,6 +355,33 @@ def test_ear_search_matches_the_reference_on_large_blocks(data):
     for x in data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=6)):
         assert find_good_ear_or_chain(g, emb, x) == reference_find_good_ear_or_chain(g, emb, x)
 
+
+def test_ear_search_commutes_with_an_order_preserving_renaming():
+    # the solver searches blocks in host ids, as a dict of neighbor sets;
+    # renaming v to 3v + 5 keeps the order of the ids, so it must rename
+    # the ear or chain found and change nothing else
+    def ren(v):
+        return 3 * v + 5
+
+    def ren_ear(ear):
+        return Ear((ren(ear.root[0]), ren(ear.root[1])), tuple(map(ren, ear.interior)))
+
+    for n in range(4, 9):
+        for g in enumerate_two_connected_outerplanar(n):
+            if g.m == g.n:
+                continue
+            emb = outer_embedding(g)
+            b = {ren(v): {ren(w) for w in g.neighbors(v)} for v in range(n)}
+            renamed = OuterEmbedding(
+                tuple(map(ren, emb.order)), tuple((ren(u), ren(v)) for u, v in emb.chords)
+            )
+            for x in range(n):
+                found = find_good_ear_or_chain(g, emb, x)
+                if isinstance(found, Ear):
+                    expected = ren_ear(found)
+                else:
+                    expected = EarChain(tuple(map(ren, found.spine)), tuple(map(ren_ear, found.ears)))
+                assert find_good_ear_or_chain(b, renamed, ren(x)) == expected, (g.edges(), x)
 
 
 def test_good_ear_in_chorded_cycle():

@@ -1,4 +1,4 @@
-"""Per-layer timings of pcfcolor, written to BENCH_15.json.
+"""Per-layer timings of pcfcolor, written to BENCH_16.json.
 
 Times, in this process, the layers a repeated solve and the command line
 spend their time in, and the enumeration of the graph corpora:
@@ -26,7 +26,9 @@ spend their time in, and the enumeration of the graph corpora:
   (`families.random_cactus`) of 1,000, 2,000, 4,000 and 8,000 vertices,
   and on `random_outerplanar` graphs (re-seeded until m >= n), fans and
   strip triangulations (edges i,i+1 and i,i+2) of 200, 400 and 800
-  vertices; each with the garbage collector on and, as `.gc_off`, off;
+  vertices; each with the garbage collector on and, as `.gc_off`, off,
+  and each with the `tracemalloc` peak of one more run
+  (`tracemalloc_peak_kb`, the graph built beforehand);
 - warm `solve` (the structure cached, so only the list work and the
   coloring pass run) on paths, fans and strips of 200, 400 and 800
   vertices, with the lists {1, ..., deg(v)+2};
@@ -40,8 +42,9 @@ spend their time in, and the enumeration of the graph corpora:
   each run, so each run also enumerates every smaller size it builds on.
 
 With `--baseline SRC` the warm solves at n = 4 and 8 with their `verify`
-and `unique_colors` batches, the ear search, the enumerations and the
-three oracle batches also run on the package under SRC (another
+and `unique_colors` batches, the ear search, the enumerations, the three
+oracle batches and the first solves' graph-only passes, with their
+`tracemalloc` peaks, also run on the package under SRC (another
 checkout's `src/`), loaded beside this one in the same process.  Its
 batches, named `baseline.*`, take turns with this tree's, so the two are
 compared in one run rather than across two files: batches of a few
@@ -61,7 +64,7 @@ baseline's in the same round (the entry also has the quartiles).
 Nothing is asserted about the numbers.  Run from the repository root (it
 imports the package from the `src/` beside this file):
 
-    python tools/bench_layers.py [--out BENCH_15.json] [--baseline SRC]
+    python tools/bench_layers.py [--out BENCH_16.json] [--baseline SRC]
 """
 
 from __future__ import annotations
@@ -76,13 +79,13 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import pcfcolor  # noqa: E402
-from pcfcolor import solver  # noqa: E402
 from pcfcolor.families import (  # noqa: E402
     enumerate_connected_outerplanar,
     enumerate_two_connected_outerplanar,
@@ -255,6 +258,31 @@ def oracle_batches(pkg):
     }
 
 
+def cold_batches(pkg, family):
+    """The graph-only pass of a first solve (`solver._structure`, cleared
+    before each run by `measure`) on the graphs of `family`, built by the
+    package `pkg`; each batch also as `.gc_off`."""
+    make, sizes = FIRST_SOLVES[family]
+    batches = {}
+    for n in sizes:
+        g = make(n)
+        batch = (lambda g=pkg.graphs.Graph(n, g.edges()), s=pkg.solver._structure: s(g), 1)
+        batches[f"structure.cold.{family}{n}"] = batch
+        batches[f"structure.cold.{family}{n}.gc_off"] = batch
+    return batches
+
+
+def traced_peak_kb(batch, setup):
+    """The `tracemalloc` peak of one run of `batch` after setup(), in kB."""
+    setup()
+    tracemalloc.start()
+    try:
+        batch()
+        return round(tracemalloc.get_traced_memory()[1] / 1e3, 1)
+    finally:
+        tracemalloc.stop()
+
+
 def enumeration_batches(pkg):
     """Cold enumerations by the package `pkg`; each run needs its caches
     cleared first (`clear_enumerations`)."""
@@ -294,19 +322,20 @@ def measure_series(make, baseline=None, **kw):
     return out
 
 
-def fastest(batches, repeat=REPEAT, setup=None, gc_off=(), rounds=None):
+def fastest(batches, repeat=REPEAT, setup=None, rounds=None):
     """Fastest of `repeat` timings of each batch, as a dict of per-op
     figures per name.  `batches` maps a name to (batch, ops); the batches
     take turns, in reverse order every other round, so a slow spell on the
     host falls on all of them, and each run follows an untimed setup().
-    The batches named in `gc_off` run with the garbage collector disabled.
-    A `rounds` dict receives every timing of each batch, in seconds."""
+    The batches whose names end in `.gc_off` run with the garbage
+    collector disabled.  A `rounds` dict receives every timing of each
+    batch, in seconds."""
     best = dict.fromkeys(batches, float("inf"))
     for r in range(repeat):
         for name, (batch, _) in list(batches.items())[:: -1 if r % 2 else 1]:
             if setup is not None:
                 setup()
-            if name in gc_off:
+            if name.endswith(".gc_off"):
                 gc.disable()
             try:
                 start = time.perf_counter()
@@ -349,17 +378,16 @@ def measure(baseline=None):
     }))
 
     def clear():
-        solver._structure.cache_clear()
+        for pkg in pkgs:
+            pkg.solver._structure.cache_clear()
         gc.collect()
 
-    for family, (make, sizes) in FIRST_SOLVES.items():
-        batches = {}
-        for n in sizes:
-            batch = (lambda g=make(n): solver._structure(g), 1)
-            batches[f"structure.cold.{family}{n}"] = batch
-            batches[f"structure.cold.{family}{n}.gc_off"] = batch
-        results.update(fastest(batches, repeat=5, setup=clear,
-                               gc_off={name for name in batches if name.endswith(".gc_off")}))
+    for family in FIRST_SOLVES:
+        results |= measure_series(lambda pkg: cold_batches(pkg, family), baseline, repeat=5, setup=clear)
+        for pkg, prefix in zip(pkgs, ("", "baseline.")):
+            for name, (batch, _) in cold_batches(pkg, family).items():
+                if not name.endswith(".gc_off"):
+                    results[prefix + name]["tracemalloc_peak_kb"] = traced_peak_kb(batch, clear)
     clear()
 
     warm = {}
@@ -395,9 +423,10 @@ def ratios(results):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default=str(ROOT / "BENCH_15.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_16.json"))
     ap.add_argument("--baseline", metavar="SRC",
-                    help="src/ of a checkout to compare the warm solves, ear search, enumerations and oracle with")
+                    help="src/ of a checkout to compare the warm solves, ear search, enumerations, oracle and "
+                         "first-solve structure passes with")
     args = ap.parse_args(argv)
     timings = measure(None if args.baseline is None else load_package(args.baseline))
     doc = {
