@@ -10,12 +10,16 @@ around it and of its uncolored neighbors, updated as vertices are colored
 and uncolored, so each search node costs O(deg v) for the vertex v it
 colors rather than a rescan of every neighborhood around v.  A SAT answer
 is re-checked by `verify` before it is returned.
+
+Neither entry point that ranges over colors repeats work that only renames
+them: the chromatic-number search on {1..k} lists tries colors in
+first-use order, and the choosability refutation generates one list
+assignment per renaming class directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graphs import Graph
 # the search counts colors itself; `unique_colors` stays importable here
@@ -51,6 +55,25 @@ def solve_exact(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -
     properness fails or some vertex with a fully colored neighborhood has
     no color appearing exactly once in it.
 
+    `nodes` counts the colors tried; a call that would try more than
+    `budget` raises `BudgetExceededError`.  A coloring found is checked by
+    `verify`, and one it rejects raises `AssertionError`.
+    """
+    if len(lists) != g.n:
+        raise ValueError(f"list assignment has {len(lists)} entries for a graph on {g.n} vertices")
+    colors, nodes = _search(g, [sorted(lists[v]) for v in range(g.n)], budget, first_use=False)
+    if colors is None:
+        return OracleResult(UNSAT, None, nodes)
+    return OracleResult(SAT, _verified(g, colors, lists), nodes)
+
+
+def _search(
+    g: Graph, palette: list[list[int]], budget: int, first_use: bool
+) -> tuple["Coloring | None", int]:
+    """The backtracking search behind `solve_exact` and `pcf_chromatic_number`:
+    the first coloring found from the ascending lists `palette`, or None,
+    and the number of nodes searched.
+
     Each vertex w keeps three counters over its neighbors: `left[w]`, how
     many are uncolored; `cnt[w]`, how many colored ones have each color;
     and `ones[w]`, how many colors appear exactly once.  Coloring or
@@ -58,16 +81,18 @@ def solve_exact(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -
     O(deg v): c clashes when `c in cnt[v]`, and the branch dies when some
     w in N[v] with a neighbor has `left[w]` and `ones[w]` both 0.
 
-    `nodes` counts the colors tried; a call that would try more than
-    `budget` raises `BudgetExceededError`.  A coloring found is checked by
-    `verify`, and one it rejects raises `AssertionError`.
+    With `first_use`, which is sound only when every list is [1..k], the
+    search skips colorings that merely rename colors: every orbit under
+    permutations of {1..k} has one member whose colors first appear in
+    increasing order along the vertex order, so a position tries only the
+    colors up to one more than the largest used before it.  Neither a
+    clash nor a dead end depends on the names of the colors, so the answer
+    is unchanged, and so is the first coloring found: the least one in
+    lexicographic order is already in first-use order.
     """
-    if len(lists) != g.n:
-        raise ValueError(f"list assignment has {len(lists)} entries for a graph on {g.n} vertices")
     n = g.n
     adj = [g.neighbors(v) for v in range(n)]
     order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    palette = [sorted(lists[v]) for v in range(n)]
     colors: Coloring = [None] * n
     left = [len(nb) for nb in adj]
     cnt: list[dict[int, int]] = [{} for _ in range(n)]
@@ -75,9 +100,15 @@ def solve_exact(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -
     nodes = 0
 
     # Depth-first over positions without recursion, so any number of
-    # vertices fits: nxt[pos] is the palette index to try next at pos, and
-    # each pass of the loop takes one search node or one step back.
+    # vertices fits: nxt[pos] is the palette index to try next at pos,
+    # room[v] the number of v's colors to try, and each pass of the loop
+    # takes one search node or one step back.  Under `first_use`, room[v]
+    # is one more than the number of colors used before v's position, all
+    # of them the smallest, and at most k.
     nxt = [0] * n
+    room = list(map(len, palette))
+    if first_use and n:
+        room[order[0]] = min(room[order[0]], 1)
     pos = 0
     while 0 <= pos < n:
         v = order[pos]
@@ -96,13 +127,12 @@ def solve_exact(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -
                     seen[c] = k - 1
                     if k == 2:
                         ones[w] += 1
-        pal = palette[v]
         i = nxt[pos]
-        if i == len(pal):
+        if i == room[v]:
             nxt[pos] = 0
             pos -= 1
             continue
-        c = pal[i]
+        c = palette[v][i]
         nxt[pos] = i + 1
         nodes += 1
         if nodes > budget:
@@ -125,22 +155,38 @@ def solve_exact(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -
                 dead = True
         if not dead:
             pos += 1
+            if first_use and pos < n:
+                u = order[pos]
+                room[u] = min(len(palette[u]), max(room[v], i + 2))
 
-    if pos == n:
-        verdict = verify(g, colors, lists)
-        if not verdict.ok:
-            raise AssertionError(f"oracle produced an invalid coloring: {verdict.violations}")
-        return OracleResult(SAT, list(colors), nodes)
-    return OracleResult(UNSAT, None, nodes)
+    return (colors if pos == n else None), nodes
+
+
+def _verified(g: Graph, colors: Coloring, lists: ListAssignment) -> Coloring:
+    """`colors`, once `verify` accepts it; otherwise `AssertionError`,
+    which `python -O` does not strip as it would an `assert`."""
+    verdict = verify(g, colors, lists)
+    if not verdict.ok:
+        raise AssertionError(f"oracle produced an invalid coloring: {verdict.violations}")
+    return colors
 
 
 def pcf_chromatic_number(g: Graph, max_k: int = 16, budget: int = DEFAULT_BUDGET) -> int | None:
-    """Smallest k such that colors {1..k} admit a PCF coloring, or None past max_k."""
+    """Smallest k such that colors {1..k} admit a PCF coloring, or None past max_k.
+
+    Each k is decided by the search of `solve_exact` with the renamings of
+    {1..k} skipped (first-use color order), so `budget` bounds the nodes of
+    that symmetry-broken search, for each k on its own; a search that would
+    exceed it raises `BudgetExceededError`.  A coloring found is still
+    checked by `verify`.
+    """
     if g.n == 0:
         return 0
     for k in range(1, max_k + 1):
-        lists = ListAssignment([range(1, k + 1)] * g.n)
-        if solve_exact(g, lists, budget).status == SAT:
+        palette = [list(range(1, k + 1))] * g.n
+        colors, _ = _search(g, palette, budget, first_use=True)
+        if colors is not None:
+            _verified(g, colors, ListAssignment(palette))
             return k
     return None
 
@@ -158,12 +204,19 @@ class RefuteResult:
     nodes: int
 
 
-def _signature(n: int, lists: list[tuple[int, ...]]) -> tuple:
-    incidence: dict[int, list[int]] = {}
-    for v, lst in enumerate(lists):
-        for c in lst:
-            incidence.setdefault(c, []).append(v)
-    return tuple(sorted(tuple(vs) for vs in incidence.values()))
+def _takes(runs: list[int], r: int):
+    """Every way to take r colors from runs of runs[0], runs[1], ...
+    colors, as the count taken from each run, in decreasing lexicographic
+    order: taking the smallest colors of each run, that is increasing
+    lexicographic order of the colors taken."""
+    if not runs:
+        if r == 0:
+            yield ()
+        return
+    first, rest = runs[0], runs[1:]
+    for t in range(min(first, r), max(0, r - sum(rest)) - 1, -1):
+        for tail in _takes(rest, r - t):
+            yield (t, *tail)
 
 
 def refute_choosability(
@@ -174,12 +227,16 @@ def refute_choosability(
 ) -> RefuteResult:
     """Search for a (degree+k)-list assignment with no PCF coloring.
 
-    Assignments are enumerated up to renaming of colors: scanning vertices
-    in index order, each list takes some already-used colors plus a block
-    of fresh ones, and structurally identical assignments are skipped.
-    Assignments that reuse few colors come first, so tight uniform lists
-    are tried early.  A negative k, or a `universe_bound` too small for
-    the largest list, raises `ValueError`: no assignment would be checked.
+    Assignments are generated one per class under renaming of colors:
+    scanning vertices in index order, each list takes some already-used
+    colors plus a block of fresh ones.  Colors held by the same vertices so
+    far are interchangeable, and they form runs of consecutive colors, so
+    a list takes only the smallest colors of each run; that yields the
+    first member, in this order, of every renaming class exactly once, with
+    no set of seen assignments.  Assignments that reuse few colors come
+    first, so tight uniform lists are tried early.  A negative k, or a
+    `universe_bound` too small for the largest list, raises `ValueError`:
+    no assignment would be checked.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
@@ -192,27 +249,34 @@ def refute_choosability(
         cap = min(cap, universe_bound)
     nodes = 0
     checked = 0
-    seen: set[tuple] = set()
 
-    def assignments(v: int, used: int, prefix: list[tuple[int, ...]]):
+    # runs: the lengths of the runs that split colors 1..used, in order,
+    # each run the colors held by the same vertices before v
+    def assignments(v: int, used: int, runs: list[int], prefix: list[tuple[int, ...]]):
         if v == g.n:
             yield list(prefix)
             return
         s = sizes[v]
-        for fresh in range(0, s + 1):
-            if used + fresh > cap or s - fresh > used:
-                continue
-            new_block = tuple(range(used + 1, used + fresh + 1))
-            for old in combinations(range(1, used + 1), s - fresh):
-                prefix.append(old + new_block)
-                yield from assignments(v + 1, used + fresh, prefix)
+        for fresh in range(max(0, s - used), min(s, cap - used) + 1):
+            for take in _takes(runs, s - fresh):
+                lst: list[int] = []
+                split: list[int] = []
+                start = 1
+                for run, t in zip(runs, take):
+                    if t:
+                        lst.extend(range(start, start + t))
+                        split.append(t)
+                    if t < run:
+                        split.append(run - t)
+                    start += run
+                lst.extend(range(used + 1, used + fresh + 1))
+                if fresh:
+                    split.append(fresh)
+                prefix.append(tuple(lst))
+                yield from assignments(v + 1, used + fresh, split, prefix)
                 prefix.pop()
 
-    for lists in assignments(0, 0, []):
-        sig = _signature(g.n, lists)
-        if sig in seen:
-            continue
-        seen.add(sig)
+    for lists in assignments(0, 0, [], []):
         assignment = ListAssignment(lists)
         try:
             result = solve_exact(g, assignment, budget - nodes)

@@ -8,8 +8,11 @@ The exceptions are the references at the end: the package's earlier,
 simpler outer embedding and peel, kept as the yardsticks for the
 linear-work ones, its earlier ear search, which built the ears of a
 span from the outer cycle rather than from the ear table, its earlier
-canonical form and enumerators, which tested every candidate, and its
-earlier exact search, which rescanned each neighborhood at every node.
+canonical form and enumerators, which tested every candidate, its
+earlier exact search, which rescanned each neighborhood at every node,
+the chromatic number that search gives with every renaming of the colors,
+and its earlier choosability refutation, which generated duplicate list
+assignments and skipped the ones whose signature it had seen.
 """
 
 from __future__ import annotations
@@ -21,7 +24,18 @@ import networkx as nx
 from pcfcolor.families import canonical_form
 from pcfcolor.graphs import Edge, Graph, normalize_edge
 from pcfcolor.kernel import Coloring, ListAssignment, unique_colors, verify
-from pcfcolor.oracle import DEFAULT_BUDGET, SAT, UNSAT, BudgetExceededError, OracleResult
+from pcfcolor.oracle import (
+    CHOOSABLE_EXHAUSTED,
+    DEFAULT_BUDGET,
+    INCONCLUSIVE,
+    NON_CHOOSABLE,
+    SAT,
+    UNSAT,
+    BudgetExceededError,
+    OracleResult,
+    RefuteResult,
+    solve_exact,
+)
 from pcfcolor.solver import REASON_DISCONNECTED, REASON_NOT_OUTERPLANAR, Obstruction
 from pcfcolor.structure import (
     KIND_CYCLE,
@@ -778,3 +792,80 @@ def reference_solve_exact(g: Graph, lists: ListAssignment, budget: int = DEFAULT
         assert verdict.ok, f"oracle produced an invalid coloring: {verdict.violations}"
         return OracleResult(SAT, list(colors), nodes)
     return OracleResult(UNSAT, None, nodes)
+
+
+def reference_pcf_chromatic_number(g: Graph, max_k: int = 16) -> "int | None":
+    """Smallest k at which `reference_solve_exact` colors g from {1..k}."""
+    if g.n == 0:
+        return 0
+    for k in range(1, max_k + 1):
+        if reference_solve_exact(g, ListAssignment([range(1, k + 1)] * g.n)).status == SAT:
+            return k
+    return None
+
+
+# -- reference choosability refutation --------------------------------------------
+
+
+def _signature(lists: list[tuple[int, ...]]) -> tuple:
+    incidence: dict[int, list[int]] = {}
+    for v, lst in enumerate(lists):
+        for c in lst:
+            incidence.setdefault(c, []).append(v)
+    return tuple(sorted(tuple(vs) for vs in incidence.values()))
+
+
+def reference_refute_choosability(
+    g: Graph,
+    k: int,
+    universe_bound: "int | None" = None,
+    budget: int = DEFAULT_BUDGET,
+) -> RefuteResult:
+    """Search for a (degree+k)-list assignment with no PCF coloring.
+
+    Assignments are enumerated up to renaming of colors: scanning vertices
+    in index order, each list takes some already-used colors plus a block
+    of fresh ones, and structurally identical assignments are skipped.
+    """
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    sizes = [g.degree(v) + k for v in range(g.n)]
+    cap = sum(sizes)
+    if universe_bound is not None:
+        largest = max(sizes, default=0)
+        if universe_bound < largest:
+            raise ValueError(f"universe bound {universe_bound} is below the largest list size {largest}")
+        cap = min(cap, universe_bound)
+    nodes = 0
+    checked = 0
+    seen: set[tuple] = set()
+
+    def assignments(v: int, used: int, prefix: list[tuple[int, ...]]):
+        if v == g.n:
+            yield list(prefix)
+            return
+        s = sizes[v]
+        for fresh in range(0, s + 1):
+            if used + fresh > cap or s - fresh > used:
+                continue
+            new_block = tuple(range(used + 1, used + fresh + 1))
+            for old in itertools.combinations(range(1, used + 1), s - fresh):
+                prefix.append(old + new_block)
+                yield from assignments(v + 1, used + fresh, prefix)
+                prefix.pop()
+
+    for lists in assignments(0, 0, []):
+        sig = _signature(lists)
+        if sig in seen:
+            continue
+        seen.add(sig)
+        assignment = ListAssignment(lists)
+        try:
+            result = solve_exact(g, assignment, budget - nodes)
+        except BudgetExceededError as exc:
+            return RefuteResult(INCONCLUSIVE, None, checked, nodes + exc.nodes)
+        nodes += result.nodes
+        checked += 1
+        if result.status == UNSAT:
+            return RefuteResult(NON_CHOOSABLE, assignment, checked, nodes)
+    return RefuteResult(CHOOSABLE_EXHAUSTED, None, checked, nodes)

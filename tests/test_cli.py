@@ -340,6 +340,23 @@ def test_refute_conclusive(run, tmp_path):
     assert doc["witness"]["lists"] == [[1, 2, 3]] * 4
 
 
+def test_refute_prints_the_same_documents_as_the_signature_generator(tmp_path, capsys):
+    # the JSON the generator that skipped seen signatures printed, byte for byte
+    cases = [
+        (cycle_graph(4), ["--k", "1"],
+         '{"assignments_checked": 1, "k": 1, "nodes": 48, "status": "non_choosable", '
+         '"witness": {"lists": [[1, 2, 3], [1, 2, 3], [1, 2, 3], [1, 2, 3]]}}'),
+        (path_graph(4), ["--k", "2", "--universe", "5"],
+         '{"assignments_checked": 34, "k": 2, "nodes": 275, "status": "choosable_exhausted", '
+         '"witness": null}'),
+    ]
+    for g, flags, want in cases:
+        p = tmp_path / "g.g6"
+        p.write_text(write_graph6(g))
+        assert main(["refute", str(p), *flags]) == 0
+        assert capsys.readouterr().out == want + "\n"
+
+
 def test_refute_inconclusive_exit_3(run, tmp_path):
     p = tmp_path / "c6.g6"
     p.write_text(write_graph6(cycle_graph(6)))

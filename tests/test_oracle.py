@@ -4,18 +4,28 @@ import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import in_lists, naive_pcf_solve, pcf_ok, reference_solve_exact
+from conftest import (
+    in_lists,
+    naive_pcf_solve,
+    pcf_ok,
+    reference_pcf_chromatic_number,
+    reference_refute_choosability,
+    reference_solve_exact,
+)
 from pcfcolor import families, oracle
 from pcfcolor.cli import main
 from pcfcolor.graphs import Graph, cycle_graph, path_graph, write_graph6
 from pcfcolor.kernel import ListAssignment, Verdict
 from pcfcolor.oracle import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     CHOOSABLE_EXHAUSTED,
     NON_CHOOSABLE,
+    RefuteResult,
     SAT,
     UNSAT,
     pcf_chromatic_number,
@@ -153,13 +163,63 @@ def test_oracle_workload_families_match_reference_search(monkeypatch):
             assert run() == ours
         return ours
 
-    for g in families.enumerate_connected_outerplanar(4):
-        assert engines_agree(lambda: pcf_chromatic_number(g)) is not None
     res = engines_agree(lambda: refute_choosability(cycle_graph(4), 1))
     assert res.status == NON_CHOOSABLE
     for g in (path_graph(3), cycle_graph(3), path_graph(4)):
         res = engines_agree(lambda: refute_choosability(g, 2, universe_bound=5))
         assert res.status == CHOOSABLE_EXHAUSTED and res.assignments_checked > 0
+
+
+def test_pcf_chromatic_number_matches_reference_on_outerplanar_graphs():
+    # the first-use search against every renaming of the colors
+    for n in range(1, 8):
+        for g in families.enumerate_connected_outerplanar(n):
+            assert pcf_chromatic_number(g) == reference_pcf_chromatic_number(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pcf_chromatic_number_matches_reference_on_any_graph(data):
+    # disconnected graphs and isolated vertices included
+    n = data.draw(st.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    g = Graph(n, edges)
+    assert pcf_chromatic_number(g) == reference_pcf_chromatic_number(g)
+
+
+# the two cells of the grid below where the reference generator takes about
+# 36 s between them, with the results it gives there
+REFUTE_PINNED = {
+    (((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)), 2, None, DEFAULT_BUDGET):
+        RefuteResult(CHOOSABLE_EXHAUSTED, None, 7443, 48567),
+    (((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), 2, None, DEFAULT_BUDGET):
+        RefuteResult(CHOOSABLE_EXHAUSTED, None, 15791, 109855),
+}
+
+
+def test_refute_matches_reference_generator_on_small_connected_graphs():
+    # one assignment per renaming class, generated directly, against the
+    # generator that skips the assignments whose signature it has seen:
+    # the same RefuteResult, field for field, also when a budget runs out
+    graphs = [h for h in nx.graph_atlas_g()[1:] if h.number_of_nodes() <= 4 and nx.is_connected(h)]
+    assert len(graphs) == 10
+    pinned = 0
+    for h in graphs:
+        g = Graph(h.number_of_nodes(), h.edges())
+        for k in (0, 1, 2):
+            largest = max(g.degree(v) for v in range(g.n)) + k
+            for bound in (None, largest, largest + 1):
+                for budget in (50, DEFAULT_BUDGET):
+                    res = refute_choosability(g, k, universe_bound=bound, budget=budget)
+                    key = (tuple(g.edges()), k, bound, budget)
+                    if key in REFUTE_PINNED:
+                        want = REFUTE_PINNED[key]
+                        pinned += 1
+                    else:
+                        want = reference_refute_choosability(g, k, universe_bound=bound, budget=budget)
+                    assert res == want, key
+    assert pinned == len(REFUTE_PINNED)
 
 
 def test_refute_rejects_negative_k_and_a_universe_below_the_largest_list():

@@ -1,4 +1,4 @@
-"""Per-layer timings of pcfcolor, written to BENCH_16.json.
+"""Per-layer timings of pcfcolor, written to BENCH_17.json.
 
 Times, in this process, the layers a repeated solve and the command line
 spend their time in, and the enumeration of the graph corpora:
@@ -13,9 +13,11 @@ spend their time in, and the enumeration of the graph corpora:
   n = 128 and 1,000;
 - the exact oracle: `solve_exact` on the corpus graphs of 6, 7 and 8
   vertices with one degree+2 list draw each, `pcf_chromatic_number` on
-  the twelve evenly spaced 8-vertex corpus graphs the benchmark's
-  `oracle` workload uses, and `refute_choosability` on C4 with k = 1 and
-  on P4 with k = 2 and a universe of 5 colors;
+  the five 4-vertex corpus graphs and on the twelve evenly spaced
+  8-vertex ones, the two sizes the benchmark's `oracle` workload
+  doubles between, and `refute_choosability` on that workload's four
+  instances, each its own batch: C4 with k = 1, and P3, C3 and P4 with
+  k = 2 and a universe of 5 colors;
 - `is_outerplanar` on the 25,238 raw candidates of the enumeration up
   to 8 vertices (each connected outerplanar graph of up to 7 vertices
   plus one new vertex joined to a nonempty subset; the enumerator itself
@@ -52,19 +54,23 @@ microseconds per operation move by about 10% from one process to the
 next.
 
 Each entry is the fastest of 20 timings of one whole batch (5 for the
-first solves, 10 for the enumerations), reported per operation; the
+first solves, 10 for the enumerations; ten times as many for a batch
+whose first, untimed run, or its baseline's, takes under a
+millisecond), reported per operation with its number of `rounds`; the
 fastest run is the one least disturbed by other work on the host, and
-entries measured together take turns.  `ratios` divides the time on a fan
-by the time on a fan a quarter its size (for `is_outerplanar`: 4 means
-linear time, 16 quadratic), and each first or warm solve by the one of
-half its size (2 linear, 4 quadratic); for each batch compared with a
+entries measured together take turns.  `ratios` divides the time on a fan by the time on a fan a
+quarter its size (for `is_outerplanar`: 4 means linear time, 16
+quadratic), each first or warm solve by the one of half its size (2
+linear, 4 quadratic), and the time per graph of `pcf_chromatic_number`
+at 8 vertices by that at 4 (the `oracle` workload's doubling ratio,
+also for the baseline); for each batch compared with a
 baseline it gives the median, over the rounds, of its time divided by its
 baseline's in the same round (the entry also has the quartiles).
 
 Nothing is asserted about the numbers.  Run from the repository root (it
 imports the package from the `src/` beside this file):
 
-    python tools/bench_layers.py [--out BENCH_16.json] [--baseline SRC]
+    python tools/bench_layers.py [--out BENCH_17.json] [--baseline SRC]
 """
 
 from __future__ import annotations
@@ -99,6 +105,8 @@ from pcfcolor.structure import is_outerplanar  # noqa: E402
 
 REPEAT = 20
 ENUMERATION_REPEAT = 10
+SHORT_S = 1e-3  # a batch faster than this gets SHORT_FACTOR times the rounds
+SHORT_FACTOR = 10
 SEED = 1
 CHI_AT_8 = 12  # evenly spaced 8-vertex graphs, as in the `oracle` workload
 
@@ -236,26 +244,33 @@ def oracle_batches(pkg):
     G, L, orc = pkg.graphs.Graph, pkg.kernel.ListAssignment, pkg.oracle
     exact = [(G(g.n, g.edges()), L(lists)) for g, lists in instances([6, 7, 8])]
     by_8 = enumerate_connected_outerplanar(8)
-    chi = [G(8, g.edges()) for g in by_8[:: len(by_8) // CHI_AT_8][:CHI_AT_8]]
-    refute = [(G(4, cycle_graph(4).edges()), 1, None), (G(4, path_graph(4).edges()), 2, 5)]
+    chi = {
+        "n4": [G(4, g.edges()) for g in enumerate_connected_outerplanar(4)],
+        "n8": [G(8, g.edges()) for g in by_8[:: len(by_8) // CHI_AT_8][:CHI_AT_8]],
+    }
+    refute = {
+        "c4k1": (cycle_graph(4), 1, None),
+        "p3k2u5": (path_graph(3), 2, 5),
+        "c3k2u5": (cycle_graph(3), 2, 5),
+        "p4k2u5": (path_graph(4), 2, 5),
+    }
 
     def exact_all(solve_exact=orc.solve_exact):
         for g, lists in exact:
             solve_exact(g, lists)
 
-    def chi_all(chromatic=orc.pcf_chromatic_number):
-        for g in chi:
+    def chi_all(graphs, chromatic=orc.pcf_chromatic_number):
+        for g in graphs:
             chromatic(g)
 
-    def refute_all(refute_choosability=orc.refute_choosability):
-        for g, k, bound in refute:
-            refute_choosability(g, k, universe_bound=bound)
-
-    return {
-        "solve_exact.n6-8": (exact_all, len(exact)),
-        "pcf_chromatic_number.n8": (chi_all, len(chi)),
-        "refute_choosability.c4k1-p4k2": (refute_all, len(refute)),
-    }
+    batches = {"solve_exact.n6-8": (exact_all, len(exact))}
+    for name, graphs in chi.items():
+        batches[f"pcf_chromatic_number.{name}"] = (lambda graphs=graphs: chi_all(graphs), len(graphs))
+    for name, (g, k, bound) in refute.items():
+        h = G(g.n, g.edges())
+        batches[f"refute_choosability.{name}"] = (
+            lambda h=h, k=k, bound=bound: orc.refute_choosability(h, k, universe_bound=bound), 1)
+    return batches
 
 
 def cold_batches(pkg, family):
@@ -324,30 +339,43 @@ def measure_series(make, baseline=None, **kw):
 
 def fastest(batches, repeat=REPEAT, setup=None, rounds=None):
     """Fastest of `repeat` timings of each batch, as a dict of per-op
-    figures per name.  `batches` maps a name to (batch, ops); the batches
-    take turns, in reverse order every other round, so a slow spell on the
-    host falls on all of them, and each run follows an untimed setup().
-    The batches whose names end in `.gc_off` run with the garbage
-    collector disabled.  A `rounds` dict receives every timing of each
-    batch, in seconds."""
+    figures per name; a batch whose first, untimed run, or its baseline
+    partner's, takes under SHORT_S gets SHORT_FACTOR times as many, and
+    so does the partner.  `batches` maps a name to (batch, ops); the
+    batches take turns, in reverse order every other round, so a slow
+    spell on the host falls on all of them, and each run follows an
+    untimed setup().  The batches whose names end in `.gc_off`
+    run with the garbage collector disabled.  A `rounds` dict receives
+    every timing of each batch, in seconds."""
+
+    def timed(name, batch):
+        if setup is not None:
+            setup()
+        if name.endswith(".gc_off"):
+            gc.disable()
+        try:
+            start = time.perf_counter()
+            batch()
+            return time.perf_counter() - start
+        finally:
+            gc.enable()
+
+    def pair(name):
+        return name.removeprefix("baseline.")
+
+    short = {pair(name) for name, (batch, _) in batches.items() if timed(name, batch) < SHORT_S}
+    runs = {name: repeat * (SHORT_FACTOR if pair(name) in short else 1) for name in batches}
     best = dict.fromkeys(batches, float("inf"))
-    for r in range(repeat):
+    for r in range(max(runs.values(), default=0)):
         for name, (batch, _) in list(batches.items())[:: -1 if r % 2 else 1]:
-            if setup is not None:
-                setup()
-            if name.endswith(".gc_off"):
-                gc.disable()
-            try:
-                start = time.perf_counter()
-                batch()
-                elapsed = time.perf_counter() - start
-            finally:
-                gc.enable()
+            if r >= runs[name]:
+                continue
+            elapsed = timed(name, batch)
             best[name] = min(best[name], elapsed)
             if rounds is not None:
                 rounds.setdefault(name, []).append(elapsed)
     return {
-        name: {"ops": ops, "batch_ms": round(best[name] * 1e3, 4),
+        name: {"ops": ops, "rounds": runs[name], "batch_ms": round(best[name] * 1e3, 4),
                "per_op_us": round(best[name] * 1e6 / ops, 3)}
         for name, (_, ops) in batches.items()
     }
@@ -415,6 +443,11 @@ def ratios(results):
         for small, big in zip(sizes, sizes[1:]):
             out[f"solve.warm.{family}{big}/{family}{small}"] = round(
                 ms(f"solve.warm.{family}{big}") / ms(f"solve.warm.{family}{small}"), 2)
+    for prefix in ("", "baseline."):
+        chi = prefix + "pcf_chromatic_number"
+        if f"{chi}.n4" in results:
+            out[f"{chi}.n8/n4"] = round(
+                results[f"{chi}.n8"]["per_op_us"] / results[f"{chi}.n4"]["per_op_us"], 2)
     for key, entry in results.items():
         if "baseline_ratio_median" in entry:
             out[f"{key}/baseline"] = entry["baseline_ratio_median"]
@@ -423,7 +456,7 @@ def ratios(results):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default=str(ROOT / "BENCH_16.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_17.json"))
     ap.add_argument("--baseline", metavar="SRC",
                     help="src/ of a checkout to compare the warm solves, ear search, enumerations, oracle and "
                          "first-solve structure passes with")
