@@ -40,6 +40,7 @@ for x in (0, 3):
     found = find_good_ear_or_chain(b, emb, x)
     print(f"\ngood structure avoiding x={x}: {found}")
 
-# the classifier bundles all of this into the case the solver dispatches on
+# the classifier is the first step of the solver's peel: the end block cut
+# first, its anchor, and the case the solver dispatches on
 case = classify_end_block(g)
 print("\nend block case:", case.kind, "anchor:", case.anchor)

@@ -6,27 +6,28 @@ vertex sees some color exactly once in its neighborhood.  `solve` builds
 such a coloring the way the induction proves it exists: peel an end
 block, color the rest, then extend the coloring over the block, by case:
 a pendant edge, an attached cycle, a good ear, a long ear, or an ear
-chain.  It runs as two loops, not as recursion.  The peel pass records
+chain.  It runs as two loops, not as recursion.  The graph-only pass,
+`structure.peel`, screens connectivity and outerplanarity and records
 the case of each end block in turn until at most 3 vertices or a whole
 cycle remain; the coloring pass colors that base and then walks the
 recorded cases backwards over the host graph, filling one coloring
 through `_Pass.put`, its only write, and recording each step through
 `_Pass.close`.  So `solve` has no recursion-depth limit.  Which end
 block is peeled, and which case fires, depend on the graph alone, so the
-graph-only pass (connectivity and outerplanarity screens plus the peel)
-is cached per graph up to `STRUCTURE_CACHE_MAX_N` vertices; a repeated
-graph pays only for the list work: list-size screens, color
-reservations, the coloring pass and the final verification.  The
-graph-only pass makes one block decomposition and embeds each block
-once, in the screen, then peels over a block tree and outer cycles kept
-up to date in place; each step works in host ids, in time linear in its
-end block.  So a graph's first solve takes time linear in the number of
-vertices, apart from the work inside one large block, which is quadratic
-in that block (a fan or a strip triangulation).  The coloring pass takes
-time linear in each step, plus one `unique_colors` walk of the step's
-anchor adjacency, so it is quadratic on a high-degree anchor (the hub of
-a fan).  The only true obstruction among connected outerplanar inputs is
-the 5-cycle whose five lists are one identical 4-set.
+graph-only pass is cached per graph up to `STRUCTURE_CACHE_MAX_N`
+vertices; a repeated graph pays only for the list work: list-size
+screens, color reservations, the coloring pass and the final
+verification.  The graph-only pass makes one block decomposition and
+embeds each block once, in the screen, then peels over a block tree and
+outer cycles kept up to date in place; each step works in host ids, in
+time linear in its end block.  So a graph's first solve takes time
+linear in the number of vertices, apart from the work inside one large
+block, which is quadratic in that block (a fan or a strip
+triangulation).  The coloring pass takes time linear in each step, plus
+one `unique_colors` walk of the step's anchor adjacency, so it is
+quadratic on a high-degree anchor (the hub of a fan).  The only true
+obstruction among connected outerplanar inputs is the 5-cycle whose
+five lists are one identical 4-set.
 
 Colors are chosen by minimum value at every free choice, so the output is
 deterministic.  A `SolveResult` carries either a verified coloring or an
@@ -42,7 +43,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 
 from . import kernel  # kernel.unique_colors is looked up at call time, where the benchmark hooks it
 from .graphs import Graph, cycle_graph, path_graph
@@ -54,17 +54,15 @@ from .structure import (
     KIND_K2,
     KIND_LONG_EAR,
     EndBlockCase,
-    _block_embeds,
-    _blocks,
-    classify_block,
+    peel,
 )
+# the screens' reasons, also re-exported so that solver.REASON_* names every obstruction
+from .structure import REASON_DISCONNECTED, REASON_NOT_OUTERPLANAR  # noqa: F401
 # not called here: imported so that the benchmark's hooks on solver.<name> resolve
 from .structure import classify_end_block, is_outerplanar  # noqa: F401
 
 REASON_C5_UNIFORM = "IsC5Uniform"
-REASON_NOT_OUTERPLANAR = "NotOuterplanar"
 REASON_LIST_TOO_SMALL = "ListTooSmall"
-REASON_DISCONNECTED = "Disconnected"
 
 
 @dataclass(frozen=True)
@@ -394,7 +392,7 @@ def _extend_ear(p: _Pass, seq, tag: str, removed: tuple) -> None:
     p.close(tag, removed)
 
 
-# -- the peel pass and the coloring pass ---------------------------------------
+# -- the coloring pass ---------------------------------------------------------
 
 
 def solve(g: Graph, lists) -> SolveResult:
@@ -472,97 +470,20 @@ STRUCTURE_CACHE_MAX_N = 1024
 
 
 def _structure_pass(g: Graph) -> "tuple[Obstruction | None, tuple[EndBlockCase, ...], tuple[int, ...]]":
-    """The graph-only pass of `solve`.
-
-    One Tarjan search from vertex 0 screens connectivity and yields the
-    blocks; the graph is outerplanar iff m <= 2n - 3 and every block
-    embeds.  Then `_peel` cuts end blocks until at most 3 vertices or a
-    whole cycle remain.  Returns the obstruction found by the screens (or
-    None), the cases in peel order and the remaining vertices (sorted, or
-    in cycle order), all in host ids.  Everything returned is immutable,
-    so every solve of the graph can share it.
-    """
-    n = g.n
-    disc = [-1] * n
-    blocks = list(_blocks(g, (0,), disc))
-    if -1 in disc:
-        return Obstruction(REASON_DISCONNECTED, "input graph is disconnected"), (), ()
-    if (n >= 2 and g.m > 2 * n - 3) or None in (cycles := [_block_embeds(e) for e in blocks]):
-        return Obstruction(REASON_NOT_OUTERPLANAR, "input graph is not outerplanar"), (), ()
-    plan, rest = _peel(n, blocks, cycles)
-    return None, plan, rest
+    """The graph-only pass of `solve`: `structure.peel`, with the screen
+    that failed, if any, as an `Obstruction`.  Everything returned is
+    immutable, so every solve of the graph can share it."""
+    reason, plan, rest = peel(g)
+    if reason is None:
+        return None, plan, rest
+    what = "disconnected" if reason == REASON_DISCONNECTED else "not outerplanar"
+    return Obstruction(reason, f"input graph is {what}"), (), ()
 
 
 # cached per graph (by value); sized above the 1,016 connected outerplanar
 # graphs on 2..8 vertices, so a pass over that corpus finds every graph it
 # has seen before
 _structure = lru_cache(maxsize=4096)(_structure_pass)
-
-
-def _peel(n: int, edges, cycles) -> "tuple[tuple[EndBlockCase, ...], tuple[int, ...]]":
-    """Peel a connected outerplanar graph, given the lists of the edges and
-    of the outer cycles of its blocks, over a block tree kept up to date in
-    place, those two lists with it.
-
-    The end block peeled next is the one `BlockDecomposition.end_blocks()`
-    lists first, by the key (smallest vertex, size, vertex tuple); end
-    blocks wait in a heap under that key, and an entry whose block has
-    since changed or gone is skipped.  The anchor is the block's one cut
-    vertex, or its smallest vertex once it is the only block left; no step
-    removes its anchor.  A pendant or cycle step deletes its block, which
-    can only turn the anchor from a cut vertex into an inner vertex of its
-    one other block; an ear or chain step removes vertices of no other
-    block and leaves the rest of its block 2-connected, so only that
-    block's key changes.  Each step costs time linear in its block.
-    """
-    verts: "list[tuple[int, ...] | None]" = [
-        tuple(sorted({v for e in block_edges for v in e})) for block_edges in edges
-    ]
-    count = [0] * n  # blocks containing each vertex
-    for block in verts:
-        for v in block:
-            count[v] += 1
-    at: dict[int, list[int]] = {}  # cut vertex -> its blocks
-    ncut = [0] * len(verts)  # cut vertices in each block
-    for i, block in enumerate(verts):
-        for v in block:
-            if count[v] > 1:
-                at.setdefault(v, []).append(i)
-                ncut[i] += 1
-    heap = [(block[0], len(block), block, i) for i, block in enumerate(verts) if ncut[i] <= 1]
-    heapify(heap)
-    gone = bytearray(n)
-    left = n
-    plan = []
-    while left > 3:
-        _, _, block, i = heappop(heap)
-        if verts[i] is not block:
-            continue  # the block has shrunk or gone since this entry
-        anchor = next((v for v in block if count[v] > 1), block[0])
-        case = classify_block(block, edges[i], cycles[i], anchor)
-        if case.kind == KIND_CYCLE and len(block) == left:
-            return tuple(plan), case.cycle_order
-        if case.kind not in _STEPS:
-            raise SolverInternalError(f"unknown end-block case {case.kind}")
-        plan.append(case)
-        cut = case.removed()
-        left -= len(cut)
-        for v in cut:
-            gone[v] = 1
-        if case.kind in (KIND_K2, KIND_CYCLE):
-            verts[i] = None
-            count[anchor] -= 1
-            if count[anchor] == 1:
-                j = next(j for j in at[anchor] if verts[j] is not None)
-                ncut[j] -= 1
-                if ncut[j] == 1:  # it has just become an end block
-                    heappush(heap, (verts[j][0], len(verts[j]), verts[j], j))
-        else:
-            verts[i] = block = tuple(v for v in block if not gone[v])
-            edges[i] = [e for e in edges[i] if not (gone[e[0]] or gone[e[1]])]
-            cycles[i] = [v for v in cycles[i] if not gone[v]]  # the smaller block's outer cycle
-            heappush(heap, (block[0], len(block), block, i))
-    return tuple(plan), tuple(v for v in range(n) if not gone[v])
 
 
 def _color_trivial(p: _Pass, rest) -> None:

@@ -1,6 +1,6 @@
 """Structural analysis of outerplanar graphs.
 
-Three layers, each feeding the next:
+Four layers, each feeding the next:
 
 1. block/cut decomposition (any connected graph), by one iterative Tarjan
    depth-first search;
@@ -14,18 +14,24 @@ Three layers, each feeding the next:
    an *ear chain* (ears whose root edges form a path v_1..v_s closed by the
    edge v_1 v_s, junction degrees 4), found "good" for a given anchor vertex
    x, meaning x avoids the part that gets recolored.  Every ear and chain is
-   read from one ear table, built once per search over neighbor sets.
+   read from one ear table, built once per search over neighbor sets;
+4. the peel (`peel`): layers 1 and 2 screen connectivity and
+   outerplanarity, then end blocks are cut one at a time, each at its
+   anchor and by its inductive case; `classify_end_block` is its first step.
 
-Each call works in time linear in its input, up to sorting blocks and
-chords.  The search in `find_good_ear_or_chain` follows a constructive
+Each call of layers 1-3 works in time linear in its input, up to sorting
+blocks and chords; each step of the peel, in time linear in its end
+block.  The search in `find_good_ear_or_chain` follows a constructive
 existence proof, so every branch ends in an assertion rather than a failure
 path; a `StructureError` here means a bug, not an unlucky input.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 from .graphs import Edge, Graph, normalize_edge
 
@@ -49,13 +55,12 @@ class BlockDecomposition:
         )
 
 
-def _blocks(g: Graph, roots, disc: list[int], cuts: "set[int] | None" = None):
+def _blocks(g: Graph, roots, disc: list[int]):
     """Tarjan's biconnected components, iteratively (no recursion limit).
 
     Runs one depth-first search from each root in `roots` that no earlier
     search reached (`disc[v]` is v's discovery time, -1 until then) and
-    yields the edge list of each block as the search closes it.  Adds the
-    cut vertices to `cuts` when given.
+    yields the edge list of each block as the search closes it.
     """
     low = [0] * g.n
     timer = 0
@@ -66,7 +71,6 @@ def _blocks(g: Graph, roots, disc: list[int], cuts: "set[int] | None" = None):
         disc[root] = low[root] = timer
         timer += 1
         stack: list[tuple[int, int, object]] = [(root, -1, iter(g.neighbors(root)))]
-        root_children = 0
         while stack:
             v, parent, it = stack[-1]
             for w in it:  # type: ignore[union-attr]
@@ -77,8 +81,6 @@ def _blocks(g: Graph, roots, disc: list[int], cuts: "set[int] | None" = None):
                     disc[w] = low[w] = timer
                     timer += 1
                     stack.append((w, v, iter(g.neighbors(w))))
-                    if v == root:
-                        root_children += 1
                     break
                 if disc[w] < disc[v]:
                     estack.append((v, w))
@@ -98,30 +100,24 @@ def _blocks(g: Graph, roots, disc: list[int], cuts: "set[int] | None" = None):
                         block.append(e)
                         if e == (u, v):
                             break
-                    if cuts is not None and u != root:
-                        cuts.add(u)
                     yield block
         if estack:
             raise StructureError("leftover edges after block decomposition")
-        if cuts is not None and root_children >= 2:
-            cuts.add(root)
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Blocks and cut vertices of a connected graph, from one Tarjan search;
-    a graph that search does not cover raises ValueError."""
+    a graph that search does not cover raises ValueError.  The cut vertices
+    are the vertices in two or more blocks."""
     if g.n == 0:
         return BlockDecomposition((), frozenset())
     disc = [-1] * g.n
-    cuts: set[int] = set()
-    blocks = [
-        tuple(sorted({v for e in edges for v in e}))
-        for edges in _blocks(g, (0,), disc, cuts)
-    ]
+    blocks = [tuple(sorted({v for e in edges for v in e})) for edges in _blocks(g, (0,), disc)]
     if -1 in disc:
         raise ValueError("block decomposition requires a connected graph")
     blocks.sort(key=lambda b: (b[0], len(b), b))
-    return BlockDecomposition(tuple(blocks), frozenset(cuts))
+    count = Counter(v for b in blocks for v in b)
+    return BlockDecomposition(tuple(blocks), frozenset(v for v, k in count.items() if k > 1))
 
 
 # -- outer embeddings of 2-connected blocks ----------------------------------
@@ -390,7 +386,7 @@ def find_good_ear_or_chain(b, emb: OuterEmbedding, x: int) -> "Ear | EarChain":
     order = emb.order
     n = len(order)
     pos = emb.position()
-    chords = set(emb.chords)
+    chords = emb.chords
     if not chords:
         raise ValueError("cycle blocks have no ears; handle them separately")
 
@@ -404,7 +400,7 @@ def find_good_ear_or_chain(b, emb: OuterEmbedding, x: int) -> "Ear | EarChain":
 
     # the ear table: the ears of each root edge (u, v), interiors from u to v
     ears_by_edge: dict[Edge, list[Ear]] = {}
-    for u, v in sorted(chords):
+    for u, v in chords:
         pu, pv = pos[u], pos[v]
         # the arc from u backward is the arc after v forward
         for step, length, start in ((1, (pv - pu) % n - 1, pu), (-1, (pu - pv) % n - 1, pv)):
@@ -443,7 +439,7 @@ def find_good_ear_or_chain(b, emb: OuterEmbedding, x: int) -> "Ear | EarChain":
     # Chords differ, so (span, chord) decides; only the winner's arcs are built
     px = pos[x]
     best: "tuple[tuple[int, Edge], list[tuple[int, int]]] | None" = None
-    for u, v in sorted(chords.difference(ears_by_edge)):
+    for u, v in (e for e in chords if e not in ears_by_edge):
         pu = pos[u]
         sides = [
             (length, step)
@@ -564,21 +560,20 @@ class EndBlockCase:
 
 @lru_cache(maxsize=65536)
 def classify_end_block(g: Graph) -> EndBlockCase:
-    """Choose an end block and anchor, and classify the inductive case.
+    """The first step of `peel(g)`: the end block it cuts first, at its
+    anchor, and the inductive case that block falls in.
 
-    The graph must be connected, outerplanar, and have at least 4 vertices.
-    The end block is the first of `block_decomposition(g).end_blocks()`;
-    its anchor is its cut vertex, or its smallest vertex when it is the
-    whole graph.  The result depends only on the graph, so it is cached.
+    The graph must be connected, outerplanar, and have at least 4 vertices;
+    anything else raises ValueError.  A whole-graph cycle, which the peel
+    does not cut, gives its cycle case anchored at vertex 0.  The result
+    depends only on the graph, so it is cached.
     """
     if g.n < 4:
         raise ValueError("classification needs at least 4 vertices")
-    decomp = block_decomposition(g)
-    block = decomp.end_blocks()[0]
-    in_block_cuts = [v for v in block if v in decomp.cut_vertices]
-    anchor = in_block_cuts[0] if in_block_cuts else block[0]
-    inside = set(block)
-    return classify_block(block, [e for e in g.edges() if e[0] in inside and e[1] in inside], (), anchor)
+    reason, plan, rest = peel(g)
+    if reason is not None:
+        raise ValueError(f"classification needs a connected outerplanar graph, not {reason}")
+    return plan[0] if plan else EndBlockCase(KIND_CYCLE, rest[0], cycle_order=rest)
 
 
 def classify_block(block: tuple[int, ...], edges, cycle, anchor: int) -> EndBlockCase:
@@ -618,3 +613,85 @@ def classify_block(block: tuple[int, ...], edges, cycle, anchor: int) -> EndBloc
         # recoloring handles it without needing a degree-3 endpoint
         return EndBlockCase(KIND_LONG_EAR, anchor, ear=last)
     return EndBlockCase(KIND_EAR_CHAIN, anchor, chain=chain)
+
+
+# -- the peel ----------------------------------------------------------------
+
+REASON_DISCONNECTED = "Disconnected"
+REASON_NOT_OUTERPLANAR = "NotOuterplanar"
+
+
+def peel(g: Graph) -> "tuple[str | None, tuple[EndBlockCase, ...], tuple[int, ...]]":
+    """Screen a graph, then peel it down to at most 3 vertices or a whole
+    cycle; returns the reason a screen failed (or None), the cases in peel
+    order and the remaining vertices (sorted, or in cycle order), all in
+    host ids and immutable.
+
+    One Tarjan search from vertex 0 screens connectivity and yields the
+    blocks; the graph is outerplanar iff m <= 2n - 3 and every block
+    embeds.  The peel runs over a block tree kept up to date in place,
+    with each block's edge list and outer cycle.  The end block peeled next
+    is the one `BlockDecomposition.end_blocks()` lists first, by the key
+    (smallest vertex, size, vertex tuple); end blocks wait in a heap under
+    that key, and an entry whose block has since changed or gone is
+    skipped.  The anchor is the block's one cut vertex, or its smallest
+    vertex once it is the only block left; no step removes its anchor.  A
+    pendant or cycle step deletes its block, which can only turn the anchor
+    from a cut vertex into an inner vertex of its one other block; an ear
+    or chain step removes vertices of no other block and leaves the rest of
+    its block 2-connected, so only that block's key changes.  Each step
+    costs time linear in its block.
+    """
+    n = g.n
+    disc = [-1] * n
+    edges = list(_blocks(g, (0,) if n else (), disc))
+    if -1 in disc:
+        return REASON_DISCONNECTED, (), ()
+    if (n >= 2 and g.m > 2 * n - 3) or None in (cycles := [_block_embeds(e) for e in edges]):
+        return REASON_NOT_OUTERPLANAR, (), ()
+    verts: "list[tuple[int, ...] | None]" = [
+        tuple(sorted({v for e in block_edges for v in e})) for block_edges in edges
+    ]
+    count = [0] * n  # blocks containing each vertex
+    for block in verts:
+        for v in block:
+            count[v] += 1
+    at: dict[int, list[int]] = {}  # cut vertex -> its blocks
+    ncut = [0] * len(verts)  # cut vertices in each block
+    for i, block in enumerate(verts):
+        for v in block:
+            if count[v] > 1:
+                at.setdefault(v, []).append(i)
+                ncut[i] += 1
+    heap = [(block[0], len(block), block, i) for i, block in enumerate(verts) if ncut[i] <= 1]
+    heapify(heap)
+    gone = bytearray(n)
+    left = n
+    plan = []
+    while left > 3:
+        _, _, block, i = heappop(heap)
+        if verts[i] is not block:
+            continue  # the block has shrunk or gone since this entry
+        anchor = next((v for v in block if count[v] > 1), block[0])
+        case = classify_block(block, edges[i], cycles[i], anchor)
+        if case.kind == KIND_CYCLE and len(block) == left:
+            return None, tuple(plan), case.cycle_order
+        plan.append(case)
+        cut = case.removed()
+        left -= len(cut)
+        for v in cut:
+            gone[v] = 1
+        if case.kind in (KIND_K2, KIND_CYCLE):
+            verts[i] = None
+            count[anchor] -= 1
+            if count[anchor] == 1:
+                j = next(j for j in at[anchor] if verts[j] is not None)
+                ncut[j] -= 1
+                if ncut[j] == 1:  # it has just become an end block
+                    heappush(heap, (verts[j][0], len(verts[j]), verts[j], j))
+        else:
+            verts[i] = block = tuple(v for v in block if not gone[v])
+            edges[i] = [e for e in edges[i] if not (gone[e[0]] or gone[e[1]])]
+            cycles[i] = [v for v in cycles[i] if not gone[v]]  # the smaller block's outer cycle
+            heappush(heap, (block[0], len(block), block, i))
+    return None, tuple(plan), tuple(v for v in range(n) if not gone[v])

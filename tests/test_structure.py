@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    _reference_classify,
     chain_good_for,
     chords_cross_pairwise,
     ear_good_for,
@@ -28,12 +29,14 @@ from pcfcolor.structure import (
     KIND_K2,
     KIND_LONG_EAR,
     OuterEmbedding,
+    REASON_DISCONNECTED,
     _is_outer_cycle,
     block_decomposition,
     classify_end_block,
     find_good_ear_or_chain,
     is_outerplanar,
     outer_embedding,
+    peel,
 )
 
 
@@ -101,7 +104,9 @@ def test_blocks_require_connectivity():
 
 
 def test_blocks_against_networkx():
-    for g in enumerate_connected_outerplanar(6):
+    # from n = 3 on, vertex 0, the search root, is a cut vertex of some
+    # graphs
+    for g in (g for n in range(2, 8) for g in enumerate_connected_outerplanar(n)):
         d = block_decomposition(g)
         h = nx.Graph(list(g.edges()))
         h.add_nodes_from(range(g.n))
@@ -110,7 +115,7 @@ def test_blocks_against_networkx():
         )
         ours = sorted(b for b in d.blocks)
         assert ours == theirs
-        assert d.cut_vertices == set(nx.articulation_points(h))
+        assert d.cut_vertices == set(nx.articulation_points(h)), g.edges()
 
 
 # -- embeddings ---------------------------------------------------------------
@@ -488,3 +493,29 @@ def test_classify_is_cached():
 def test_classify_needs_four_vertices():
     with pytest.raises(ValueError):
         classify_end_block(cycle_graph(3))
+
+
+def test_classify_rejects_a_graph_that_is_not_outerplanar():
+    # K4 with a pendant edge at vertex 0: the end block {0, 4} is a plain
+    # edge, but the graph fails the outerplanarity screen first
+    k4_pendant = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)])
+    with pytest.raises(ValueError):
+        classify_end_block(k4_pendant)
+
+
+def test_classify_rejects_a_disconnected_graph():
+    with pytest.raises(ValueError):
+        classify_end_block(Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+
+
+def test_peel_of_the_smallest_graphs():
+    assert peel(Graph(0, [])) == (None, (), ())
+    assert peel(Graph(1, [])) == (None, (), (0,))
+    assert peel(Graph(2, [])) == (REASON_DISCONNECTED, (), ())
+
+
+def test_classify_matches_the_reference_on_the_corpus():
+    # the first peel step is the case the decomposition's first end block
+    # gives, classified on its own
+    for g in (g for n in range(4, 9) for g in enumerate_connected_outerplanar(n)):
+        assert classify_end_block(g) == _reference_classify(g), g.edges()

@@ -1,4 +1,4 @@
-"""Per-layer timings of pcfcolor, written to BENCH_17.json.
+"""Per-layer timings of pcfcolor, written to BENCH_18.json.
 
 Times, in this process, the layers a repeated solve and the command line
 spend their time in, and the enumeration of the graph corpora:
@@ -23,14 +23,16 @@ spend their time in, and the enumeration of the graph corpora:
   plus one new vertex joined to a nonempty subset; the enumerator itself
   tests about 4,900 of them), and on fans (vertex 0 joined to the path
   1..n-1) of 1,000 and 4,000 vertices;
-- the graph-only pass of a first solve (`solver._structure`, its cache
-  cleared before each run) on paths and cactus graphs
+- the graph-only pass of a first solve (`solver._structure_pass`, which
+  the structure cache wraps) on paths and cactus graphs
   (`families.random_cactus`) of 1,000, 2,000, 4,000 and 8,000 vertices,
   and on `random_outerplanar` graphs (re-seeded until m >= n), fans and
   strip triangulations (edges i,i+1 and i,i+2) of 200, 400 and 800
   vertices; each with the garbage collector on and, as `.gc_off`, off,
   and each with the `tracemalloc` peak of one more run
-  (`tracemalloc_peak_kb`, the graph built beforehand);
+  (`tracemalloc_peak_kb`, the graph built beforehand).  A pass that takes
+  under COLD_BATCH_S runs several times per batch, as many as fill
+  COLD_BATCH_S, and its batch gets COLD_SHORT_FACTOR times the rounds;
 - warm `solve` (the structure cached, so only the list work and the
   coloring pass run) on paths, fans and strips of 200, 400 and 800
   vertices, with the lists {1, ..., deg(v)+2};
@@ -54,14 +56,15 @@ microseconds per operation move by about 10% from one process to the
 next.
 
 Each entry is the fastest of 20 timings of one whole batch (5 for the
-first solves, 10 for the enumerations; ten times as many for a batch
-whose first, untimed run, or its baseline's, takes under a
-millisecond), reported per operation with its number of `rounds`; the
-fastest run is the one least disturbed by other work on the host, and
-entries measured together take turns.  `ratios` divides the time on a fan by the time on a fan a
-quarter its size (for `is_outerplanar`: 4 means linear time, 16
-quadratic), each first or warm solve by the one of half its size (2
-linear, 4 quadratic), and the time per graph of `pcf_chromatic_number`
+first solves, or 15 when they are short; 10 for the enumerations; ten
+times as many for a batch whose first, untimed run, or its baseline's,
+takes under a millisecond), reported per operation with its number of
+`rounds`; the fastest run is the one least disturbed by other work on
+the host, and entries measured together take turns.  `ratios` divides
+the time per operation on a fan by that on a fan a quarter its size (for
+`is_outerplanar`: 4 means linear time, 16 quadratic), each first or warm
+solve by the one of half its size (2 linear, 4 quadratic), and the time
+per graph of `pcf_chromatic_number`
 at 8 vertices by that at 4 (the `oracle` workload's doubling ratio,
 also for the baseline); for each batch compared with a
 baseline it gives the median, over the rounds, of its time divided by its
@@ -70,7 +73,7 @@ baseline's in the same round (the entry also has the quartiles).
 Nothing is asserted about the numbers.  Run from the repository root (it
 imports the package from the `src/` beside this file):
 
-    python tools/bench_layers.py [--out BENCH_17.json] [--baseline SRC]
+    python tools/bench_layers.py [--out BENCH_18.json] [--baseline SRC]
 """
 
 from __future__ import annotations
@@ -107,6 +110,9 @@ REPEAT = 20
 ENUMERATION_REPEAT = 10
 SHORT_S = 1e-3  # a batch faster than this gets SHORT_FACTOR times the rounds
 SHORT_FACTOR = 10
+COLD_REPEAT = 5
+COLD_BATCH_S = 0.1  # a shorter first-solve pass runs several times per batch
+COLD_SHORT_FACTOR = 3
 SEED = 1
 CHI_AT_8 = 12  # evenly spaced 8-vertex graphs, as in the `oracle` workload
 
@@ -273,17 +279,32 @@ def oracle_batches(pkg):
     return batches
 
 
-def cold_batches(pkg, family):
-    """The graph-only pass of a first solve (`solver._structure`, cleared
-    before each run by `measure`) on the graphs of `family`, built by the
-    package `pkg`; each batch also as `.gc_off`."""
+def cold_passes(family):
+    """How many graph-only passes each batch of `family` makes, by size:
+    enough to fill COLD_BATCH_S, judged from the fastest of three passes
+    of this tree."""
     make, sizes = FIRST_SOLVES[family]
-    batches = {}
+    passes = {}
     for n in sizes:
-        g = make(n)
-        batch = (lambda g=pkg.graphs.Graph(n, g.edges()), s=pkg.solver._structure: s(g), 1)
-        batches[f"structure.cold.{family}{n}"] = batch
-        batches[f"structure.cold.{family}{n}.gc_off"] = batch
+        timing = fastest({"pass": (lambda g=make(n): pcfcolor.solver._structure_pass(g), 1)}, repeat=3)
+        passes[n] = max(1, round(COLD_BATCH_S * 1e6 / timing["pass"]["per_op_us"]))
+    return passes
+
+
+def cold_batches(pkg, family, passes):
+    """The graph-only pass of a first solve (`solver._structure_pass`,
+    which no cache sits in front of) on the graph of `family` of each size
+    n in `passes`, built by the package `pkg`, passes[n] times per batch;
+    each batch also as `.gc_off`."""
+    make, _ = FIRST_SOLVES[family]
+    batches = {}
+    for n in passes:
+        def batch(g=pkg.graphs.Graph(n, make(n).edges()), s=pkg.solver._structure_pass, k=passes[n]):
+            for _ in range(k):
+                s(g)
+
+        batches[f"structure.cold.{family}{n}"] = (batch, passes[n])
+        batches[f"structure.cold.{family}{n}.gc_off"] = (batch, passes[n])
     return batches
 
 
@@ -405,18 +426,19 @@ def measure(baseline=None):
         f"is_outerplanar.fan{n}": (lambda g=fan(n): is_outerplanar(g), 1) for n in (1000, 4000)
     }))
 
-    def clear():
-        for pkg in pkgs:
-            pkg.solver._structure.cache_clear()
-        gc.collect()
-
-    for family in FIRST_SOLVES:
-        results |= measure_series(lambda pkg: cold_batches(pkg, family), baseline, repeat=5, setup=clear)
+    for family, (_, sizes) in FIRST_SOLVES.items():
+        passes = cold_passes(family)
+        for short in (False, True):
+            todo = {n: k for n, k in passes.items() if (k > 1) == short}
+            if todo:
+                results |= measure_series(
+                    lambda pkg: cold_batches(pkg, family, todo), baseline,
+                    repeat=COLD_REPEAT * (COLD_SHORT_FACTOR if short else 1), setup=gc.collect)
+        one = dict.fromkeys(sizes, 1)
         for pkg, prefix in zip(pkgs, ("", "baseline.")):
-            for name, (batch, _) in cold_batches(pkg, family).items():
+            for name, (batch, _) in cold_batches(pkg, family, one).items():
                 if not name.endswith(".gc_off"):
-                    results[prefix + name]["tracemalloc_peak_kb"] = traced_peak_kb(batch, clear)
-    clear()
+                    results[prefix + name]["tracemalloc_peak_kb"] = traced_peak_kb(batch, gc.collect)
 
     warm = {}
     for family, (make, sizes) in WARM_SOLVES.items():
@@ -430,19 +452,19 @@ def measure(baseline=None):
 
 
 def ratios(results):
-    def ms(key):
-        return results[key]["batch_ms"]
+    def per_op(key):
+        return results[key]["per_op_us"]
 
-    out = {"is_outerplanar.fan4000/fan1000": round(ms("is_outerplanar.fan4000") / ms("is_outerplanar.fan1000"), 2)}
+    out = {"is_outerplanar.fan4000/fan1000": round(per_op("is_outerplanar.fan4000") / per_op("is_outerplanar.fan1000"), 2)}
     for family, (_, sizes) in FIRST_SOLVES.items():
         for suffix in ("", ".gc_off"):
             for small, big in zip(sizes, sizes[1:]):
                 key = f"structure.cold.{family}{big}{suffix}/{family}{small}"
-                out[key] = round(ms(f"structure.cold.{family}{big}{suffix}") / ms(f"structure.cold.{family}{small}{suffix}"), 2)
+                out[key] = round(per_op(f"structure.cold.{family}{big}{suffix}") / per_op(f"structure.cold.{family}{small}{suffix}"), 2)
     for family, (_, sizes) in WARM_SOLVES.items():
         for small, big in zip(sizes, sizes[1:]):
             out[f"solve.warm.{family}{big}/{family}{small}"] = round(
-                ms(f"solve.warm.{family}{big}") / ms(f"solve.warm.{family}{small}"), 2)
+                per_op(f"solve.warm.{family}{big}") / per_op(f"solve.warm.{family}{small}"), 2)
     for prefix in ("", "baseline."):
         chi = prefix + "pcf_chromatic_number"
         if f"{chi}.n4" in results:
@@ -456,7 +478,7 @@ def ratios(results):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default=str(ROOT / "BENCH_17.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_18.json"))
     ap.add_argument("--baseline", metavar="SRC",
                     help="src/ of a checkout to compare the warm solves, ear search, enumerations, oracle and "
                          "first-solve structure passes with")

@@ -1,0 +1,96 @@
+"""Per-instance equivalence of pcfcolor's outputs, against a second tree.
+
+Runs, instance by instance, and hashes what the package returns:
+
+- `solve` on every criterion-2 instance: each connected outerplanar graph
+  of 2 to 8 vertices with 200 degree+2 list draws from the universe
+  1..2*maxdeg+4, seeded as in `tests/test_acceptance.py` (203,200
+  instances); each hashes `repr((coloring, obstruction))` followed by
+  `trace_to_json_lines(trace)`;
+- the graph-only pass, `repr(solver._structure_pass(g))`, on
+  `random_outerplanar(n, seed)` and `random_cactus(n, seed)` for
+  n = 10, 20, ..., 160 and seeds 0..39, and on fans (vertex 0 joined to
+  the path 1..n-1) and strips (edges i,i+1 and i,i+2) for every n from 5
+  to 150.
+
+Each package builds its own instances, with its own enumerator, list
+generator and `Graph`.  The tool prints one combined sha256 over all
+instances for this tree and, with `--baseline SRC`, for the package under
+SRC (another checkout's `src/`, loaded beside this one in the same
+process), then the first instance whose hashes differ, if any, and exits
+with status 1 when the two trees differ.  Nothing is timed.  Run from the
+repository root:
+
+    python tools/equivalence.py [--baseline SRC]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import random
+import sys
+
+from bench_layers import fan, load_package, strip  # also puts this tree's src/ on the path
+
+import pcfcolor  # noqa: E402
+
+SEED = 20260814  # the acceptance suite's seed
+TRIALS = 200
+RANDOM_SIZES = range(10, 161, 10)
+RANDOM_SEEDS = range(40)
+SHAPE_SIZES = range(5, 151)
+
+
+def records(pkg):
+    """(label, text) for every instance, in a fixed order, as the package
+    `pkg` computes them."""
+    solver, kernel, families = pkg.solver, pkg.kernel, pkg.families
+    for n in range(2, 9):
+        for gi, g in enumerate(families.enumerate_connected_outerplanar(n)):
+            universe = range(1, 2 * g.max_degree() + 5)
+            for t in range(TRIALS):
+                rng = random.Random(((SEED + n) * 1_000_003 + gi) * 1_000_003 + t)
+                res = solver.solve(g, kernel.degree_plus_k_lists(g, 2, universe, rng))
+                text = repr((res.coloring, res.obstruction)) + solver.trace_to_json_lines(res.trace)
+                yield f"criterion 2: n={n} graph {gi} trial {t}", text
+    for name in ("random_outerplanar", "random_cactus"):
+        make = getattr(families, name)
+        for n, seed in itertools.product(RANDOM_SIZES, RANDOM_SEEDS):
+            yield f"structure: {name}({n}, {seed})", repr(solver._structure_pass(make(n, seed)))
+    for name, make in (("fan", fan), ("strip", strip)):
+        for n in SHAPE_SIZES:
+            g = pkg.graphs.Graph(n, make(n).edges())
+            yield f"structure: {name}({n})", repr(solver._structure_pass(g))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--baseline", metavar="SRC", help="src/ of a checkout to compare with")
+    args = ap.parse_args(argv)
+    pkgs = {"this": pcfcolor}
+    if args.baseline is not None:
+        pkgs["baseline"] = load_package(args.baseline)
+    digests = {name: hashlib.sha256() for name in pkgs}
+    count, first = 0, None
+    for row in itertools.zip_longest(*(records(pkg) for pkg in pkgs.values())):
+        hashes = []
+        for (name, digest), record in zip(digests.items(), row):
+            label, text = record or ("(none)", "")
+            h = hashlib.sha256(text.encode()).digest()
+            digest.update(h)
+            hashes.append((label, h))
+        count += 1
+        if first is None and len(set(hashes)) > 1:
+            first = " / ".join(dict.fromkeys(label for label, _ in hashes))
+    print(f"{count} instances")
+    for name, digest in digests.items():
+        print(f"{name:8} {digest.hexdigest()}")
+    if len(pkgs) > 1:
+        print("identical" if first is None else f"first difference: {first}")
+    return 0 if first is None else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
