@@ -280,7 +280,7 @@ def enumerate_connected_outerplanar(n: int) -> tuple[Graph, ...]:
     k = n - 1
     by_key: dict = {}
     for g in enumerate_connected_outerplanar(k):
-        base = list(g.edges())
+        adj = [g.neighbors(v) for v in range(k)]
         room = 2 * n - 3 - g.m
         others = _automorphisms(g)[1:]
         passed = bytearray(1 << k)  # the candidate of each mask is outerplanar
@@ -299,7 +299,8 @@ def enumerate_connected_outerplanar(n: int) -> tuple[Graph, ...]:
                 image = sum(1 << p[v] for v in ends)
                 if image > mask:
                     first[image] = mask
-            h = Graph(n, base + [(v, k) for v in ends])
+            child = [nb + (k,) if mask >> v & 1 else nb for v, nb in enumerate(adj)]
+            h = Graph._trusted(n, child + [ends])  # k tops every old list, so each stays sorted
             if len(ends) > 1 and not is_outerplanar(h):
                 continue
             passed[mask] = 1

@@ -1,13 +1,17 @@
 """Simple undirected graphs on dense integer vertices, plus graph6 and edge-list I/O.
 
 Vertices are always 0..n-1.  Adjacency is stored sorted so that every
-iteration order in the package is deterministic.
+iteration order in the package is deterministic.  A build keeps n, m and
+the adjacency; neighbor sets and the edge tuple are made on first use.
+`Graph(n, edges)` checks its input; the one private builder, `_trusted`,
+takes a valid sorted adjacency unchecked (graph6 input, enumerated graphs).
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Edge = tuple[int, int]
 
@@ -19,7 +23,7 @@ def normalize_edge(u: int, v: int) -> Edge:
 class Graph:
     """Immutable simple graph.  Build once, then only query."""
 
-    __slots__ = ("n", "_adj", "_adj_sets", "_edges", "_hash")
+    __slots__ = ("n", "_m", "_adj", "_adj_sets", "_edges", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
@@ -35,20 +39,31 @@ class Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
-        self.n = n
-        for u, v in seen:
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = tuple(tuple(sorted(nb)) for nb in adj)
-        self._adj_sets = tuple(frozenset(nb) for nb in self._adj)
-        self._edges = tuple(sorted(seen))
-        self._hash: int | None = None
+        for nb in adj:
+            nb.sort()
+        self._fill(n, adj)
+
+    @classmethod
+    def _trusted(cls, n: int, adj) -> "Graph":
+        """The graph with adjacency `adj`, unchecked: for builders whose lists
+        are sorted, symmetric, in range, loop-free and repeat-free by construction."""
+        g = cls.__new__(cls)
+        g._fill(n, adj)
+        return g
+
+    def _fill(self, n: int, adj) -> None:
+        self.n = n
+        self._adj = tuple(map(tuple, adj))
+        self._m = sum(map(len, self._adj)) // 2
+        self._adj_sets = self._edges = self._hash = None  # made on first use
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return self._m
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -57,14 +72,18 @@ class Graph:
         return self._adj[v]
 
     def neighbor_set(self, v: int) -> frozenset[int]:
+        if self._adj_sets is None:
+            self._adj_sets = tuple(map(frozenset, self._adj))
         return self._adj_sets[v]
 
     __getitem__ = neighbor_set  # g[v]: the ear search reads any vertex -> neighbor set mapping
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_sets[u]
+        return v in self.neighbor_set(u)
 
     def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            self._edges = tuple((u, v) for u, nb in enumerate(self._adj) for v in nb if u < v)
         return self._edges
 
     def vertices(self) -> range:
@@ -114,7 +133,7 @@ class Graph:
                 raise ValueError(f"vertex {old} out of range")
         sub_edges = [
             (index_of[u], index_of[v])
-            for u, v in self._edges
+            for u, v in self.edges()
             if u in index_of and v in index_of
         ]
         return Graph(len(kept), sub_edges), tuple(kept)
@@ -124,11 +143,11 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._edges == other._edges
+        return self.n == other.n and self._adj == other._adj
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.n, self._edges))
+            self._hash = hash((self.n, self._adj))
         return self._hash
 
     def __repr__(self) -> str:
@@ -141,12 +160,16 @@ class Graph:
 # the adjacency matrix in column-major order (bit (u,v) for u<v ordered by
 # v, then u), packed into 6-bit chunks, each chunk + 63 as a byte.  Bit k
 # of the body is pair (u, v) with k = v(v-1)/2 + u; both directions work
-# on whole chunks and touch single bits only for edges.
+# on whole chunks and touch single bits only for edges.  The parser visits
+# only nonzero chunks; their bits come in increasing k, so its adjacency
+# lists grow sorted and `Graph._trusted` builds the graph.
 
 _G6_MAX_SHORT = 62
 _G6_MAX_LONG = 258047
 _G6_TO_CHAR = bytes((i + 63) & 0xFF for i in range(256))
 _G6_FROM_CHAR = bytes((i - 63) & 0xFF for i in range(256))
+_G6_INVALID = re.compile(r"[^?-~]")
+_G6_NONZERO = re.compile(rb"[^\x00]")
 
 
 def write_graph6(g: Graph) -> str:
@@ -170,9 +193,9 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise ValueError("empty graph6 string")
-    if min(s) < "?" or max(s) > "~":
-        ch = next(ch for ch in s if not "?" <= ch <= "~")
-        raise ValueError(f"invalid graph6 character {ch!r}")
+    bad = _G6_INVALID.search(s)
+    if bad:
+        raise ValueError(f"invalid graph6 character {bad.group()!r}")
     vals = s.encode("ascii").translate(_G6_FROM_CHAR)
     if vals[0] == 63:
         if len(vals) < 4:
@@ -190,9 +213,11 @@ def parse_graph6(text: str) -> Graph:
         raise ValueError(f"graph6 body length {len(body)}, expected {need} for n={n}")
     if need and body[-1] & ((1 << (6 * need - nbits)) - 1):
         raise ValueError("nonzero padding bits in graph6 string")
-    edges = []
+    adj: list[list[int]] = [[] for _ in range(n)]
     v, first = 1, 0  # bits first .. first + v - 1 hold column v
-    for j, x in enumerate(body):
+    for chunk in _G6_NONZERO.finditer(body):
+        j = chunk.start()
+        x = body[j]
         while x:  # one turn per set bit, the highest (lowest k) first
             top = x.bit_length()
             x ^= 1 << (top - 1)
@@ -200,8 +225,9 @@ def parse_graph6(text: str) -> Graph:
             while k >= first + v:
                 first += v
                 v += 1
-            edges.append((k - first, v))
-    return Graph(n, edges)
+            adj[k - first].append(v)
+            adj[v].append(k - first)
+    return Graph._trusted(n, adj)
 
 
 # -- plain edge-list format --------------------------------------------------

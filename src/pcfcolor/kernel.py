@@ -33,11 +33,11 @@ class ListAssignment:
     def __init__(self, lists: Iterable[Iterable[int]]):
         out = []
         for lst in lists:
-            fs = frozenset(lst)
-            for c in fs:
-                if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+            lst = tuple(lst)  # checked as given: a set would merge True and 1.0 into 1
+            for c in lst:  # an exact int skips both isinstance tests
+                if type(c) is not int and (not isinstance(c, int) or isinstance(c, bool)) or c < 1:
                     raise ValueError(f"colors must be positive integers, got {c!r}")
-            out.append(fs)
+            out.append(frozenset(lst))
         self.lists = tuple(out)
 
     def __len__(self) -> int:

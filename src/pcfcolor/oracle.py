@@ -208,15 +208,27 @@ def _takes(runs: list[int], r: int):
     """Every way to take r colors from runs of runs[0], runs[1], ...
     colors, as the count taken from each run, in decreasing lexicographic
     order: taking the smallest colors of each run, that is increasing
-    lexicographic order of the colors taken."""
-    if not runs:
-        if r == 0:
-            yield ()
-        return
-    first, rest = runs[0], runs[1:]
-    for t in range(min(first, r), max(0, r - sum(rest)) - 1, -1):
-        for tail in _takes(rest, r - t):
-            yield (t, *tail)
+    lexicographic order of the colors taken.  Each next way takes one
+    color fewer from the last run that can, and refills the later runs."""
+    take = [0] * len(runs)
+    i, tail = -1, r  # refill the runs after run i with tail colors
+    while True:
+        for j in range(i + 1, len(runs)):
+            take[j] = min(runs[j], tail)
+            tail -= take[j]
+        if tail:
+            return
+        yield tuple(take)
+        tail = room = 0  # the colors taken from, and held by, the runs after run i
+        for i in range(len(runs) - 1, -1, -1):
+            if take[i] and tail < room:
+                take[i] -= 1
+                tail += 1
+                break
+            tail += take[i]
+            room += runs[i]
+        else:
+            return
 
 
 def refute_choosability(

@@ -153,6 +153,15 @@ def test_malformed_lists_exit_2(run, c5_path, tmp_path):
     assert code == 2
 
 
+def test_boolean_color_in_lists_exit_2(run, write_json, tmp_path):
+    # `true` equals 1 in a set; it is still not a color
+    p = tmp_path / "c3.g6"
+    p.write_text(write_graph6(cycle_graph(3)))
+    lists = write_json("l.json", {"lists": [[1, 2, 3], [1, 2, True], [1, 2, 3]]})
+    code, doc = run("color", str(p), "--lists", lists)
+    assert code == 2 and doc["status"] == "error"
+
+
 def test_deeply_nested_lists_exit_2(run, c5_path, tmp_path):
     p = tmp_path / "nested.json"
     p.write_text('{"lists": ' + "[" * 100_000 + "]" * 100_000 + "}")

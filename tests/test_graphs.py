@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import to_networkx
+from pcfcolor.families import enumerate_connected_outerplanar, random_outerplanar
 from pcfcolor.graphs import (
     Graph,
     cycle_graph,
@@ -106,10 +107,13 @@ def test_parse_graph6_rejects_garbage():
 )
 @example((62, {(0, 61), (60, 61)}))
 @example((63, {(0, 62), (61, 62)}))
+@example((0, set()))
+@example((1, set()))
 def test_graph6_round_trip(data):
     n, raw = data
     g = Graph(n, {tuple(sorted(e)) for e in raw})
-    assert parse_graph6(write_graph6(g)) == g
+    # parse_graph6 builds from the bits, without the constructor's checks
+    assert_same_graph(parse_graph6(write_graph6(g)), g)
     theirs = nx.to_graph6_bytes(to_networkx(g), header=False).decode().strip()
     assert write_graph6(g) == theirs
 
@@ -129,3 +133,33 @@ def test_graph_equality_and_hash():
     b = Graph(3, [(1, 0)])
     assert a == b and hash(a) == hash(b)
     assert a != Graph(3, [(0, 2)])
+
+
+def assert_same_graph(a, b):
+    """Every reader of a `Graph` sees the same thing on a and b."""
+    assert (a.n, a.m) == (b.n, b.m)
+    assert [a.neighbors(v) for v in a.vertices()] == [b.neighbors(v) for v in b.vertices()]
+    assert [a.neighbor_set(v) for v in a.vertices()] == [b.neighbor_set(v) for v in b.vertices()]
+    assert a.edges() == b.edges()
+    assert a == b and hash(a) == hash(b)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 200), st.integers(0, 10**6))
+def test_graph6_round_trip_of_outerplanar_graphs(n, seed):
+    g = random_outerplanar(n, seed)
+    assert_same_graph(parse_graph6(write_graph6(g)), Graph(n, g.edges()))
+
+
+def test_enumerated_graphs_equal_validated_builds():
+    # the enumerator builds each candidate from its parent's adjacency
+    for n in range(1, 9):
+        for g in enumerate_connected_outerplanar(n):
+            assert_same_graph(g, Graph(n, g.edges()))
+
+
+def test_graph_is_read_only():
+    g = path_graph(3)
+    with pytest.raises(AttributeError):
+        g.m = 5
+    assert g.m == 2

@@ -37,6 +37,13 @@ def test_list_assignment_rejects_bad_input():
         ListAssignment([[-1, 2]])
     with pytest.raises(ValueError):
         ListAssignment([["a"]])
+    # each color is checked as given, before a set could merge True or 1.0 into 1
+    for bad in ([[1, True]], [[1, 1.0]], [[2, True]], [[1.0, 1]]):
+        with pytest.raises(ValueError, match="colors must be positive integers"):
+            ListAssignment(bad)
+    # the first bad color in input order is named
+    with pytest.raises(ValueError, match=r"got 0\b"):
+        ListAssignment([[3, 0, -1]])
     # empty lists are legal; they just make the vertex uncolorable
     assert ListAssignment([[]]).sizes() == (0,)
 

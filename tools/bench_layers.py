@@ -1,4 +1,4 @@
-"""Per-layer timings of pcfcolor, written to BENCH_18.json.
+"""Per-layer timings of pcfcolor, written to BENCH_19.json.
 
 Times, in this process, the layers a repeated solve and the command line
 spend their time in, and the enumeration of the graph corpora:
@@ -9,8 +9,16 @@ spend their time in, and the enumeration of the graph corpora:
   n = 4 (5 graphs), one per graph at n = 8 (777 graphs);
 - `verify` on those colorings with their lists, and `unique_colors` at
   every vertex of them;
-- `parse_graph6` and `write_graph6` on `random_outerplanar(n, 1)` for
-  n = 128 and 1,000;
+- the input path, on `random_outerplanar(n, 1)`: `parse_graph6` for
+  n = 128, 1,000 and 3,000 and `write_graph6` for n = 128 and 1,000;
+  `Graph(n, edges)` on its edge list and `ListAssignment` on its
+  degree+2 lists {1, ..., deg(v)+2}, given as lists of ints, for
+  n = 10^3, 10^4 and 10^5;
+- a cold solve at n = 10^5 (the graph built from its edge list, the
+  degree+2 lists built, then `solve`, above the structure cache's size
+  limit) of the path and of `random_cactus(10**5, 1)`, with the garbage
+  collector on and, as `.gc_off`, off, each with the `tracemalloc` size
+  of the graph just built (`graph_kb`);
 - the exact oracle: `solve_exact` on the corpus graphs of 6, 7 and 8
   vertices with one degree+2 list draw each, `pcf_chromatic_number` on
   the five 4-vertex corpus graphs and on the twelve evenly spaced
@@ -46,7 +54,8 @@ spend their time in, and the enumeration of the graph corpora:
   each run, so each run also enumerates every smaller size it builds on.
 
 With `--baseline SRC` the warm solves at n = 4 and 8 with their `verify`
-and `unique_colors` batches, the ear search, the enumerations, the three
+and `unique_colors` batches, the ear search, the enumerations, the input
+path and the cold solves at n = 10^5, with their graph sizes, the three
 oracle batches and the first solves' graph-only passes, with their
 `tracemalloc` peaks, also run on the package under SRC (another
 checkout's `src/`), loaded beside this one in the same process.  Its
@@ -56,7 +65,8 @@ microseconds per operation move by about 10% from one process to the
 next.
 
 Each entry is the fastest of 20 timings of one whole batch (5 for the
-first solves, or 15 when they are short; 10 for the enumerations; ten
+first solves and the cold solves at n = 10^5, or 15 for first solves
+that are short; 10 for the enumerations; ten
 times as many for a batch whose first, untimed run, or its baseline's,
 takes under a millisecond), reported per operation with its number of
 `rounds`; the fastest run is the one least disturbed by other work on
@@ -73,7 +83,7 @@ baseline's in the same round (the entry also has the quartiles).
 Nothing is asserted about the numbers.  Run from the repository root (it
 imports the package from the `src/` beside this file):
 
-    python tools/bench_layers.py [--out BENCH_18.json] [--baseline SRC]
+    python tools/bench_layers.py [--out BENCH_19.json] [--baseline SRC]
 """
 
 from __future__ import annotations
@@ -89,6 +99,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,7 +112,7 @@ from pcfcolor.families import (  # noqa: E402
     random_cactus,
     random_outerplanar,
 )
-from pcfcolor.graphs import Graph, cycle_graph, parse_graph6, path_graph, write_graph6  # noqa: E402
+from pcfcolor.graphs import Graph, cycle_graph, path_graph, write_graph6  # noqa: E402
 from pcfcolor.kernel import ListAssignment, degree_plus_k_lists  # noqa: E402
 from pcfcolor.solver import solve  # noqa: E402
 from pcfcolor.structure import is_outerplanar  # noqa: E402
@@ -157,6 +168,82 @@ WARM_SOLVES = {
     "fan": (fan, (200, 400, 800)),
     "strip": (strip, (200, 400, 800)),
 }
+
+
+PARSE_SIZES = (128, 1000, 3000)
+WRITE_SIZES = (128, 1000)
+BUILD_SIZES = (10**3, 10**4, 10**5)
+BIG = 10**5
+BIG_SOLVES = {"path": lambda: path_graph(BIG), "cactus": lambda: random_cactus(BIG, SEED)}
+
+
+def plus2_lists(g):
+    """The lists {1, ..., deg(v)+2} of g, as lists of ints."""
+    return [list(range(1, g.degree(v) + 3)) for v in range(g.n)]
+
+
+@lru_cache(maxsize=None)
+def input_data():
+    """The inputs of the input path, made once by this tree: per size n,
+    the edge list of `random_outerplanar(n, 1)`, its graph6 text if n is
+    a parse size (graph6 takes n(n-1)/12 bytes, 833 MB at n = 10^5) and
+    its degree+2 lists if n is a build size."""
+    data = {}
+    for n in sorted({*PARSE_SIZES, *WRITE_SIZES, *BUILD_SIZES}):
+        g = random_outerplanar(n, 1)
+        data[n] = (list(g.edges()),
+                   write_graph6(g) if n in PARSE_SIZES else None,
+                   plus2_lists(g) if n in BUILD_SIZES else None)
+    return data
+
+
+def input_batches(pkg):
+    """`parse_graph6`, `write_graph6`, `Graph(n, edges)` and
+    `ListAssignment` run by the package `pkg` on the same inputs."""
+    G, gr = pkg.graphs.Graph, pkg.graphs
+    batches = {}
+    for n, (edges, text, lists) in input_data().items():
+        if n in PARSE_SIZES:
+            batches[f"parse_graph6.n{n}"] = (lambda t=text: gr.parse_graph6(t), 1)
+        if n in WRITE_SIZES:
+            batches[f"write_graph6.n{n}"] = (lambda h=G(n, edges): gr.write_graph6(h), 1)
+        if n in BUILD_SIZES:
+            batches[f"Graph.n{n}"] = (lambda n=n, e=edges: G(n, e), 1)
+            batches[f"ListAssignment.n{n}"] = (lambda lists=lists: pkg.kernel.ListAssignment(lists), 1)
+    return batches
+
+
+@lru_cache(maxsize=None)
+def big_edges():
+    return {family: list(make().edges()) for family, make in BIG_SOLVES.items()}
+
+
+def big_solve_batches(pkg):
+    """A cold solve at n = 10^5 run by the package `pkg`: build the graph
+    from its edge list, build its degree+2 lists, solve; each also as
+    `.gc_off`."""
+    G, L, solve_ = pkg.graphs.Graph, pkg.kernel.ListAssignment, pkg.solver.solve
+    batches = {}
+    for family, edges in big_edges().items():
+        def batch(edges=edges):
+            g = G(BIG, edges)
+            solve_(g, L(plus2_lists(g)))
+
+        batches[f"solve.cold.{family}{BIG}"] = (batch, 1)
+        batches[f"solve.cold.{family}{BIG}.gc_off"] = (batch, 1)
+    return batches
+
+
+def graph_kb(pkg, edges):
+    """The `tracemalloc` size of the package `pkg`'s `Graph` on `edges`,
+    just built, in kB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = pkg.graphs.Graph(BIG, edges)  # noqa: F841 (kept alive while measured)
+        return round(tracemalloc.get_traced_memory()[0] / 1e3, 1)
+    finally:
+        tracemalloc.stop()
 
 
 def enumeration_candidates(max_n):
@@ -409,13 +496,11 @@ def measure(baseline=None):
                               setup=lambda: clear_enumerations(*pkgs))
     for n, draws in ((4, 40), (8, 1)):
         results |= measure_series(lambda pkg: small_batches(pkg, n, draws), baseline)
-    for n in (128, 1000):
-        g = random_outerplanar(n, 1)
-        text = write_graph6(g)
-        results.update(fastest({
-            f"write_graph6.n{n}": (lambda g=g: write_graph6(g), 1),
-            f"parse_graph6.n{n}": (lambda t=text: parse_graph6(t), 1),
-        }))
+    results |= measure_series(input_batches, baseline)
+    results |= measure_series(big_solve_batches, baseline, repeat=COLD_REPEAT, setup=gc.collect)
+    for pkg, prefix in zip(pkgs, ("", "baseline.")):
+        for family, edges in big_edges().items():
+            results[f"{prefix}solve.cold.{family}{BIG}"]["graph_kb"] = graph_kb(pkg, edges)
     results |= measure_series(oracle_batches, baseline)
 
     cands = enumeration_candidates(8)
@@ -478,10 +563,10 @@ def ratios(results):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default=str(ROOT / "BENCH_18.json"))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_19.json"))
     ap.add_argument("--baseline", metavar="SRC",
-                    help="src/ of a checkout to compare the warm solves, ear search, enumerations, oracle and "
-                         "first-solve structure passes with")
+                    help="src/ of a checkout to compare the warm solves, ear search, enumerations, input path, "
+                         "cold solves, oracle and first-solve structure passes with")
     args = ap.parse_args(argv)
     timings = measure(None if args.baseline is None else load_package(args.baseline))
     doc = {
