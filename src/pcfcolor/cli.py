@@ -348,6 +348,8 @@ def cmd_check(args) -> tuple[int, dict]:
     needs_seed = args.suite in ("c5", "corpus", "paths")
     if needs_seed and args.seed is None:
         raise ValueError(f"suite {args.suite} is randomized; pass --seed")
+    if args.trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {args.trials}")
     rng_for = functools.partial(_trial_rng, args.seed)
     suites = {
         "c5": lambda: check_c5(trials=args.trials, rng_for=rng_for, budget=args.budget),

@@ -23,7 +23,7 @@ def normalize_edge(u: int, v: int) -> Edge:
 class Graph:
     """Immutable simple graph.  Build once, then only query."""
 
-    __slots__ = ("n", "_m", "_adj", "_adj_sets", "_edges", "_hash")
+    __slots__ = ("_n", "_m", "_adj", "_adj_sets", "_edges", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
@@ -54,12 +54,16 @@ class Graph:
         return g
 
     def _fill(self, n: int, adj) -> None:
-        self.n = n
+        self._n = n
         self._adj = tuple(map(tuple, adj))
         self._m = sum(map(len, self._adj)) // 2
         self._adj_sets = self._edges = self._hash = None  # made on first use
 
     # -- basic queries ---------------------------------------------------
+
+    @property
+    def n(self) -> int:
+        return self._n
 
     @property
     def m(self) -> int:

@@ -40,6 +40,12 @@ class BudgetExceededError(Exception):
         self.nodes = nodes
 
 
+def _check_budget(budget: int) -> None:
+    """A negative budget is an input error, not a budget already used up."""
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+
+
 @dataclass(frozen=True)
 class OracleResult:
     status: str  # SAT or UNSAT
@@ -57,8 +63,10 @@ def solve_exact(g: Graph, lists: ListAssignment, budget: int = DEFAULT_BUDGET) -
 
     `nodes` counts the colors tried; a call that would try more than
     `budget` raises `BudgetExceededError`.  A coloring found is checked by
-    `verify`, and one it rejects raises `AssertionError`.
+    `verify`, and one it rejects raises `AssertionError`.  A negative
+    `budget` raises `ValueError`.
     """
+    _check_budget(budget)
     if len(lists) != g.n:
         raise ValueError(f"list assignment has {len(lists)} entries for a graph on {g.n} vertices")
     colors, nodes = _search(g, [sorted(lists[v]) for v in range(g.n)], budget, first_use=False)
@@ -177,9 +185,10 @@ def pcf_chromatic_number(g: Graph, max_k: int = 16, budget: int = DEFAULT_BUDGET
     Each k is decided by the search of `solve_exact` with the renamings of
     {1..k} skipped (first-use color order), so `budget` bounds the nodes of
     that symmetry-broken search, for each k on its own; a search that would
-    exceed it raises `BudgetExceededError`.  A coloring found is still
-    checked by `verify`.
+    exceed it raises `BudgetExceededError`, and a negative one `ValueError`.
+    A coloring found is still checked by `verify`.
     """
+    _check_budget(budget)
     if g.n == 0:
         return 0
     for k in range(1, max_k + 1):
@@ -246,10 +255,11 @@ def refute_choosability(
     a list takes only the smallest colors of each run; that yields the
     first member, in this order, of every renaming class exactly once, with
     no set of seen assignments.  Assignments that reuse few colors come
-    first, so tight uniform lists are tried early.  A negative k, or a
-    `universe_bound` too small for the largest list, raises `ValueError`:
-    no assignment would be checked.
+    first, so tight uniform lists are tried early.  A negative k or
+    budget, or a `universe_bound` too small for the largest list, raises
+    `ValueError`: no assignment would be checked.
     """
+    _check_budget(budget)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     sizes = [g.degree(v) + k for v in range(g.n)]

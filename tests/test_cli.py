@@ -213,6 +213,17 @@ def test_budget_exit_3(run, write_json, tmp_path):
     assert code == 3 and doc["status"] == "budget_exceeded"
 
 
+def test_negative_budget_and_trials_exit_2(run, write_json, c5_path):
+    lists = write_json("l.json", {"lists": [[1, 2, 3, 4]] * 5})
+    for argv, message in (
+        (("color", c5_path, "--lists", lists, "--oracle", "--budget", "-1"), "budget must be nonnegative, got -1"),
+        (("refute", c5_path, "--k", "1", "--budget", "-5"), "budget must be nonnegative, got -5"),
+        (("check", "c5", "--seed", "1", "--trials", "-3"), "trials must be nonnegative, got -3"),
+    ):
+        code, doc = run(*argv)
+        assert (code, doc) == (2, {"status": "error", "message": message})
+
+
 def test_verify_roundtrip(run, tmp_path, write_json):
     p = tmp_path / "c6.g6"
     p.write_text(write_graph6(cycle_graph(6)))

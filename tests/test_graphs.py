@@ -162,4 +162,7 @@ def test_graph_is_read_only():
     g = path_graph(3)
     with pytest.raises(AttributeError):
         g.m = 5
-    assert g.m == 2
+    with pytest.raises(AttributeError):
+        g.n = 5
+    assert (g.n, g.m) == (3, 2)
+    assert g == path_graph(3)

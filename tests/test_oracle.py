@@ -231,6 +231,21 @@ def test_refute_rejects_negative_k_and_a_universe_below_the_largest_list():
     assert refute_choosability(path_graph(3), 2, universe_bound=4).assignments_checked > 0
 
 
+def test_a_negative_budget_is_an_input_error_not_an_exhausted_budget():
+    g = path_graph(3)
+    lists = ListAssignment([[1, 2, 3]] * 3)
+    for call in (
+        lambda b: oracle.solve_exact(g, lists, budget=b),
+        lambda b: pcf_chromatic_number(g, budget=b),
+        lambda b: refute_choosability(g, 1, budget=b),
+    ):
+        with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+            call(-1)
+    # a zero budget is still a budget, used up at the first node
+    with pytest.raises(BudgetExceededError):
+        oracle.solve_exact(g, lists, budget=0)
+
+
 def test_refute_cli_exits_2_on_a_universe_below_the_largest_list(tmp_path, capsys):
     p = tmp_path / "p3.g6"
     p.write_text(write_graph6(path_graph(3)))

@@ -1,4 +1,4 @@
-"""Per-layer timings of pcfcolor, written to BENCH_19.json.
+"""Per-layer timings of pcfcolor, written as JSON to the file named by --out.
 
 Times, in this process, the layers a repeated solve and the command line
 spend their time in, and the enumeration of the graph corpora:
@@ -38,9 +38,7 @@ spend their time in, and the enumeration of the graph corpora:
   strip triangulations (edges i,i+1 and i,i+2) of 200, 400 and 800
   vertices; each with the garbage collector on and, as `.gc_off`, off,
   and each with the `tracemalloc` peak of one more run
-  (`tracemalloc_peak_kb`, the graph built beforehand).  A pass that takes
-  under COLD_BATCH_S runs several times per batch, as many as fill
-  COLD_BATCH_S, and its batch gets COLD_SHORT_FACTOR times the rounds;
+  (`tracemalloc_peak_kb`, the graph built beforehand);
 - warm `solve` (the structure cached, so only the list work and the
   coloring pass run) on paths, fans and strips of 200, 400 and 800
   vertices, with the lists {1, ..., deg(v)+2};
@@ -53,37 +51,50 @@ spend their time in, and the enumeration of the graph corpora:
   `enumerate_two_connected_outerplanar(10)`, their caches cleared before
   each run, so each run also enumerates every smaller size it builds on.
 
-With `--baseline SRC` the warm solves at n = 4 and 8 with their `verify`
-and `unique_colors` batches, the ear search, the enumerations, the input
-path and the cold solves at n = 10^5, with their graph sizes, the three
-oracle batches and the first solves' graph-only passes, with their
-`tracemalloc` peaks, also run on the package under SRC (another
-checkout's `src/`), loaded beside this one in the same process.  Its
-batches, named `baseline.*`, take turns with this tree's, so the two are
-compared in one run rather than across two files: batches of a few
-microseconds per operation move by about 10% from one process to the
-next.
+Every series is a batch of `ops` operations, run by a package on graphs
+and lists it built, and every batch is timed one way, by
+`measure_series`.  The batches of one group take turns, in reverse order
+every other round, so a slow spell on the host falls on all of them.
+Each run follows the group's untimed setup (the enumerations clear their
+caches) and `gc.collect()`, and a batch whose name ends in `.gc_off`
+runs with the garbage collector disabled.  The heap the batches were
+built in is frozen (`gc.freeze`) while they run, so a collection walks
+only what the batches allocate, not the tool's own data, and every run
+meets the collector in the same state: left to run over that data, full
+collections fell in step with the turns and read `Graph.n10000` 0.55 on
+identical trees.  One untimed first run of each batch, its setup
+included, sets its number of `rounds`: as many as fit ROUND_BUDGET_S,
+but at least MIN_ROUNDS and at most MAX_ROUNDS.  An entry reports its
+fastest round, the one least disturbed by other work on the host, as
+`batch_ms` and `per_op_us`.
 
-Each entry is the fastest of 20 timings of one whole batch (5 for the
-first solves and the cold solves at n = 10^5, or 15 for first solves
-that are short; 10 for the enumerations; ten
-times as many for a batch whose first, untimed run, or its baseline's,
-takes under a millisecond), reported per operation with its number of
-`rounds`; the fastest run is the one least disturbed by other work on
-the host, and entries measured together take turns.  `ratios` divides
-the time per operation on a fan by that on a fan a quarter its size (for
-`is_outerplanar`: 4 means linear time, 16 quadratic), each first or warm
-solve by the one of half its size (2 linear, 4 quadratic), and the time
-per graph of `pcf_chromatic_number`
-at 8 vertices by that at 4 (the `oracle` workload's doubling ratio,
-also for the baseline); for each batch compared with a
-baseline it gives the median, over the rounds, of its time divided by its
-baseline's in the same round (the entry also has the quartiles).
+With `--baseline SRC` every series also runs on the package under SRC
+(another checkout's `src/`), loaded beside this one in the same process.
+Its batches, named `baseline.*`, take turns with their partners of this
+tree, and each pair runs the same rounds, sized by the faster of its two
+first runs.  On identical trees the side whose batches were built second
+ran `verify` and `unique_colors` at n = 8 7-10% faster (the build order,
+not the code, decided it), so each side builds its batches twice: half
+the rounds, rounded up, run on batches built baseline first, the other
+half on batches built this tree first.  Each entry of this tree then
+also gets the median and the quartiles, over the rounds i of one half,
+of the geometric mean of its time divided by its partner's in round i of
+each half: a slow spell on the host moves that less than a ratio of two
+fastest times, and batches of a few microseconds per operation move by
+about 10% from one process to the next.
+
+`ratios` divides the time per operation on a fan by that on a fan a
+quarter its size (for `is_outerplanar`: 4 means linear time, 16
+quadratic), each first or warm solve by the one of half its size (2
+linear, 4 quadratic), and the time per graph of `pcf_chromatic_number`
+at 8 vertices by that at 4 (the `oracle` workload's doubling ratio, also
+for the baseline); for each series compared with a baseline, `/baseline`
+gives that median.
 
 Nothing is asserted about the numbers.  Run from the repository root (it
 imports the package from the `src/` beside this file):
 
-    python tools/bench_layers.py [--out BENCH_19.json] [--baseline SRC]
+    python tools/bench_layers.py --out BENCH.json [--baseline SRC]
 """
 
 from __future__ import annotations
@@ -93,13 +104,14 @@ import gc
 import importlib
 import importlib.util
 import json
+import math
 import platform
 import random
 import statistics
 import sys
 import time
 import tracemalloc
-from functools import lru_cache
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -113,17 +125,11 @@ from pcfcolor.families import (  # noqa: E402
     random_outerplanar,
 )
 from pcfcolor.graphs import Graph, cycle_graph, path_graph, write_graph6  # noqa: E402
-from pcfcolor.kernel import ListAssignment, degree_plus_k_lists  # noqa: E402
-from pcfcolor.solver import solve  # noqa: E402
-from pcfcolor.structure import is_outerplanar  # noqa: E402
+from pcfcolor.kernel import degree_plus_k_lists  # noqa: E402
 
-REPEAT = 20
-ENUMERATION_REPEAT = 10
-SHORT_S = 1e-3  # a batch faster than this gets SHORT_FACTOR times the rounds
-SHORT_FACTOR = 10
-COLD_REPEAT = 5
-COLD_BATCH_S = 0.1  # a shorter first-solve pass runs several times per batch
-COLD_SHORT_FACTOR = 3
+ROUND_BUDGET_S = 0.5  # wall time, setup included, that sets a batch's rounds
+MIN_ROUNDS = 10
+MAX_ROUNDS = 400
 SEED = 1
 CHI_AT_8 = 12  # evenly spaced 8-vertex graphs, as in the `oracle` workload
 
@@ -182,12 +188,11 @@ def plus2_lists(g):
     return [list(range(1, g.degree(v) + 3)) for v in range(g.n)]
 
 
-@lru_cache(maxsize=None)
 def input_data():
-    """The inputs of the input path, made once by this tree: per size n,
-    the edge list of `random_outerplanar(n, 1)`, its graph6 text if n is
-    a parse size (graph6 takes n(n-1)/12 bytes, 833 MB at n = 10^5) and
-    its degree+2 lists if n is a build size."""
+    """The inputs of the input path, made by this tree: per size n, the
+    edge list of `random_outerplanar(n, 1)`, its graph6 text if n is a
+    parse size (graph6 takes n(n-1)/12 bytes, 833 MB at n = 10^5) and its
+    degree+2 lists if n is a build size."""
     data = {}
     for n in sorted({*PARSE_SIZES, *WRITE_SIZES, *BUILD_SIZES}):
         g = random_outerplanar(n, 1)
@@ -197,12 +202,12 @@ def input_data():
     return data
 
 
-def input_batches(pkg):
+def input_batches(data, pkg):
     """`parse_graph6`, `write_graph6`, `Graph(n, edges)` and
-    `ListAssignment` run by the package `pkg` on the same inputs."""
+    `ListAssignment` run by the package `pkg` on the inputs `data`."""
     G, gr = pkg.graphs.Graph, pkg.graphs
     batches = {}
-    for n, (edges, text, lists) in input_data().items():
+    for n, (edges, text, lists) in data.items():
         if n in PARSE_SIZES:
             batches[f"parse_graph6.n{n}"] = (lambda t=text: gr.parse_graph6(t), 1)
         if n in WRITE_SIZES:
@@ -213,18 +218,13 @@ def input_batches(pkg):
     return batches
 
 
-@lru_cache(maxsize=None)
-def big_edges():
-    return {family: list(make().edges()) for family, make in BIG_SOLVES.items()}
-
-
-def big_solve_batches(pkg):
+def big_solve_batches(big_edges, pkg):
     """A cold solve at n = 10^5 run by the package `pkg`: build the graph
     from its edge list, build its degree+2 lists, solve; each also as
     `.gc_off`."""
     G, L, solve_ = pkg.graphs.Graph, pkg.kernel.ListAssignment, pkg.solver.solve
     batches = {}
-    for family, edges in big_edges().items():
+    for family, edges in big_edges.items():
         def batch(edges=edges):
             g = G(BIG, edges)
             solve_(g, L(plus2_lists(g)))
@@ -246,18 +246,23 @@ def graph_kb(pkg, edges):
         tracemalloc.stop()
 
 
-def enumeration_candidates(max_n):
-    """The raw candidates of the enumeration up to max_n vertices: each
-    connected outerplanar graph of fewer vertices plus one new vertex
-    joined to a nonempty subset, every one of them, although
-    `enumerate_connected_outerplanar` skips most without a test."""
-    out = []
-    for n in range(2, max_n + 1):
+def outerplanar_batches(pkg):
+    """`is_outerplanar` run by the package `pkg` on the raw candidates of
+    the enumeration up to 8 vertices (each connected outerplanar graph of
+    fewer vertices plus one new vertex joined to a nonempty subset, every
+    one of them, although `enumerate_connected_outerplanar` skips most
+    without a test) and on two fans."""
+    G, test = pkg.graphs.Graph, pkg.structure.is_outerplanar
+    cands = []
+    for n in range(2, 9):
         for g in enumerate_connected_outerplanar(n - 1):
             base = list(g.edges())
             for mask in range(1, 1 << (n - 1)):
-                out.append(Graph(n, base + [(v, n - 1) for v in range(n - 1) if mask >> v & 1]))
-    return out
+                cands.append(G(n, base + [(v, n - 1) for v in range(n - 1) if mask >> v & 1]))
+    batches = {"is_outerplanar.candidates.n2-8": (lambda: [test(g) for g in cands], len(cands))}
+    for n in (1000, 4000):
+        batches[f"is_outerplanar.fan{n}"] = (lambda g=G(n, fan(n).edges()): test(g), 1)
+    return batches
 
 
 def load_package(src):
@@ -274,7 +279,7 @@ def load_package(src):
     return mod
 
 
-def small_batches(pkg, n, draws):
+def small_batches(n, draws, pkg):
     """Warm `solve`, `verify` and `unique_colors` on the corpus graphs of n
     vertices, `draws` list draws each, run by the package `pkg`."""
     inst = [(pkg.graphs.Graph(g.n, g.edges()), pkg.kernel.ListAssignment(lists))
@@ -303,6 +308,19 @@ def small_batches(pkg, n, draws):
         f"verify.n{n}": (verify_all, len(colored)),
         f"unique_colors.n{n}": (unique_all, sum(g.n for g, _, _ in colored)),
     }
+
+
+def warm_batches(pkg):
+    """Warm `solve` by the package `pkg` on the graphs of WARM_SOLVES, with
+    the lists {1, ..., deg(v)+2}, the structure cache filled first."""
+    batches = {}
+    for family, (make, sizes) in WARM_SOLVES.items():
+        for n in sizes:
+            g = pkg.graphs.Graph(n, make(n).edges())
+            lists = pkg.kernel.ListAssignment(plus2_lists(g))
+            pkg.solver.solve(g, lists)  # fills the structure cache
+            batches[f"solve.warm.{family}{n}"] = (lambda g=g, lists=lists, s=pkg.solver.solve: s(g, lists), 1)
+    return batches
 
 
 def ear_batches(pkg):
@@ -366,38 +384,22 @@ def oracle_batches(pkg):
     return batches
 
 
-def cold_passes(family):
-    """How many graph-only passes each batch of `family` makes, by size:
-    enough to fill COLD_BATCH_S, judged from the fastest of three passes
-    of this tree."""
-    make, sizes = FIRST_SOLVES[family]
-    passes = {}
-    for n in sizes:
-        timing = fastest({"pass": (lambda g=make(n): pcfcolor.solver._structure_pass(g), 1)}, repeat=3)
-        passes[n] = max(1, round(COLD_BATCH_S * 1e6 / timing["pass"]["per_op_us"]))
-    return passes
-
-
-def cold_batches(pkg, family, passes):
+def cold_batches(pkg):
     """The graph-only pass of a first solve (`solver._structure_pass`,
-    which no cache sits in front of) on the graph of `family` of each size
-    n in `passes`, built by the package `pkg`, passes[n] times per batch;
-    each batch also as `.gc_off`."""
-    make, _ = FIRST_SOLVES[family]
+    which no cache sits in front of) by the package `pkg` on the graphs of
+    FIRST_SOLVES, each also as `.gc_off`."""
     batches = {}
-    for n in passes:
-        def batch(g=pkg.graphs.Graph(n, make(n).edges()), s=pkg.solver._structure_pass, k=passes[n]):
-            for _ in range(k):
-                s(g)
-
-        batches[f"structure.cold.{family}{n}"] = (batch, passes[n])
-        batches[f"structure.cold.{family}{n}.gc_off"] = (batch, passes[n])
+    for family, (make, sizes) in FIRST_SOLVES.items():
+        for n in sizes:
+            batch = partial(pkg.solver._structure_pass, pkg.graphs.Graph(n, make(n).edges()))
+            batches[f"structure.cold.{family}{n}"] = (batch, 1)
+            batches[f"structure.cold.{family}{n}.gc_off"] = (batch, 1)
     return batches
 
 
-def traced_peak_kb(batch, setup):
-    """The `tracemalloc` peak of one run of `batch` after setup(), in kB."""
-    setup()
+def traced_peak_kb(batch):
+    """The `tracemalloc` peak of one run of `batch`, in kB."""
+    gc.collect()
     tracemalloc.start()
     try:
         batch()
@@ -420,119 +422,89 @@ def clear_enumerations(*pkgs):
     for pkg in pkgs:
         pkg.families.enumerate_connected_outerplanar.cache_clear()
         pkg.families.enumerate_two_connected_outerplanar.cache_clear()
-    gc.collect()
 
 
-def measure_series(make, baseline=None, **kw):
-    """`fastest` over the batches make(package) of this tree; against a
-    baseline package, over the baseline's too, named `baseline.*`, each
-    beside its partner.  Each of ours then also gets the median and the
-    quartiles, over the rounds, of its time divided by the baseline's in
-    the same round, which a slow spell on the host moves less than a
-    ratio of two fastest times."""
-    ours = make(pcfcolor)
-    if baseline is None:
-        return fastest(ours, **kw)
-    theirs = {f"baseline.{name}": batch for name, batch in make(baseline).items()}
-    rounds = {}
-    out = fastest({k: v for pair in zip(theirs.items(), ours.items()) for k, v in pair},
-                  rounds=rounds, **kw)
-    for name in ours:
-        ratios = [a / b for a, b in zip(rounds[name], rounds[f"baseline.{name}"])]
-        q1, _, q3 = statistics.quantiles(ratios, n=4)
-        out[name]["baseline_ratio_median"] = round(statistics.median(ratios), 3)
-        out[name]["baseline_ratio_quartiles"] = [round(q1, 3), round(q3, 3)]
+def measure_series(make, baseline=None, setup=None):
+    """Time the batches make(package) of this tree and, against a baseline
+    package, the baseline's, named `baseline.*`, each beside its partner:
+    a dict of per-op figures per name.  make returns a dict mapping a name
+    to (batch, ops).  Each run of a batch follows an untimed setup() and
+    `gc.collect()`; the rounds are sized, and against a baseline the two
+    build orders and the ratios are taken, as the module docstring says."""
+    sides = {"": pcfcolor} if baseline is None else {"baseline.": baseline, "": pcfcolor}
+    orders = [list(sides)] if baseline is None else [list(sides), list(sides)[::-1]]
+    rounds, times = {}, {}
+    for order in orders:
+        made = {prefix: make(sides[prefix]) for prefix in order}
+        batches = {prefix + name: made[prefix][name] for name in made[""] for prefix in sides}
+
+        def timed(key):
+            if setup is not None:
+                setup()
+            gc.collect()
+            if key.endswith(".gc_off"):
+                gc.disable()
+            try:
+                start = time.perf_counter()
+                batches[key][0]()
+                return time.perf_counter() - start
+            finally:
+                gc.enable()
+
+        gc.collect()
+        gc.freeze()  # a collection in a round walks only what the batches allocate
+        if not rounds:  # an untimed first run of each batch sizes the rounds
+            first = {}
+            for key in batches:
+                start = time.perf_counter()
+                timed(key)
+                first[key] = time.perf_counter() - start
+            for name in made[""]:
+                fit = int(ROUND_BUDGET_S / min(first[prefix + name] for prefix in sides))
+                rounds[name] = -(-min(MAX_ROUNDS, max(MIN_ROUNDS, fit)) // len(orders))
+        for r in range(max(rounds.values(), default=0)):
+            for key in list(batches)[:: -1 if r % 2 else 1]:
+                if r < rounds[key.removeprefix("baseline.")]:
+                    times.setdefault(key, []).append(timed(key))
+        gc.unfreeze()
+        ops = {key: n for key, (_, n) in batches.items()}
+        made = batches = None  # the next build order starts without them
+
+    out = {}
+    for key, runs in times.items():
+        out[key] = {"ops": ops[key], "rounds": len(runs), "batch_ms": round(min(runs) * 1e3, 4),
+                    "per_op_us": round(min(runs) * 1e6 / ops[key], 3)}
+    if baseline is not None:
+        for name, k in rounds.items():
+            ours, theirs = times[name], times[f"baseline.{name}"]
+            ratios = [math.sqrt(ours[i] / theirs[i] * ours[k + i] / theirs[k + i]) for i in range(k)]
+            q1, _, q3 = statistics.quantiles(ratios, n=4)
+            out[name]["baseline_ratio_median"] = round(statistics.median(ratios), 3)
+            out[name]["baseline_ratio_quartiles"] = [round(q1, 3), round(q3, 3)]
     return out
 
 
-def fastest(batches, repeat=REPEAT, setup=None, rounds=None):
-    """Fastest of `repeat` timings of each batch, as a dict of per-op
-    figures per name; a batch whose first, untimed run, or its baseline
-    partner's, takes under SHORT_S gets SHORT_FACTOR times as many, and
-    so does the partner.  `batches` maps a name to (batch, ops); the
-    batches take turns, in reverse order every other round, so a slow
-    spell on the host falls on all of them, and each run follows an
-    untimed setup().  The batches whose names end in `.gc_off`
-    run with the garbage collector disabled.  A `rounds` dict receives
-    every timing of each batch, in seconds."""
-
-    def timed(name, batch):
-        if setup is not None:
-            setup()
-        if name.endswith(".gc_off"):
-            gc.disable()
-        try:
-            start = time.perf_counter()
-            batch()
-            return time.perf_counter() - start
-        finally:
-            gc.enable()
-
-    def pair(name):
-        return name.removeprefix("baseline.")
-
-    short = {pair(name) for name, (batch, _) in batches.items() if timed(name, batch) < SHORT_S}
-    runs = {name: repeat * (SHORT_FACTOR if pair(name) in short else 1) for name in batches}
-    best = dict.fromkeys(batches, float("inf"))
-    for r in range(max(runs.values(), default=0)):
-        for name, (batch, _) in list(batches.items())[:: -1 if r % 2 else 1]:
-            if r >= runs[name]:
-                continue
-            elapsed = timed(name, batch)
-            best[name] = min(best[name], elapsed)
-            if rounds is not None:
-                rounds.setdefault(name, []).append(elapsed)
-    return {
-        name: {"ops": ops, "rounds": runs[name], "batch_ms": round(best[name] * 1e3, 4),
-               "per_op_us": round(best[name] * 1e6 / ops, 3)}
-        for name, (_, ops) in batches.items()
-    }
-
-
 def measure(baseline=None):
-    results = measure_series(ear_batches, baseline)
     pkgs = (pcfcolor,) if baseline is None else (pcfcolor, baseline)
-    results |= measure_series(enumeration_batches, baseline, repeat=ENUMERATION_REPEAT,
-                              setup=lambda: clear_enumerations(*pkgs))
+    results = measure_series(ear_batches, baseline)
+    results |= measure_series(enumeration_batches, baseline, setup=lambda: clear_enumerations(*pkgs))
     for n, draws in ((4, 40), (8, 1)):
-        results |= measure_series(lambda pkg: small_batches(pkg, n, draws), baseline)
-    results |= measure_series(input_batches, baseline)
-    results |= measure_series(big_solve_batches, baseline, repeat=COLD_REPEAT, setup=gc.collect)
+        results |= measure_series(partial(small_batches, n, draws), baseline)
+    results |= measure_series(partial(input_batches, input_data()), baseline)
+    big_edges = {family: list(make().edges()) for family, make in BIG_SOLVES.items()}
+    results |= measure_series(partial(big_solve_batches, big_edges), baseline)
     for pkg, prefix in zip(pkgs, ("", "baseline.")):
-        for family, edges in big_edges().items():
+        for family, edges in big_edges.items():
             results[f"{prefix}solve.cold.{family}{BIG}"]["graph_kb"] = graph_kb(pkg, edges)
+    del big_edges
     results |= measure_series(oracle_batches, baseline)
-
-    cands = enumeration_candidates(8)
-    results.update(fastest({
-        "is_outerplanar.candidates.n2-8": (lambda: [is_outerplanar(g) for g in cands], len(cands)),
-    }))
-    results.update(fastest({
-        f"is_outerplanar.fan{n}": (lambda g=fan(n): is_outerplanar(g), 1) for n in (1000, 4000)
-    }))
-
-    for family, (_, sizes) in FIRST_SOLVES.items():
-        passes = cold_passes(family)
-        for short in (False, True):
-            todo = {n: k for n, k in passes.items() if (k > 1) == short}
-            if todo:
-                results |= measure_series(
-                    lambda pkg: cold_batches(pkg, family, todo), baseline,
-                    repeat=COLD_REPEAT * (COLD_SHORT_FACTOR if short else 1), setup=gc.collect)
-        one = dict.fromkeys(sizes, 1)
-        for pkg, prefix in zip(pkgs, ("", "baseline.")):
-            for name, (batch, _) in cold_batches(pkg, family, one).items():
-                if not name.endswith(".gc_off"):
-                    results[prefix + name]["tracemalloc_peak_kb"] = traced_peak_kb(batch, gc.collect)
-
-    warm = {}
-    for family, (make, sizes) in WARM_SOLVES.items():
-        for n in sizes:
-            g = make(n)
-            lists = ListAssignment([range(1, g.degree(v) + 3) for v in range(n)])
-            solve(g, lists)  # fills the structure cache
-            warm[f"solve.warm.{family}{n}"] = (lambda g=g, lists=lists: solve(g, lists), 1)
-    results.update(fastest(warm))
+    results |= measure_series(outerplanar_batches, baseline)
+    results |= measure_series(cold_batches, baseline)
+    for pkg, prefix in zip(pkgs, ("", "baseline.")):
+        for name, (batch, _) in cold_batches(pkg).items():
+            if not name.endswith(".gc_off"):
+                results[prefix + name]["tracemalloc_peak_kb"] = traced_peak_kb(batch)
+    results |= measure_series(warm_batches, baseline)
     return results
 
 
@@ -563,17 +535,16 @@ def ratios(results):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default=str(ROOT / "BENCH_19.json"))
-    ap.add_argument("--baseline", metavar="SRC",
-                    help="src/ of a checkout to compare the warm solves, ear search, enumerations, input path, "
-                         "cold solves, oracle and first-solve structure passes with")
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--baseline", metavar="SRC", help="src/ of a checkout to compare every series with")
     args = ap.parse_args(argv)
     timings = measure(None if args.baseline is None else load_package(args.baseline))
     doc = {
         "script": "tools/bench_layers.py",
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "repeat": REPEAT,
+        "round_budget_s": ROUND_BUDGET_S,
+        "rounds_min_max": [MIN_ROUNDS, MAX_ROUNDS],
         "seed": SEED,
         "timings": timings,
         "ratios": ratios(timings),
