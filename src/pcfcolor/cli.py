@@ -145,11 +145,12 @@ def _instance_doc(inst: families.NamedInstance) -> dict:
 
 def cmd_gen(args) -> tuple[int, dict]:
     if args.family == "cycle":
-        g = cycle_graph(args.length)
-        if args.length == 5 and args.hard_lists:
+        if args.hard_lists:
+            if args.length != 5:
+                raise ValueError("hard lists require length 5")
             return EXIT_SAT, _instance_doc(families.c5_uniform())
         doc = {"status": "ok", "name": f"cycle-{args.length}"}
-        doc.update(_graph_doc(g))
+        doc.update(_graph_doc(cycle_graph(args.length)))
         return EXIT_SAT, doc
     if args.family == "theta":
         a, b, c = args.lengths

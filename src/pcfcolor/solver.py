@@ -18,16 +18,17 @@ graph-only pass is cached per graph up to `STRUCTURE_CACHE_MAX_N`
 vertices; a repeated graph pays only for the list work: list-size
 screens, color reservations, the coloring pass and the final
 verification.  The graph-only pass makes one block decomposition and
-embeds each block once, in the screen, then peels over a block tree and
-outer cycles kept up to date in place; each step works in host ids, in
-time linear in its end block.  So a graph's first solve takes time
-linear in the number of vertices, apart from the work inside one large
-block, which is quadratic in that block (a fan or a strip
-triangulation).  The coloring pass takes time linear in each step, plus
-one `unique_colors` walk of the step's anchor adjacency, so it is
-quadratic on a high-degree anchor (the hub of a fan).  The only true
-obstruction among connected outerplanar inputs is the 5-cycle whose
-five lists are one identical 4-set.
+embeds each block once, in the screen, then peels over a block tree kept
+up to date in place, each block with its outer cycle and neighbor sets;
+a step works in host ids, in time linear in its end block (`structure`
+says what it redoes).  So a graph's first solve takes time linear in the
+number of vertices, apart from the work inside one large block, which is
+quadratic in that block (a fan, a strip triangulation or a sun).  The
+coloring pass takes time linear in each step, plus one `unique_colors`
+walk of the step's anchor adjacency, so it is quadratic on a high-degree
+anchor (the hub of a fan).  The only true obstruction among connected
+outerplanar inputs is the 5-cycle whose five lists are one identical
+4-set.
 
 Colors are chosen by minimum value at every free choice, so the output is
 deterministic.  A `SolveResult` carries either a verified coloring or an
@@ -146,6 +147,8 @@ def trim_lists(g: Graph, lists, k: int = 2) -> ListAssignment:
     share the same 4 smallest colors becomes the uniform obstruction after
     trimming.
     """
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     la = lists if isinstance(lists, ListAssignment) else ListAssignment(lists)
     if len(la) != g.n:
         raise ValueError(f"graph has {g.n} vertices but {len(la)} lists given")
@@ -210,14 +213,8 @@ def color_cycle(lists) -> "list[int] | Obstruction":
     else:
         # some neighboring pair has a list difference; rotate so it spans
         # the wrap-around edge, then color the path between greedily
-        found = None
-        for i in range(ell):
-            for step in (1, -1):
-                if ls[i] - ls[(i + step) % ell]:
-                    found = (i, step)
-                    break
-            if found:
-                break
+        pairs = ((i, step) for i in range(ell) for step in (1, -1) if ls[i] - ls[(i + step) % ell])
+        found = next(pairs, None)
         if found is None:
             raise SolverInternalError("unequal lists with no adjacent difference")
         i0, step = found

@@ -5,10 +5,8 @@ Four layers, each feeding the next:
 1. block/cut decomposition (any connected graph), by one iterative Tarjan
    depth-first search;
 2. outer cycles of 2-connected blocks, found once, by the outerplanarity
-   test: degree-2 vertices are eliminated from a worklist, put back into a
-   doubly linked cycle, and one stack pass over the cycle checks that the
-   chords nest (Mitchell 1979, "Linear algorithms to recognize outerplanar
-   and maximal outerplanar graphs");
+   test (Mitchell 1979, "Linear algorithms to recognize outerplanar and
+   maximal outerplanar graphs"; see `outer_embedding`);
 3. the unavoidable substructures of 2-connected non-cycle outerplanar
    graphs: an *ear* (a cycle hanging off one chord, interior degrees 2) or
    an *ear chain* (ears whose root edges form a path v_1..v_s closed by the
@@ -19,11 +17,12 @@ Four layers, each feeding the next:
    outerplanarity, then end blocks are cut one at a time, each at its
    anchor and by its inductive case; `classify_end_block` is its first step.
 
-Each call of layers 1-3 works in time linear in its input, up to sorting
-blocks and chords; each step of the peel, in time linear in its end
-block.  The search in `find_good_ear_or_chain` follows a constructive
-existence proof, so every branch ends in an assertion rather than a failure
-path; a `StructureError` here means a bug, not an unlucky input.
+Layers 1-3 take time linear in their input, up to sorting blocks and
+chords.  The peel keeps each block's neighbor sets, shrunk in place, and
+its outer cycle, but a step still redoes the vertex tuple and heap key,
+the cycle filter, the embedding's normalization and the ear search, in
+time linear in the block.  The ear search follows a constructive proof:
+every branch ends in an assertion, and a `StructureError` is a bug.
 """
 
 from __future__ import annotations
@@ -229,19 +228,19 @@ def outer_embedding(block: Graph) -> "OuterEmbedding | None":
     the smaller neighbor of 0.
     """
     cycle = _outer_cycle({v: block[v] for v in block.vertices()})
-    return None if cycle is None else _embedding(cycle, block.edges())
+    return None if cycle is None else _embedding(cycle, block)
 
 
-def _embedding(cycle: list[int], edges) -> OuterEmbedding:
+def _embedding(cycle: list[int], adj) -> OuterEmbedding:
     """`cycle` from its smallest vertex toward that vertex's smaller
-    neighbor, with the block's chords (normalized, sorted) from `edges`."""
+    neighbor, with the chords (normalized, sorted) of the graph `adj`."""
     n = len(cycle)
     i0 = cycle.index(min(cycle))
     cyc = cycle[i0:] + cycle[:i0]
     if cyc[1] > cyc[-1]:
         cyc = [cyc[0]] + cyc[:0:-1]
-    pos = {v: i for i, v in enumerate(cyc)}
-    chords = sorted(normalize_edge(u, v) for u, v in edges if (pos[u] - pos[v]) % n not in (1, n - 1))
+    chords = sorted((u, v) for i, u in enumerate(cyc) if len(adj[u]) > 2
+                    for v in adj[u] - {cyc[i - 1], cyc[(i + 1) % n]} if u < v)
     return OuterEmbedding(tuple(cyc), tuple(chords))
 
 
@@ -251,8 +250,7 @@ def is_outerplanar(g: Graph) -> bool:
     An outerplanar graph on n >= 2 vertices has at most 2n - 3 edges, so a
     denser graph is rejected before any block is looked at.  Otherwise one
     Tarjan search over all components yields the blocks, each tested on its
-    own edges: a bridge, or a cycle (as many edges as vertices), passes at
-    once.
+    own edges by `_block_embeds`.
     """
     n = g.n
     if n >= 2 and g.m > 2 * n - 3:
@@ -265,13 +263,19 @@ def _block_embeds(edges) -> "list[int] | tuple[()] | None":
     for a bridge or a cycle (as many edges as vertices), passed at once."""
     if len(edges) == 1:
         return ()
+    adj = _adjacency(edges)
+    if len(edges) == len(adj):
+        return ()
+    return _outer_cycle(adj) if len(edges) <= 2 * len(adj) - 3 else None
+
+
+def _adjacency(edges) -> dict[int, set[int]]:
+    """The neighbor sets (vertex -> set) of the graph these edges form."""
     adj: dict[int, set[int]] = {}
     for u, v in edges:
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
-    if len(edges) == len(adj):
-        return ()
-    return _outer_cycle(adj) if len(edges) <= 2 * len(adj) - 3 else None
+    return adj
 
 
 # -- ears and ear chains ------------------------------------------------------
@@ -315,13 +319,10 @@ class EarChain:
 
 
 def _check_ear(b, ear: Ear) -> None:
-    u1, ur = ear.root
-    if ur not in b[u1]:
-        raise StructureError(f"ear root {ear.root} is not an edge")
-    path = ear.vertices()
-    for i in range(len(path) - 1):
-        if path[i + 1] not in b[path[i]]:
-            raise StructureError(f"ear path breaks at {path[i]}-{path[i + 1]}")
+    cycle = ear.vertices()
+    for i in range(len(cycle)):  # i = 0 checks the root edge
+        if cycle[i - 1] not in b[cycle[i]]:
+            raise StructureError(f"ear cycle breaks at {cycle[i - 1]}-{cycle[i]}")
     for w in ear.interior:
         if len(b[w]) != 2:
             raise StructureError(f"ear interior vertex {w} has degree {len(b[w])}")
@@ -352,8 +353,7 @@ def ear_is_good(b, ear: Ear, x: int) -> bool:
 
 
 def chain_is_good(b, chain: EarChain, x: int) -> bool:
-    ends = {chain.spine[0], chain.spine[-1]}
-    return all(v in ends for v in chain.vertices() if v == x)
+    return x in (chain.spine[0], chain.spine[-1]) or x not in chain.vertices()
 
 
 def _arc(order: tuple[int, ...], p: int, step: int, length: int) -> list[int]:
@@ -519,8 +519,7 @@ def _ear_at_free_endpoint(b, x, adj, ears_by_edge, banned) -> Ear:
                     candidates.append(oriented)
     if not candidates:
         raise StructureError("no good ear at any free endpoint")
-    candidates.sort(key=lambda e: (tuple(sorted(e.root)), len(e.interior), e.interior))
-    return candidates[0]
+    return min(candidates, key=lambda e: (tuple(sorted(e.root)), len(e.interior), e.interior))
 
 
 # -- end-block classification --------------------------------------------------
@@ -576,29 +575,21 @@ def classify_end_block(g: Graph) -> EndBlockCase:
     return plan[0] if plan else EndBlockCase(KIND_CYCLE, rest[0], cycle_order=rest)
 
 
-def classify_block(block: tuple[int, ...], edges, cycle, anchor: int) -> EndBlockCase:
-    """The inductive case of one end block peeled at `anchor`.
+def classify_block(b, cycle, anchor: int) -> EndBlockCase:
+    """The inductive case of one 2-connected end block peeled at `anchor`.
 
-    `block` lists the block's vertices sorted, `edges` its edges and
-    `cycle` its outer cycle (from any vertex, either way round), all in
-    host ids; an empty `cycle` is found here.  Works in time linear in the
-    block: the ear search reads the block as a dict of neighbor sets, and
-    every tie-break follows the order of the ids, not their values, so
-    the case comes out in host ids with no renaming.
+    `b` maps each vertex of the block to its neighbor set and `cycle` is
+    its outer cycle (from any vertex, either way round), both in host ids;
+    an empty `cycle` is found here.  Works in time linear in the block:
+    every tie-break follows the order of the ids, not their values, so the
+    case comes out in host ids with no renaming.
     """
-    if len(block) == 2:
-        return EndBlockCase(KIND_K2, anchor, pendant=block[0] if block[1] == anchor else block[1])
-
-    b: dict[int, set[int]] = {v: set() for v in block}
-    for u, v in edges:
-        b[u].add(v)
-        b[v].add(u)
     cycle = cycle or _outer_cycle(b)
     if cycle is None:
         raise StructureError("end block is not outerplanar")
-    emb = _embedding(cycle, edges)
+    emb = _embedding(cycle, b)
 
-    if len(edges) == len(block):  # 2-regular: the block is a cycle
+    if not emb.chords:  # the block is a cycle
         i = emb.order.index(anchor)
         return EndBlockCase(KIND_CYCLE, anchor, cycle_order=emb.order[i:] + emb.order[:i])
 
@@ -629,18 +620,18 @@ def peel(g: Graph) -> "tuple[str | None, tuple[EndBlockCase, ...], tuple[int, ..
 
     One Tarjan search from vertex 0 screens connectivity and yields the
     blocks; the graph is outerplanar iff m <= 2n - 3 and every block
-    embeds.  The peel runs over a block tree kept up to date in place,
-    with each block's edge list and outer cycle.  The end block peeled next
-    is the one `BlockDecomposition.end_blocks()` lists first, by the key
-    (smallest vertex, size, vertex tuple); end blocks wait in a heap under
-    that key, and an entry whose block has since changed or gone is
-    skipped.  The anchor is the block's one cut vertex, or its smallest
-    vertex once it is the only block left; no step removes its anchor.  A
-    pendant or cycle step deletes its block, which can only turn the anchor
-    from a cut vertex into an inner vertex of its one other block; an ear
-    or chain step removes vertices of no other block and leaves the rest of
-    its block 2-connected, so only that block's key changes.  Each step
-    costs time linear in its block.
+    embeds.  The peel runs over a block tree kept up to date in place, with
+    each block's outer cycle and, once a step cuts into it, its neighbor
+    sets.  The end block peeled next is the one
+    `BlockDecomposition.end_blocks()` lists first, by the key (smallest
+    vertex, size, vertex tuple); end blocks wait in a heap under that key,
+    and an entry whose block has since changed or gone is skipped.  The
+    anchor is the block's one cut vertex, or its smallest vertex once it is
+    the only block left; no step removes its anchor.  A pendant or cycle
+    step deletes its block, which can only turn the anchor from a cut
+    vertex into an inner vertex of its one other block; an ear or chain
+    step removes vertices of no other block and leaves the rest of its
+    block 2-connected, so only that block's key changes.
     """
     n = g.n
     disc = [-1] * n
@@ -665,6 +656,7 @@ def peel(g: Graph) -> "tuple[str | None, tuple[EndBlockCase, ...], tuple[int, ..
                 ncut[i] += 1
     heap = [(block[0], len(block), block, i) for i, block in enumerate(verts) if ncut[i] <= 1]
     heapify(heap)
+    adjs: "list[dict[int, set[int]] | None]" = [None] * len(verts)  # neighbor sets, from the first cut
     gone = bytearray(n)
     left = n
     plan = []
@@ -673,16 +665,21 @@ def peel(g: Graph) -> "tuple[str | None, tuple[EndBlockCase, ...], tuple[int, ..
         if verts[i] is not block:
             continue  # the block has shrunk or gone since this entry
         anchor = next((v for v in block if count[v] > 1), block[0])
-        case = classify_block(block, edges[i], cycles[i], anchor)
-        if case.kind == KIND_CYCLE and len(block) == left:
-            return None, tuple(plan), case.cycle_order
+        if len(block) == 2:
+            case = EndBlockCase(KIND_K2, anchor, pendant=block[0] if block[1] == anchor else block[1])
+        else:
+            if adjs[i] is None:  # the first cut into this block
+                adjs[i], edges[i] = _adjacency(edges[i]), None
+            case = classify_block(adjs[i], cycles[i], anchor)
+            if case.kind == KIND_CYCLE and len(block) == left:
+                return None, tuple(plan), case.cycle_order
         plan.append(case)
         cut = case.removed()
         left -= len(cut)
         for v in cut:
             gone[v] = 1
         if case.kind in (KIND_K2, KIND_CYCLE):
-            verts[i] = None
+            verts[i] = edges[i] = cycles[i] = adjs[i] = None
             count[anchor] -= 1
             if count[anchor] == 1:
                 j = next(j for j in at[anchor] if verts[j] is not None)
@@ -691,7 +688,10 @@ def peel(g: Graph) -> "tuple[str | None, tuple[EndBlockCase, ...], tuple[int, ..
                     heappush(heap, (verts[j][0], len(verts[j]), verts[j], j))
         else:
             verts[i] = block = tuple(v for v in block if not gone[v])
-            edges[i] = [e for e in edges[i] if not (gone[e[0]] or gone[e[1]])]
+            for v in cut:  # shrink the neighbor sets by what went
+                for w in adjs[i].pop(v):
+                    if not gone[w]:
+                        adjs[i][w].discard(v)
             cycles[i] = [v for v in cycles[i] if not gone[v]]  # the smaller block's outer cycle
             heappush(heap, (block[0], len(block), block, i))
     return None, tuple(plan), tuple(v for v in range(n) if not gone[v])

@@ -265,6 +265,8 @@ def test_gen_rejects_bad_params(run):
     assert code == 2
     code, doc = run("gen", "cycle", "2")
     assert code == 2
+    code, doc = run("gen", "cycle", "6", "--hard-lists")
+    assert code == 2 and doc["status"] == "error"
 
 
 def test_gen_gadget(run):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,7 @@ from pcfcolor.solver import (
     trace_to_json_lines,
     trim_lists,
 )
-from test_structure import fan, flower, zigzag_triangulation
+from test_structure import fan, flower, sun, zigzag_triangulation
 
 
 def cyc_ok(colors, lists=None):
@@ -368,6 +369,8 @@ def test_trim_lists_caps_at_degree_plus_two():
     trimmed = trim_lists(g, la)
     assert trimmed.sizes() == (3, 4, 3)
     solved_ok(g, trimmed)
+    with pytest.raises(ValueError):
+        trim_lists(g, ListAssignment([range(1, 6)] * 3), -2)
 
 
 # -- cross-checks, traces, determinism -------------------------------------------
@@ -461,10 +464,14 @@ def test_large_single_blocks_solve():
 
 def test_a_first_solve_embeds_each_block_once(monkeypatch):
     # the outer cycle the outerplanarity screen finds is kept through the
-    # peel: no block is built as a Graph or embedded again
-    for g in (fan(200), zigzag_triangulation(200), flower(3, 4, 2)):
-        blocks = sum(len(b) >= 3 for b in structure.block_decomposition(g).blocks)
+    # peel: no block is built as a Graph or embedded again, and a block's
+    # neighbor sets are built once by the screen and once by the peel's
+    # first cut into it, never again per step
+    for g in (fan(200), zigzag_triangulation(200), flower(3, 4, 2), sun(100)):
+        blocks = {frozenset(b) for b in structure.block_decomposition(g).blocks if len(b) >= 3}
         calls = {"_outer_cycle": 0, "outer_embedding": 0, "Graph": 0}
+        built = Counter()  # vertex set -> neighbor-set maps built for it
+        handed = []  # edges handed to _adjacency, per call
 
         def counted(name, f):
             def call(*args, **kwargs):
@@ -472,14 +479,23 @@ def test_a_first_solve_embeds_each_block_once(monkeypatch):
                 return f(*args, **kwargs)
             return call
 
+        def adjacency(edges, f=structure._adjacency):
+            handed.append(len(edges))
+            adj = f(edges)
+            built[frozenset(adj)] += 1
+            return adj
+
         with monkeypatch.context() as m:
             m.setattr(structure, "_outer_cycle", counted("_outer_cycle", structure._outer_cycle))
             m.setattr(structure, "outer_embedding", counted("outer_embedding", structure.outer_embedding))
+            m.setattr(structure, "_adjacency", adjacency)
             m.setattr(Graph, "__init__", counted("Graph", Graph.__init__))
             screened, plan, _ = solver._structure_pass(g)
         assert screened is None and plan
         assert calls["Graph"] == 0 and calls["outer_embedding"] == 0, calls
-        assert calls["_outer_cycle"] <= blocks, calls
+        assert calls["_outer_cycle"] <= len(blocks), calls
+        assert set(built) <= blocks and max(built.values()) <= 2, built
+        assert sum(handed) <= 4 * g.m, handed
 
 
 def test_solve_is_deterministic():

@@ -75,6 +75,14 @@ def zigzag_triangulation(n):
     return Graph(n, rim | zig)
 
 
+def sun(k):
+    """The k-gon 0..k-1 with a triangle on every other side: vertex k + i // 2
+    is joined to i and i + 1 for each even i < k - 1."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(v, k + i // 2) for i in range(0, k - 1, 2) for v in (i, i + 1)]
+    return Graph(k + k // 2, edges)
+
+
 # -- blocks -------------------------------------------------------------------
 
 

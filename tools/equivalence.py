@@ -9,9 +9,11 @@ Runs, instance by instance, and hashes what the package returns:
   `trace_to_json_lines(trace)`;
 - the graph-only pass, `repr(solver._structure_pass(g))`, on
   `random_outerplanar(n, seed)` and `random_cactus(n, seed)` for
-  n = 10, 20, ..., 160 and seeds 0..39, and on fans (vertex 0 joined to
-  the path 1..n-1) and strips (edges i,i+1 and i,i+2) for every n from 5
-  to 150.
+  n = 10, 20, ..., 160 and seeds 0..39, on fans (vertex 0 joined to the
+  path 1..n-1) and strips (edges i,i+1 and i,i+2) for every n from 5 to
+  150, and on suns (a k-gon with a triangle on every other side, the one
+  large-block shape whose every step takes the ear at a free endpoint)
+  for every k from 4 to 100.
 
 Each package builds its own instances, with its own enumerator, list
 generator and `Graph`.  The tool prints one combined sha256 over all
@@ -41,6 +43,15 @@ TRIALS = 200
 RANDOM_SIZES = range(10, 161, 10)
 RANDOM_SEEDS = range(40)
 SHAPE_SIZES = range(5, 151)
+SUN_SIZES = range(4, 101)
+
+
+def sun(k):
+    """The k-gon 0..k-1 with a triangle on every other side: vertex k + i // 2
+    is joined to i and i + 1 for each even i < k - 1."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(v, k + i // 2) for i in range(0, k - 1, 2) for v in (i, i + 1)]
+    return k + k // 2, edges
 
 
 def records(pkg):
@@ -63,6 +74,8 @@ def records(pkg):
         for n in SHAPE_SIZES:
             g = pkg.graphs.Graph(n, make(n).edges())
             yield f"structure: {name}({n})", repr(solver._structure_pass(g))
+    for k in SUN_SIZES:
+        yield f"structure: sun({k})", repr(solver._structure_pass(pkg.graphs.Graph(*sun(k))))
 
 
 def main(argv=None):
