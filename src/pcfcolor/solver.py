@@ -12,14 +12,15 @@ the case of each end block in turn until at most 3 vertices or a whole
 cycle remain; the coloring pass colors that base and then walks the
 recorded cases backwards over the host graph, filling one coloring
 through `_Pass.put`, its only write, and recording each step through
-`_Pass.close`.  So `solve` has no recursion-depth limit.  Which end
-block is peeled, and which case fires, depend on the graph alone, so the
-graph-only pass is cached per graph up to `STRUCTURE_CACHE_MAX_N`
-vertices; a repeated graph pays only for the list work: list-size
-screens, color reservations, the coloring pass and the final
-verification.  The graph-only pass makes one block decomposition and
-embeds each block once, in the screen, then peels over a block tree kept
-up to date in place, each block with its outer cycle and neighbor sets;
+`_Pass.close` as a flat record.  So `solve` has no recursion-depth
+limit.  Which end block is peeled, and which case fires, depend on the
+graph alone, so the graph-only pass is cached per graph up to
+`STRUCTURE_CACHE_MAX_N` vertices; a repeated graph pays only for the
+list work: list-size screens, color reservations, the coloring pass and
+the final verification.  The graph-only pass makes one block
+decomposition and embeds each block once, in the screen, then peels over
+a block tree kept up to date in place, each block with its outer cycle
+and neighbor sets;
 a step works in host ids, in time linear in its end block (`structure`
 says what it redoes).  So a graph's first solve takes time linear in the
 number of vertices, apart from the work inside one large block, which is
@@ -33,6 +34,8 @@ outerplanar inputs is the 5-cycle whose five lists are one identical
 Colors are chosen by minimum value at every free choice, so the output is
 deterministic.  A `SolveResult` carries either a verified coloring or an
 `Obstruction`, plus a trace of case steps that replays to the coloring.
+The trace's `TraceStep`s are built on its first read, so a caller that
+never reads it pays only for the flat records.
 
 `color_cycle`, `color_constrained_path` and `extend_ear` are the reusable
 pieces of the induction and are exposed for direct use; each enforces its
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import kernel  # kernel.unique_colors is looked up at call time, where the benchmark hooks it
 from .graphs import Graph, cycle_graph, path_graph
@@ -91,13 +94,21 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A coloring or an obstruction, and the trace of the case steps: the
+    pass's flat `(case, removed, colors)` records, built into `TraceStep`s
+    on the first read of `trace` and kept.  An obstruction has no steps."""
+
     coloring: "Coloring | None"
     obstruction: "Obstruction | None"
-    trace: tuple[TraceStep, ...]
+    _steps: tuple = ()
 
     @property
     def ok(self) -> bool:
         return self.coloring is not None
+
+    @cached_property
+    def trace(self) -> tuple[TraceStep, ...]:
+        return tuple(TraceStep(*step) for step in self._steps)
 
 
 class SolverInternalError(Exception):
@@ -322,8 +333,10 @@ def extend_ear(host: Graph, colors, ear_vertices, lists) -> Coloring:
 
 class _Pass:
     """One coloring pass over the host graph: `put` is its only write into
-    `colors`, `close` records the colors put since the last one as a trace
-    step, and `fail` builds every error with the steps closed so far."""
+    `colors`, `close` records the colors put since the last one as a flat
+    `(case, removed, colors)` step, and `fail` builds every error with the
+    steps closed so far, as `TraceStep`s.  `pick` and `unique` format their
+    error text only when they raise."""
 
     __slots__ = ("g", "lists", "colors", "trace", "step")
 
@@ -331,7 +344,7 @@ class _Pass:
         self.g = g
         self.lists = lists
         self.colors = colors
-        self.trace: list[TraceStep] = []
+        self.trace: list[tuple] = []
         self.step: dict[int, int] = {}
 
     def put(self, v: int, c: int) -> None:
@@ -341,25 +354,26 @@ class _Pass:
         self.step[v] = c
 
     def close(self, tag: str, removed: tuple) -> None:
-        self.trace.append(TraceStep(tag, removed, self.step))
+        self.trace.append((tag, removed, self.step))
         self.step = {}
 
-    def pick(self, pool: frozenset, forbidden, what: str) -> int:
-        """The smallest color of `pool` not in `forbidden`."""
+    def pick(self, pool: frozenset, forbidden, what: str, v: "int | None" = None) -> int:
+        """The smallest color of `pool` not in `forbidden`, for `what`, or
+        for `what` at vertex `v`."""
         avail = pool - forbidden
         if not avail:
-            raise self.fail(f"no color available for {what}")
+            raise self.fail(f"no color available for {what}" + ("" if v is None else f" {v}"))
         return min(avail)
 
     def unique(self, v: int, what: str) -> int:
-        """The smallest color seen exactly once around `v`."""
+        """The smallest color seen exactly once around `v`, the `what`."""
         kept = kernel.unique_colors(self.g, self.colors, v)
         if not kept:
-            raise self.fail(f"no unique neighborhood color at {what}")
+            raise self.fail(f"no unique neighborhood color at {what} {v}")
         return min(kept)
 
     def fail(self, message: str) -> SolverInternalError:
-        return SolverInternalError(message, self.trace)
+        return SolverInternalError(message, [TraceStep(*step) for step in self.trace])
 
 
 def _extend_ear(p: _Pass, seq, tag: str, removed: tuple) -> None:
@@ -385,7 +399,7 @@ def _extend_ear(p: _Pass, seq, tag: str, removed: tuple) -> None:
             forb = {colors[seq[i - 2]], colors[seq[i - 3]]}
         if i >= r - 2:
             forb.add(cr)
-        p.put(v, p.pick(p.lists[v], forb, f"ear vertex {v}"))
+        p.put(v, p.pick(p.lists[v], forb, "ear vertex", v))
     p.close(tag, removed)
 
 
@@ -401,36 +415,27 @@ def solve(g: Graph, lists) -> SolveResult:
     Everything else returns a coloring, verified before it is returned.
     """
     la = lists if isinstance(lists, ListAssignment) else ListAssignment(lists)
-    if len(la) != g.n:
-        raise ValueError(f"graph has {g.n} vertices but {len(la)} lists given")
-    if g.n == 0:
-        return SolveResult([], None, ())
-    structure = _structure if g.n <= STRUCTURE_CACHE_MAX_N else _structure_pass
+    n, ls, degree = g.n, la.lists, g.degree
+    if len(ls) != n:
+        raise ValueError(f"graph has {n} vertices but {len(ls)} lists given")
+    if n == 0:
+        return SolveResult([], None)
+    structure = _structure if n <= STRUCTURE_CACHE_MAX_N else _structure_pass
     screened, plan, rest = structure(g)
     if screened is not None:
-        return SolveResult(None, screened, ())
-    for v in range(g.n):
-        if len(la[v]) < g.degree(v) + 2:
-            return SolveResult(
-                None,
-                Obstruction(
-                    REASON_LIST_TOO_SMALL,
-                    f"vertex {v} has {len(la[v])} colors for degree {g.degree(v)}",
-                ),
-                (),
-            )
-    if g.n == 5 and all(g.degree(v) == 2 for v in range(5)):
-        if len(la[0]) == 4 and all(la[v] == la[0] for v in range(5)):
-            return SolveResult(
-                None,
-                Obstruction(
-                    REASON_C5_UNIFORM,
-                    "5-cycle whose lists are all the same 4-element set",
-                ),
-                (),
-            )
+        return SolveResult(None, screened)
+    for v in range(n):
+        if len(ls[v]) < degree(v) + 2:
+            return SolveResult(None, Obstruction(
+                REASON_LIST_TOO_SMALL, f"vertex {v} has {len(ls[v])} colors for degree {degree(v)}"
+            ))
+    if n == 5 and all(degree(v) == 2 for v in range(5)):
+        if len(ls[0]) == 4 and all(x == ls[0] for x in ls):
+            return SolveResult(None, Obstruction(
+                REASON_C5_UNIFORM, "5-cycle whose lists are all the same 4-element set"
+            ))
 
-    work = list(la)
+    work = list(ls)
     for case in plan:
         chain = case.chain
         if chain is not None and len(chain.spine) == 3 and chain.ears[-1].size() == 4:
@@ -444,7 +449,7 @@ def solve(g: Graph, lists) -> SolveResult:
             gamma = min(t2 - t3) if t2 - t3 else min(t2)
             for v in (chain.spine[0], chain.spine[-1]):
                 work[v] = work[v] - {gamma}
-    p = _Pass(g, work, [None] * g.n)
+    p = _Pass(g, work, [None] * n)
     if len(rest) <= 3:
         _color_trivial(p, rest)
     else:
@@ -484,21 +489,15 @@ _structure = lru_cache(maxsize=4096)(_structure_pass)
 
 
 def _color_trivial(p: _Pass, rest) -> None:
-    # rainbow within radius 2 of the remaining vertices: trivially proper
-    # and conflict-free; peeled vertices are not walked through
-    g, colors = p.g, p.colors
-    inside = set(rest)
+    # a rainbow over the remaining vertices: trivially proper and
+    # conflict-free.  They induce a connected graph of at most 3 vertices,
+    # so any two are within distance 2 of each other, and they are colored
+    # first, so no other vertex within distance 2 has a color yet
+    used = set()
     for v in rest:
-        forb = set()
-        for w in g.neighbors(v):
-            if w not in inside:
-                continue
-            if colors[w] is not None:
-                forb.add(colors[w])
-            for z in g.neighbors(w):
-                if colors[z] is not None:
-                    forb.add(colors[z])
-        p.put(v, p.pick(p.lists[v], forb, f"vertex {v}"))
+        c = p.pick(p.lists[v], used, "vertex", v)
+        p.put(v, c)
+        used.add(c)
     p.close("Trivial", tuple(rest))
 
 
@@ -514,8 +513,8 @@ def _color_whole_cycle(p: _Pass, order) -> None:
 
 def _step_pendant(p: _Pass, case) -> None:
     v, x = case.pendant, case.anchor
-    alpha = p.unique(x, f"anchor {x}")
-    p.put(v, p.pick(p.lists[v], {p.colors[x], alpha}, f"pendant {v}"))
+    alpha = p.unique(x, "anchor")
+    p.put(v, p.pick(p.lists[v], {p.colors[x], alpha}, "pendant", v))
     p.close("K2", (v,))
 
 
@@ -524,7 +523,7 @@ def _step_cycle(p: _Pass, case) -> None:
     body = case.removed()
     lists = p.lists
     c1 = p.colors[x]
-    alpha = p.unique(x, f"anchor {x}")
+    alpha = p.unique(x, "anchor")
     ell = len(case.cycle_order)
     if ell == 3:
         p0 = p.pick(lists[body[0]], {c1, alpha}, "cycle block")
@@ -567,8 +566,8 @@ def _step_long_ear(p: _Pass, case) -> None:
     c1, c2 = colors[seq[0]], colors[seq[-1]]
     if c1 == c2:
         raise p.fail("long ear root edge colored improperly")
-    alpha = p.unique(seq[0], f"root {seq[0]}")
-    beta = p.unique(seq[-1], f"root {seq[-1]}")
+    alpha = p.unique(seq[0], "root")
+    beta = p.unique(seq[-1], "root")
 
     # positions are 1-based along the ear; interiors work in their 4
     # smallest colors so that the set-difference tests below are decisive
@@ -630,8 +629,8 @@ def _step_ear_chain(p: _Pass, case) -> None:
     c1, c2 = colors[v1], colors[vs]
     if c1 == c2:
         raise p.fail("ear chain root edge colored improperly")
-    alpha = p.unique(v1, f"chain end {v1}")
-    beta = p.unique(vs, f"chain end {vs}")
+    alpha = p.unique(v1, "chain end")
+    beta = p.unique(vs, "chain end")
 
     def extend(t):
         _extend_ear(p, [spine[t], *chain.ears[t].interior, spine[t + 1]], "EarExtension", ())
@@ -706,7 +705,7 @@ def _step_ear_chain(p: _Pass, case) -> None:
         p.close("EarChain(s3H5)", removed)
         extend(0)
         # u2 and u3 wait for the first ear, whose colors fix v2's unique color
-        gmid = p.unique(v2, f"junction {v2}")
+        gmid = p.unique(v2, "junction")
         cu2 = p.pick(lists[u2], {pv2, pu4, gmid}, "chain ear")
         p.put(u2, cu2)
         p.put(u3, p.pick(tu3, {pv2, cu2, pu4}, "chain ear"))

@@ -580,13 +580,14 @@ def classify_block(b, cycle, anchor: int) -> EndBlockCase:
 
     `b` maps each vertex of the block to its neighbor set and `cycle` is
     its outer cycle (from any vertex, either way round), both in host ids;
-    an empty `cycle` is found here.  Works in time linear in the block:
-    every tie-break follows the order of the ids, not their values, so the
-    case comes out in host ids with no renaming.
+    an empty `cycle` marks a block that is a cycle (as `_block_embeds`
+    returns it), whose cycle is walked here.  Works in time linear in the
+    block: every tie-break follows the order of the ids, not their values,
+    so the case comes out in host ids with no renaming.
     """
-    cycle = cycle or _outer_cycle(b)
-    if cycle is None:
-        raise StructureError("end block is not outerplanar")
+    if not cycle:
+        first = next(iter(b))
+        cycle = _walk(b, [first, next(iter(b[first]))])
     emb = _embedding(cycle, b)
 
     if not emb.chords:  # the block is a cycle

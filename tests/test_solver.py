@@ -24,6 +24,7 @@ from pcfcolor.solver import (
     REASON_LIST_TOO_SMALL,
     REASON_NOT_OUTERPLANAR,
     SolverInternalError,
+    TraceStep,
     color_constrained_path,
     color_cycle,
     extend_ear,
@@ -422,6 +423,53 @@ def test_internal_errors_carry_the_partial_trace(monkeypatch):
     with pytest.raises(SolverInternalError, match="unique or unanimous") as exc:
         solve(g, lists)
     assert [s.case for s in exc.value.trace] == ["Trivial"]
+
+
+def test_a_failed_pick_and_a_failed_unique_keep_their_messages(monkeypatch):
+    # the path 0-1-2-3-4 colors 2, 3, 4 as its base, then the pendants 1
+    # and 0, each at the unique color of its anchor
+    g = path_graph(5)
+    lists = ListAssignment([[1, 2, 3, 4]] * 5)
+    assert [s.case for s in solve(g, lists).trace] == ["Trivial", "K2", "K2"]
+    real_init = solver._Pass.__init__
+
+    def pendant_1_gets_the_forbidden_colors(p, g, lists, colors):
+        # the anchor 2 takes 1, and its unique color is 2, the color of 3
+        real_init(p, g, [frozenset({1, 2}) if v == 1 else x for v, x in enumerate(lists)], colors)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver._Pass, "__init__", pendant_1_gets_the_forbidden_colors)
+        with pytest.raises(SolverInternalError) as exc:
+            solve(g, lists)
+    assert str(exc.value) == "no color available for pendant 1"
+    assert [s.case for s in exc.value.trace] == ["Trivial"]
+
+    monkeypatch.setattr(kernel, "unique_colors", lambda g, colors, v: set())
+    with pytest.raises(SolverInternalError) as exc:
+        solve(g, lists)
+    assert str(exc.value) == "no unique neighborhood color at anchor 2"
+    assert [s.case for s in exc.value.trace] == ["Trivial"]
+
+
+def test_the_trace_is_built_on_its_first_read(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args[0])
+        return TraceStep(*args)
+
+    monkeypatch.setattr(solver, "TraceStep", counted)
+    graphs = [g for n in range(2, 7) for g in enumerate_connected_outerplanar(n)]
+    graphs += [flower(3, 4, 2), flower(4, 5, 3), random_outerplanar(40, 2)]
+    results = [solve(g, plus2_lists(g, gi)) for gi, g in enumerate(graphs)]
+    assert all(res.ok for res in results)
+    assert built == []  # no solve whose trace goes unread builds a step
+    res = results[-1]
+    trace = res.trace
+    assert built == [s.case for s in trace] and len(trace) > 1
+    assert res.trace is trace and len(built) == len(trace)  # read again: the same tuple, not rebuilt
+    assert all(isinstance(s, TraceStep) for s in trace)
+    assert replay_trace(graphs[-1].n, trace) == res.coloring
 
 
 def test_the_coloring_pass_looks_up_unique_colors_on_the_kernel(monkeypatch):

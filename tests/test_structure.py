@@ -15,9 +15,11 @@ from conftest import (
     reference_is_outerplanar,
     reference_outer_embedding,
 )
+from pcfcolor import structure
 from pcfcolor.families import (
     enumerate_connected_outerplanar,
     enumerate_two_connected_outerplanar,
+    random_cactus,
 )
 from pcfcolor.graphs import Graph, cycle_graph, path_graph
 from pcfcolor.structure import (
@@ -520,6 +522,21 @@ def test_peel_of_the_smallest_graphs():
     assert peel(Graph(0, [])) == (None, (), ())
     assert peel(Graph(1, [])) == (None, (), (0,))
     assert peel(Graph(2, [])) == (REASON_DISCONNECTED, (), ())
+
+
+def test_a_cycle_block_is_walked_not_eliminated(monkeypatch):
+    # every block of a cactus is a bridge or a cycle: the screen passes
+    # them at once and the peel walks each cycle, so neither runs the
+    # elimination of `_outer_cycle`
+    calls = []
+    real = structure._outer_cycle
+    monkeypatch.setattr(structure, "_outer_cycle", lambda adj: calls.append(len(adj)) or real(adj))
+    for seed in range(3):
+        g = random_cactus(300, seed)
+        reason, plan, _ = peel(g)
+        assert reason is None and any(case.kind == KIND_CYCLE for case in plan)
+    assert peel(cycle_graph(7))[2] == (0, 1, 2, 3, 4, 5, 6)
+    assert calls == []
 
 
 def test_classify_matches_the_reference_on_the_corpus():

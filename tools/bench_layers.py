@@ -42,6 +42,10 @@ spend their time in, and the enumeration of the graph corpora:
 - warm `solve` (the structure cached, so only the list work and the
   coloring pass run) on paths, fans and strips of 200, 400 and 800
   vertices, with the lists {1, ..., deg(v)+2};
+- a reader of the trace: warm `solve` plus `trace_to_json_lines` of its
+  trace, on TRACED_GRAPHS `random_outerplanar` graphs of 128 vertices
+  with the lists {1, ..., deg(v)+2}, which pays for building the trace's
+  steps when the trace is built only on its first read;
 - the ear search (`find_good_ear_or_chain`, embeddings built first): the
   14,296 searches of the ear-search digest in `tests/test_structure.py`
   (every 2-connected non-cycle outerplanar graph of 4 to 10 vertices at
@@ -132,6 +136,7 @@ MIN_ROUNDS = 10
 MAX_ROUNDS = 400
 SEED = 1
 CHI_AT_8 = 12  # evenly spaced 8-vertex graphs, as in the `oracle` workload
+TRACED_GRAPHS = 8  # random_outerplanar(128, seed) for seeds SEED, SEED + 1, ...
 
 
 def instances(ns, draws=1):
@@ -323,6 +328,24 @@ def warm_batches(pkg):
     return batches
 
 
+def traced_batches(pkg):
+    """Warm `solve` by the package `pkg`, its trace read through
+    `trace_to_json_lines`, on the graphs `random_outerplanar(128, seed)`
+    with the lists {1, ..., deg(v)+2}, the structure cache filled first."""
+    inst = []
+    for seed in range(SEED, SEED + TRACED_GRAPHS):
+        g = pkg.graphs.Graph(128, random_outerplanar(128, seed).edges())
+        lists = pkg.kernel.ListAssignment(plus2_lists(g))
+        pkg.solver.solve(g, lists)  # fills the structure cache
+        inst.append((g, lists))
+
+    def batch(solve=pkg.solver.solve, lines=pkg.solver.trace_to_json_lines):
+        for g, lists in inst:
+            lines(solve(g, lists).trace)
+
+    return {"solve.warm.traced.random128": (batch, len(inst))}
+
+
 def ear_batches(pkg):
     """The ear-search batches, with graphs and embeddings built by the
     package `pkg`."""
@@ -505,6 +528,7 @@ def measure(baseline=None):
             if not name.endswith(".gc_off"):
                 results[prefix + name]["tracemalloc_peak_kb"] = traced_peak_kb(batch)
     results |= measure_series(warm_batches, baseline)
+    results |= measure_series(traced_batches, baseline)
     return results
 
 
