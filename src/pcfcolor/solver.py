@@ -20,16 +20,16 @@ list work: list-size screens, color reservations, the coloring pass and
 the final verification.  The graph-only pass makes one block
 decomposition and embeds each block once, in the screen, then peels over
 a block tree kept up to date in place, each block with its outer cycle
-and neighbor sets;
-a step works in host ids, in time linear in its end block (`structure`
-says what it redoes).  So a graph's first solve takes time linear in the
-number of vertices, apart from the work inside one large block, which is
-quadratic in that block (a fan, a strip triangulation or a sun).  The
-coloring pass takes time linear in each step, plus one `unique_colors`
-walk of the step's anchor adjacency, so it is quadratic on a high-degree
-anchor (the hub of a fan).  The only true obstruction among connected
-outerplanar inputs is the 5-cycle whose five lists are one identical
-4-set.
+and, if it has chords, its neighbor sets; a step works in host ids and
+redoes the cycle filter, the embedding's normalization and the ear
+search, in time linear in its end block.  So a graph's first solve takes
+time linear in the number of vertices, apart from the work inside one
+large block, which is quadratic in that block (a fan, a strip
+triangulation or a sun).  The coloring pass takes time linear in each
+step, plus one `unique_colors` walk of the step's anchor adjacency, so it
+is quadratic on a high-degree anchor (the hub of a fan).  The only true
+obstruction among connected outerplanar inputs is the 5-cycle whose five
+lists are one identical 4-set.
 
 Colors are chosen by minimum value at every free choice, so the output is
 deterministic.  A `SolveResult` carries either a verified coloring or an
@@ -320,12 +320,19 @@ def extend_ear(host: Graph, colors, ear_vertices, lists) -> Coloring:
     neighbor, and either some color appears exactly once around u_1 or all
     its colored neighbors agree.  The extension is proper and leaves every
     vertex of the ear except u_r with a unique neighborhood color; interior
-    lists need at least 4 colors.
+    lists need at least 4 colors.  An uncolored u_1 or u_r, or a shorter
+    interior list, raises ValueError.
     """
     seq = list(ear_vertices)
     if len(seq) < 3:
         raise ValueError("an ear has at least 3 vertices")
     ls = lists.lists if isinstance(lists, ListAssignment) else tuple(frozenset(x) for x in lists)
+    for end in (seq[0], seq[-1]):
+        if colors[end] is None:
+            raise ValueError(f"ear end {end} must be colored before extension")
+    for v in seq[1:-1]:
+        if len(ls[v]) < 4:
+            raise ValueError(f"ear vertex {v} needs 4 colors, has {len(ls[v])}")
     p = _Pass(host, ls, list(colors))
     _extend_ear(p, seq, "EarExtension", ())
     return p.colors

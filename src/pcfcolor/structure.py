@@ -18,11 +18,11 @@ Four layers, each feeding the next:
    anchor and by its inductive case; `classify_end_block` is its first step.
 
 Layers 1-3 take time linear in their input, up to sorting blocks and
-chords.  The peel keeps each block's neighbor sets, shrunk in place, and
-its outer cycle, but a step still redoes the vertex tuple and heap key,
-the cycle filter, the embedding's normalization and the ear search, in
-time linear in the block.  The ear search follows a constructive proof:
-every branch ends in an assertion, and a `StructureError` is a bug.
+chords.  The peel keeps each block's outer cycle and, for a block with
+chords, its neighbor sets, but a step still redoes the cycle filter, the
+embedding's normalization and the ear search, in time linear in the
+block.  The ear search follows a constructive proof: every branch ends
+in an assertion, and a `StructureError` is a bug.
 """
 
 from __future__ import annotations
@@ -233,14 +233,15 @@ def outer_embedding(block: Graph) -> "OuterEmbedding | None":
 
 def _embedding(cycle: list[int], adj) -> OuterEmbedding:
     """`cycle` from its smallest vertex toward that vertex's smaller
-    neighbor, with the chords (normalized, sorted) of the graph `adj`."""
+    neighbor, with the chords (normalized, sorted) of `adj`, if not None."""
     n = len(cycle)
     i0 = cycle.index(min(cycle))
     cyc = cycle[i0:] + cycle[:i0]
     if cyc[1] > cyc[-1]:
         cyc = [cyc[0]] + cyc[:0:-1]
-    chords = sorted((u, v) for i, u in enumerate(cyc) if len(adj[u]) > 2
-                    for v in adj[u] - {cyc[i - 1], cyc[(i + 1) % n]} if u < v)
+    chords = () if adj is None else sorted(
+        (u, v) for i, u in enumerate(cyc) if len(adj[u]) > 2
+        for v in adj[u] - {cyc[i - 1], cyc[(i + 1) % n]} if u < v)
     return OuterEmbedding(tuple(cyc), tuple(chords))
 
 
@@ -258,14 +259,16 @@ def is_outerplanar(g: Graph) -> bool:
     return all(_block_embeds(edges) is not None for edges in _blocks(g, range(n), [-1] * n))
 
 
-def _block_embeds(edges) -> "list[int] | tuple[()] | None":
-    """The block's outer cycle, or None if it is not outerplanar; empty
-    for a bridge or a cycle (as many edges as vertices), passed at once."""
+def _block_embeds(edges) -> "list[int] | tuple[int, int] | None":
+    """The block's outer cycle, its one vertex record in the peel (a
+    bridge's edge, a cycle's walk), or None if it is not outerplanar.  The
+    peel adds neighbor sets only to a block with chords; a step redoes the
+    cycle filter, the normalization and the ear search."""
     if len(edges) == 1:
-        return ()
+        return edges[0]
     adj = _adjacency(edges)
     if len(edges) == len(adj):
-        return ()
+        return _walk(adj, list(edges[0]))
     return _outer_cycle(adj) if len(edges) <= 2 * len(adj) - 3 else None
 
 
@@ -578,16 +581,12 @@ def classify_end_block(g: Graph) -> EndBlockCase:
 def classify_block(b, cycle, anchor: int) -> EndBlockCase:
     """The inductive case of one 2-connected end block peeled at `anchor`.
 
-    `b` maps each vertex of the block to its neighbor set and `cycle` is
-    its outer cycle (from any vertex, either way round), both in host ids;
-    an empty `cycle` marks a block that is a cycle (as `_block_embeds`
-    returns it), whose cycle is walked here.  Works in time linear in the
-    block: every tie-break follows the order of the ids, not their values,
-    so the case comes out in host ids with no renaming.
+    `cycle` is the block's outer cycle, from any vertex either way round,
+    and `b` its neighbor sets, or None if it has no chords: all the peel
+    keeps of a block, in host ids.  A call redoes the normalization, the
+    chord filter and the ear search, in time linear in the block, and its
+    tie-breaks follow the order of the ids, so it needs no renaming.
     """
-    if not cycle:
-        first = next(iter(b))
-        cycle = _walk(b, [first, next(iter(b[first]))])
     emb = _embedding(cycle, b)
 
     if not emb.chords:  # the block is a cycle
@@ -621,18 +620,19 @@ def peel(g: Graph) -> "tuple[str | None, tuple[EndBlockCase, ...], tuple[int, ..
 
     One Tarjan search from vertex 0 screens connectivity and yields the
     blocks; the graph is outerplanar iff m <= 2n - 3 and every block
-    embeds.  The peel runs over a block tree kept up to date in place, with
-    each block's outer cycle and, once a step cuts into it, its neighbor
-    sets.  The end block peeled next is the one
-    `BlockDecomposition.end_blocks()` lists first, by the key (smallest
-    vertex, size, vertex tuple); end blocks wait in a heap under that key,
-    and an entry whose block has since changed or gone is skipped.  The
-    anchor is the block's one cut vertex, or its smallest vertex once it is
-    the only block left; no step removes its anchor.  A pendant or cycle
-    step deletes its block, which can only turn the anchor from a cut
-    vertex into an inner vertex of its one other block; an ear or chain
-    step removes vertices of no other block and leaves the rest of its
-    block 2-connected, so only that block's key changes.
+    embeds.  The peel runs over a block tree kept up to date in place.  A
+    block keeps its outer cycle from `_block_embeds` and, if it has chords,
+    its neighbor sets from the first step that cuts into it; a step redoes
+    the cycle filter, the normalization and the ear search.  End blocks
+    wait in a heap, one entry each, keyed (smallest vertex, size, second
+    smallest), the order of `BlockDecomposition.end_blocks()`, as two
+    blocks share at most one vertex.  The anchor is the block's one cut
+    vertex, or its smallest vertex once it is the only block left; no step
+    removes its anchor.  A pendant or cycle step deletes its block, which
+    can only turn the anchor from a cut vertex into an inner vertex of its
+    one other block; an ear or chain step removes vertices of no other
+    block and leaves the rest of its block 2-connected, so only that
+    block's key changes.
     """
     n = g.n
     disc = [-1] * n
@@ -641,38 +641,34 @@ def peel(g: Graph) -> "tuple[str | None, tuple[EndBlockCase, ...], tuple[int, ..
         return REASON_DISCONNECTED, (), ()
     if (n >= 2 and g.m > 2 * n - 3) or None in (cycles := [_block_embeds(e) for e in edges]):
         return REASON_NOT_OUTERPLANAR, (), ()
-    verts: "list[tuple[int, ...] | None]" = [
-        tuple(sorted({v for e in block_edges for v in e})) for block_edges in edges
-    ]
     count = [0] * n  # blocks containing each vertex
-    for block in verts:
-        for v in block:
+    for cycle in cycles:
+        for v in cycle:
             count[v] += 1
     at: dict[int, list[int]] = {}  # cut vertex -> its blocks
-    ncut = [0] * len(verts)  # cut vertices in each block
-    for i, block in enumerate(verts):
-        for v in block:
+    ncut = [0] * len(cycles)  # cut vertices in each block
+    for i, cycle in enumerate(cycles):
+        for v in cycle:
             if count[v] > 1:
                 at.setdefault(v, []).append(i)
                 ncut[i] += 1
-    heap = [(block[0], len(block), block, i) for i, block in enumerate(verts) if ncut[i] <= 1]
+    heap = [_key(cycle, i) for i, cycle in enumerate(cycles) if ncut[i] <= 1]
     heapify(heap)
-    adjs: "list[dict[int, set[int]] | None]" = [None] * len(verts)  # neighbor sets, from the first cut
+    adjs: "list[dict[int, set[int]] | None]" = [None] * len(cycles)  # neighbor sets, if chords
     gone = bytearray(n)
     left = n
     plan = []
     while left > 3:
-        _, _, block, i = heappop(heap)
-        if verts[i] is not block:
-            continue  # the block has shrunk or gone since this entry
-        anchor = next((v for v in block if count[v] > 1), block[0])
-        if len(block) == 2:
-            case = EndBlockCase(KIND_K2, anchor, pendant=block[0] if block[1] == anchor else block[1])
+        first, size, _, i = heappop(heap)
+        cycle = cycles[i]
+        anchor = next((v for v in cycle if count[v] > 1), first)
+        if size == 2:
+            case = EndBlockCase(KIND_K2, anchor, pendant=cycle[0] if cycle[1] == anchor else cycle[1])
         else:
-            if adjs[i] is None:  # the first cut into this block
+            if adjs[i] is None and len(edges[i]) > size:  # the first cut into a block with chords
                 adjs[i], edges[i] = _adjacency(edges[i]), None
-            case = classify_block(adjs[i], cycles[i], anchor)
-            if case.kind == KIND_CYCLE and len(block) == left:
+            case = classify_block(adjs[i], cycle, anchor)
+            if case.kind == KIND_CYCLE and size == left:
                 return None, tuple(plan), case.cycle_order
         plan.append(case)
         cut = case.removed()
@@ -680,19 +676,23 @@ def peel(g: Graph) -> "tuple[str | None, tuple[EndBlockCase, ...], tuple[int, ..
         for v in cut:
             gone[v] = 1
         if case.kind in (KIND_K2, KIND_CYCLE):
-            verts[i] = edges[i] = cycles[i] = adjs[i] = None
+            edges[i] = cycles[i] = adjs[i] = None
             count[anchor] -= 1
             if count[anchor] == 1:
-                j = next(j for j in at[anchor] if verts[j] is not None)
+                j = next(j for j in at[anchor] if cycles[j] is not None)
                 ncut[j] -= 1
                 if ncut[j] == 1:  # it has just become an end block
-                    heappush(heap, (verts[j][0], len(verts[j]), verts[j], j))
+                    heappush(heap, _key(cycles[j], j))
         else:
-            verts[i] = block = tuple(v for v in block if not gone[v])
             for v in cut:  # shrink the neighbor sets by what went
                 for w in adjs[i].pop(v):
                     if not gone[w]:
                         adjs[i][w].discard(v)
-            cycles[i] = [v for v in cycles[i] if not gone[v]]  # the smaller block's outer cycle
-            heappush(heap, (block[0], len(block), block, i))
+            cycles[i] = cycle = [v for v in cycle if not gone[v]]  # the smaller block's outer cycle
+            heappush(heap, _key(cycle, i))
     return None, tuple(plan), tuple(v for v in range(n) if not gone[v])
+
+
+def _key(cycle, i: int) -> tuple[int, int, int, int]:  # block i's heap entry
+    first, second = sorted(cycle)[:2]
+    return first, len(cycle), second, i

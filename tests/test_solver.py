@@ -195,6 +195,18 @@ def test_extend_ear_rejects_a_colored_interior():
         extend_ear(host, [3, 1, None, 4, 2], (1, 2, 3, 4), lists)
 
 
+def test_extend_ear_rejects_an_uncolored_end_or_a_short_list():
+    # a broken precondition is the caller's error, not a solver bug
+    host = Graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    lists = ListAssignment([[2], [1], [1, 2, 3, 4], [4]])
+    with pytest.raises(ValueError, match="ear end 1 must be colored"):
+        extend_ear(host, [2, None, None, 4], (1, 2, 3), lists)
+    with pytest.raises(ValueError, match="ear end 3 must be colored"):
+        extend_ear(host, [2, 1, None, None], (1, 2, 3), lists)
+    with pytest.raises(ValueError, match="ear vertex 2 needs 4 colors, has 1"):
+        extend_ear(host, [2, 1, None, 4], (1, 2, 3), ListAssignment([[2], [1], [1], [4]]))
+
+
 # -- the full solver ------------------------------------------------------------
 
 
@@ -512,11 +524,18 @@ def test_large_single_blocks_solve():
 
 def test_a_first_solve_embeds_each_block_once(monkeypatch):
     # the outer cycle the outerplanarity screen finds is kept through the
-    # peel: no block is built as a Graph or embedded again, and a block's
-    # neighbor sets are built once by the screen and once by the peel's
-    # first cut into it, never again per step
-    for g in (fan(200), zigzag_triangulation(200), flower(3, 4, 2), sun(100)):
-        blocks = {frozenset(b) for b in structure.block_decomposition(g).blocks if len(b) >= 3}
+    # peel: no block is built as a Graph or embedded again.  The screen
+    # builds the neighbor sets of each block of three or more vertices once,
+    # and the peel builds them once more only for a block with chords, on
+    # its first cut into it, never per step; a cycle block gets none there
+    bouquet = Graph(61, [e for i in range(1, 61, 2) for e in ((0, i), (0, i + 1), (i, i + 1))])
+    for g in (fan(200), zigzag_triangulation(200), flower(3, 4, 2), sun(100),
+              random_cactus(2000, 1), bouquet):
+        blocks = {}  # vertex set -> edges, for each block of three or more vertices
+        for b in map(set, structure.block_decomposition(g).blocks):
+            if len(b) >= 3:
+                blocks[frozenset(b)] = sum(len(b & set(g.neighbors(v))) for v in b) // 2
+        chorded = {b: m for b, m in blocks.items() if m > len(b)}
         calls = {"_outer_cycle": 0, "outer_embedding": 0, "Graph": 0}
         built = Counter()  # vertex set -> neighbor-set maps built for it
         handed = []  # edges handed to _adjacency, per call
@@ -541,9 +560,9 @@ def test_a_first_solve_embeds_each_block_once(monkeypatch):
             screened, plan, _ = solver._structure_pass(g)
         assert screened is None and plan
         assert calls["Graph"] == 0 and calls["outer_embedding"] == 0, calls
-        assert calls["_outer_cycle"] <= len(blocks), calls
-        assert set(built) <= blocks and max(built.values()) <= 2, built
-        assert sum(handed) <= 4 * g.m, handed
+        assert calls["_outer_cycle"] == len(chorded), calls
+        assert built == Counter({b: 1 + (b in chorded) for b in blocks}), built
+        assert sum(handed) <= g.m + sum(chorded.values()), handed  # at most g.m without chords
 
 
 def test_solve_is_deterministic():

@@ -399,6 +399,31 @@ def test_ear_search_commutes_with_an_order_preserving_renaming():
                 assert find_good_ear_or_chain(b, renamed, ren(x)) == expected, (g.edges(), x)
 
 
+def test_ear_search_ignores_the_start_and_direction_of_the_cycle():
+    # the search reads cycle positions and the chord set only, so where
+    # `_embedding` starts the cycle, which way round it runs and the order
+    # of the chords decide none of its tie-breaks
+    rng = random.Random(20261020)
+    searches = 0
+    for n in range(4, 10):
+        for g in enumerate_two_connected_outerplanar(n):
+            if g.m == g.n:
+                continue
+            emb = outer_embedding(g)
+            variants = []
+            for order in (emb.order, emb.order[::-1]):
+                for i in range(n):
+                    chords = list(emb.chords)
+                    rng.shuffle(chords)
+                    variants.append(OuterEmbedding(order[i:] + order[:i], tuple(chords)))
+            for x in range(n):
+                found = find_good_ear_or_chain(g, emb, x)
+                for other in variants:
+                    assert find_good_ear_or_chain(g, other, x) == found, (g.edges(), other, x)
+                    searches += 1
+    assert searches == 54324
+
+
 def test_good_ear_in_chorded_cycle():
     g = Graph(6, list(cycle_graph(6).edges()) + [(0, 2)])
     emb = outer_embedding(g)

@@ -11,9 +11,13 @@ Runs, instance by instance, and hashes what the package returns:
   `random_outerplanar(n, seed)` and `random_cactus(n, seed)` for
   n = 10, 20, ..., 160 and seeds 0..39, on fans (vertex 0 joined to the
   path 1..n-1) and strips (edges i,i+1 and i,i+2) for every n from 5 to
-  150, and on suns (a k-gon with a triangle on every other side, the one
+  150, on suns (a k-gon with a triangle on every other side, the one
   large-block shape whose every step takes the ear at a free endpoint)
-  for every k from 4 to 100.
+  for every k from 4 to 100, and, for every n from 4 to 200, on the star
+  K1,n-1 (center 0) and a bouquet of at least n vertices (triangles and
+  4- to 6-cycles through vertex 0, the other labels shuffled, seeded by
+  n): shapes whose end blocks tie on smallest vertex and size, so that
+  the second smallest vertex decides the peel order.
 
 Each package builds its own instances, with its own enumerator, list
 generator and `Graph`.  The tool prints one combined sha256 over all
@@ -44,6 +48,7 @@ RANDOM_SIZES = range(10, 161, 10)
 RANDOM_SEEDS = range(40)
 SHAPE_SIZES = range(5, 151)
 SUN_SIZES = range(4, 101)
+HUB_SIZES = range(4, 201)
 
 
 def sun(k):
@@ -52,6 +57,24 @@ def sun(k):
     edges = [(i, (i + 1) % k) for i in range(k)]
     edges += [(v, k + i // 2) for i in range(0, k - 1, 2) for v in (i, i + 1)]
     return k + k // 2, edges
+
+
+def star(n):
+    """K1,n-1: vertex 0 joined to 1..n-1."""
+    return n, [(0, i) for i in range(1, n)]
+
+
+def bouquet(n):
+    """Triangles and 4- to 6-cycles through vertex 0, drawn with seed n until
+    there are at least n vertices, the labels 1, 2, ... shuffled."""
+    rng = random.Random(n)
+    cycles, size = [], 1
+    while size < n:
+        k = rng.randint(3, 6)
+        cycles.append([0, *range(size, size + k - 1)])
+        size += k - 1
+    label = [0, *rng.sample(range(1, size), size - 1)]
+    return size, [(label[c[i - 1]], label[v]) for c in cycles for i, v in enumerate(c)]
 
 
 def records(pkg):
@@ -76,6 +99,9 @@ def records(pkg):
             yield f"structure: {name}({n})", repr(solver._structure_pass(g))
     for k in SUN_SIZES:
         yield f"structure: sun({k})", repr(solver._structure_pass(pkg.graphs.Graph(*sun(k))))
+    for name, make in (("star", star), ("bouquet", bouquet)):
+        for n in HUB_SIZES:
+            yield f"structure: {name}({n})", repr(solver._structure_pass(pkg.graphs.Graph(*make(n))))
 
 
 def main(argv=None):
