@@ -108,7 +108,7 @@ def cmd_color(args) -> tuple[int, dict]:
     if res.ok:
         doc = {"status": "sat", "engine": "constructive", "coloring": res.coloring}
         if args.trace:
-            doc["trace"] = [step.to_json() for step in res.trace]
+            doc["trace"] = res.trace_json()
         return EXIT_SAT, doc
     return EXIT_UNSAT, {
         "status": "obstruction",

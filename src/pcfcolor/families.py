@@ -376,31 +376,49 @@ def enumerate_two_connected_outerplanar(n: int) -> tuple[Graph, ...]:
 
 def random_outerplanar(n: int, seed) -> Graph:
     """Seeded random connected outerplanar graph: either a tree, or a
-    polygon with random non-crossing chords and pendant trees hung on it."""
+    polygon with random non-crossing chords and pendant trees hung on it.
+
+    It builds through `Graph._trusted`, unchecked, because every edge is
+    valid by construction, as the enumerator's children are: a tree or
+    pendant edge joins a new vertex t to one below it, and a chord joins two
+    polygon vertices at least two apart and is kept only if it is new.  So
+    no edge is a loop or a repeat, and once each polygon vertex's cycle and
+    chord neighbors are sorted, every list stays sorted: a vertex's parent
+    comes first and its children, all above it, come in the order they are
+    made."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     if n < 1:
         raise ValueError("need at least one vertex")
     if n <= 2:
-        return Graph(n, [(0, 1)] if n == 2 else [])
+        return Graph._trusted(n, [[1], [0]] if n == 2 else [[]])
     k = rng.choice([1] + list(range(3, n + 1)))
-    edges: list[Edge] = []
-    if k == 1:
-        for t in range(1, n):
-            edges.append((rng.randrange(t), t))
-        return Graph(n, edges)
-    edges += [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)]
-    chords: list[Edge] = []
-    for _ in range(2 * k):
-        i, j = rng.randrange(k), rng.randrange(k)
-        lo, hi = min(i, j), max(i, j)
-        if hi - lo < 2 or (lo, hi) == (0, k - 1) or (lo, hi) in chords:
-            continue
-        if all(not (lo < p < hi < q or p < lo < q < hi) for p, q in chords):
-            chords.append((lo, hi))
-    edges += chords
+    adj: list[list[int]] = [[] for _ in range(n)]
+    if k > 1:
+        chords: list[Edge] = []  # in the order found: the first, long ones cross the most candidates
+        seen: set[Edge] = set()
+        for _ in range(2 * k):
+            i, j = rng.randrange(k), rng.randrange(k)
+            lo, hi = (i, j) if i < j else (j, i)
+            if hi - lo < 2 or (lo, hi) == (0, k - 1) or (lo, hi) in seen:
+                continue
+            for p, q in chords:
+                if lo < p < hi < q or p < lo < q < hi:
+                    break
+            else:
+                chords.append((lo, hi))
+                seen.add((lo, hi))
+        for v in range(k):
+            adj[v] += ((v - 1) % k, (v + 1) % k)
+        for lo, hi in chords:
+            adj[lo].append(hi)
+            adj[hi].append(lo)
+        for nb in adj[:k]:
+            nb.sort()
     for t in range(k, n):
-        edges.append((rng.randrange(t), t))
-    return Graph(n, edges)
+        u = rng.randrange(t)
+        adj[u].append(t)
+        adj[t].append(u)
+    return Graph._trusted(n, adj)
 
 
 def random_cactus(n: int, seed) -> Graph:

@@ -4,7 +4,8 @@ Vertices are always 0..n-1.  Adjacency is stored sorted so that every
 iteration order in the package is deterministic.  A build keeps n, m and
 the adjacency; neighbor sets and the edge tuple are made on first use.
 `Graph(n, edges)` checks its input; the one private builder, `_trusted`,
-takes a valid sorted adjacency unchecked (graph6 input, enumerated graphs).
+takes a valid sorted adjacency unchecked (graph6 input, enumerated graphs,
+`random_outerplanar`).
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ class Graph:
     @property
     def m(self) -> int:
         return self._m
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Every vertex's sorted neighbor tuple, indexed by vertex."""
+        return self._adj
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])

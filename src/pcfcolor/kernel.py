@@ -85,15 +85,19 @@ def coloring_to_json(colors: Sequence[int | None]) -> dict:
     return {"colors": list(colors)}
 
 
+_COLOR_TYPES = frozenset({int, type(None)})  # what JSON decodes a valid color entry to
+
+
 def coloring_from_json(data: dict) -> Coloring:
     if not isinstance(data, dict) or "colors" not in data:
         raise ValueError("expected an object with a 'colors' key")
     colors = data["colors"]
     if not isinstance(colors, list):
         raise ValueError("'colors' must be a list")
-    for c in colors:
-        if c is not None and (not isinstance(c, int) or isinstance(c, bool)):
-            raise ValueError(f"colors must be integers or null, got {c!r}")
+    if not set(map(type, colors)) <= _COLOR_TYPES:  # one pass in C; the loop names the first bad value
+        for c in colors:
+            if c is not None and (not isinstance(c, int) or isinstance(c, bool)):
+                raise ValueError(f"colors must be integers or null, got {c!r}")
     return list(colors)
 
 
@@ -159,16 +163,16 @@ def verify(
         raise ValueError(f"coloring has {len(colors)} entries for a graph on {g.n} vertices")
     if lists is not None and len(lists) != g.n:
         raise ValueError(f"list assignment has {len(lists)} entries for a graph on {g.n} vertices")
+    ls = lists.lists if isinstance(lists, ListAssignment) else lists
     violations: list[Violation] = []
-    for v in range(g.n):
+    for v, nb in enumerate(g.adjacency):
         c = colors[v]
         if c is None:
             violations.append(Violation(v, UNCOLORED))
             continue
-        if lists is not None and c not in lists[v]:
+        if ls is not None and c not in ls[v]:
             violations.append(Violation(v, COLOR_NOT_IN_LIST))
         # one walk: clashes, holes, and the colors seen once / more than once
-        nb = g.neighbors(v)
         hole = False
         once: set[int] = set()
         more: set[int] = set()

@@ -85,18 +85,26 @@ class TraceStep:
     colors: dict[int, int]
 
     def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "removed": list(self.removed),
-            "colors": {str(v): c for v, c in sorted(self.colors.items())},
-        }
+        return _step_json(self.case, self.removed, self.colors)
+
+
+def _step_json(case: str, removed, colors: dict) -> dict:
+    """One trace step as a JSON object, the one serializer of both the
+    `TraceStep`s and the flat step records."""
+    return {
+        "case": case,
+        "removed": list(removed),
+        "colors": {str(v): colors[v] for v in sorted(colors)},
+    }
 
 
 @dataclass(frozen=True)
 class SolveResult:
     """A coloring or an obstruction, and the trace of the case steps: the
     pass's flat `(case, removed, colors)` records, built into `TraceStep`s
-    on the first read of `trace` and kept.  An obstruction has no steps."""
+    on the first read of `trace` and kept.  `trace_json` writes the JSON
+    objects straight from the records, with no `TraceStep` built; `pcfcolor
+    color --trace` prints those.  An obstruction has no steps."""
 
     coloring: "Coloring | None"
     obstruction: "Obstruction | None"
@@ -109,6 +117,10 @@ class SolveResult:
     @cached_property
     def trace(self) -> tuple[TraceStep, ...]:
         return tuple(TraceStep(*step) for step in self._steps)
+
+    def trace_json(self) -> list[dict]:
+        """`[step.to_json() for step in self.trace]`, without the steps."""
+        return [_step_json(*step) for step in self._steps]
 
 
 class SolverInternalError(Exception):

@@ -251,12 +251,20 @@ def is_outerplanar(g: Graph) -> bool:
     An outerplanar graph on n >= 2 vertices has at most 2n - 3 edges, so a
     denser graph is rejected before any block is looked at.  Otherwise one
     Tarjan search over all components yields the blocks, each tested on its
-    own edges by `_block_embeds`.
+    own edges: a bridge, or a block with as many edges as vertices (a
+    cycle), passes as it is, and a block with chords must have an outer
+    cycle, found as `_block_embeds` finds it for the peel.
     """
     n = g.n
     if n >= 2 and g.m > 2 * n - 3:
         return False
-    return all(_block_embeds(edges) is not None for edges in _blocks(g, range(n), [-1] * n))
+    for edges in _blocks(g, range(n), [-1] * n):
+        if len(edges) > 1:
+            adj = _adjacency(edges)
+            m, nb = len(edges), len(adj)
+            if m > nb and (m > 2 * nb - 3 or _outer_cycle(adj) is None):
+                return False
+    return True
 
 
 def _block_embeds(edges) -> "list[int] | tuple[int, int] | None":

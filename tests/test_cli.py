@@ -69,6 +69,22 @@ def test_color_trace_uses_the_solver_serializer(run, tmp_path, write_json):
     assert code == 0 and doc["trace"] == expected
 
 
+def test_color_trace_builds_no_trace_step(run, tmp_path, write_json, monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args[0])
+        return solver.TraceStep(*args)
+
+    monkeypatch.setattr(solver, "TraceStep", counted)
+    g = random_outerplanar(128, 7)
+    p = tmp_path / "r128.g6"
+    p.write_text(write_graph6(g))
+    la = degree_plus_k_lists(g, 2, range(1, 2 * g.max_degree() + 5), 7)
+    code, doc = run("color", str(p), "--lists", write_json("l.json", la.to_json()), "--trace")
+    assert code == 0 and len(doc["trace"]) > 1 and built == []
+
+
 @pytest.mark.parametrize("error", [solver.SolverInternalError, StructureError])
 def test_internal_error_exit_4(run, c5_path, write_json, monkeypatch, error):
     def broken(g, lists):

@@ -240,6 +240,24 @@ def test_random_outerplanar_is_reproducible_and_valid():
     assert len(shapes) > 1, "sampler collapsed to a single shape"
 
 
+def polygon_size(n, seed):
+    """The k that `random_outerplanar(n, seed)` draws first: 1 for a tree,
+    else the size of its polygon."""
+    return random.Random(seed).choice([1] + list(range(3, n + 1)))
+
+
+def test_random_outerplanar_builds_what_the_checked_constructor_builds():
+    for n in range(1, 61):
+        seeds = list(range(12))
+        if n >= 3:  # also the first seeds that draw a tree and a whole polygon
+            seeds += [next(s for s in itertools.count() if polygon_size(n, s) == k) for k in (1, n)]
+        for seed in seeds:
+            g = random_outerplanar(n, seed)
+            assert g == Graph(n, g.edges()) and g.m == len(g.edges())
+            assert all(list(nb) == sorted(nb) for nb in g.adjacency)
+            assert g.n == n and g.is_connected() and is_outerplanar(g)
+
+
 def test_cycle_family():
     assert cycle_graph(5).n == 5
     with pytest.raises(ValueError):

@@ -61,6 +61,23 @@ def test_coloring_json_round_trip():
         coloring_from_json({"colors": [1, "x"]})
 
 
+def test_coloring_json_accepts_int_subclasses_and_names_the_first_bad_color():
+    class Color(int):
+        pass
+
+    assert coloring_from_json({"colors": [Color(2), None, 1]}) == [2, None, 1]
+    for bad, shown in ((True, "True"), (1.0, "1.0"), ("1", "'1'")):
+        with pytest.raises(ValueError) as exc:
+            coloring_from_json({"colors": [1, None, bad, "x"]})
+        assert str(exc.value) == f"colors must be integers or null, got {shown}"
+
+
+def test_verify_reads_plain_lists_as_a_list_assignment():
+    g = path_graph(3)
+    lists = [{1}, {2}, {2, 9}]
+    assert verify(g, [1, 2, 3], lists) == verify(g, [1, 2, 3], ListAssignment(lists))
+
+
 def test_unique_colors_partial():
     g = path_graph(4)
     # vertex 1 sees colors {1, 1} once 2 is colored the same as 0

@@ -484,6 +484,24 @@ def test_the_trace_is_built_on_its_first_read(monkeypatch):
     assert replay_trace(graphs[-1].n, trace) == res.coloring
 
 
+def test_trace_json_writes_the_steps_without_building_them(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args[0])
+        return TraceStep(*args)
+
+    graphs = [g for n in range(2, 7) for g in enumerate_connected_outerplanar(n)]
+    graphs += [flower(3, 4, 2), flower(4, 5, 3), random_outerplanar(40, 2), random_cactus(60, 1)]
+    results = [solve(g, plus2_lists(g, gi)) for gi, g in enumerate(graphs)]
+    monkeypatch.setattr(solver, "TraceStep", counted)
+    docs = [res.trace_json() for res in results]
+    assert built == [] and all("trace" not in res.__dict__ for res in results)  # nor cached
+    assert docs == [[s.to_json() for s in res.trace] for res in results]
+    assert [list(d["colors"]) for d in docs[-1]] == [sorted(d["colors"], key=int) for d in docs[-1]]
+    assert solve(cycle_graph(5), [[1, 2, 3, 4]] * 5).trace_json() == []
+
+
 def test_the_coloring_pass_looks_up_unique_colors_on_the_kernel(monkeypatch):
     # a wrapper on the module attribute (as the benchmark's per-layer
     # counters install) sees the pass's calls

@@ -23,6 +23,15 @@ def test_equivalence_yields_a_record():
     assert label.startswith("criterion 2") and text
 
 
+def test_the_command_line_records_and_series_run(tmp_path):
+    label, text = next(equivalence.cli_records(pcfcolor))
+    assert label == "cli: gen random 1 --seed 0" and text.startswith("0\n{")
+    batches = bench_layers.cli_batches(bench_layers.cli_files(tmp_path), pcfcolor)
+    assert len(batches) == 3
+    for batch, _ in batches.values():
+        batch()
+
+
 def trivial(pkg):
     return {"noop": (lambda: None, 3)}
 

@@ -46,6 +46,12 @@ spend their time in, and the enumeration of the graph corpora:
   trace, on TRACED_GRAPHS `random_outerplanar` graphs of 128 vertices
   with the lists {1, ..., deg(v)+2}, which pays for building the trace's
   steps when the trace is built only on its first read;
+- the command line, `cli.main` in this process with its stdout captured:
+  `pcfcolor color --trace` on a `random_outerplanar` graph of 128
+  vertices (re-seeded until m >= n) saved as graph6, with the lists
+  {1, ..., deg(v)+2}, and `pcfcolor gen random 128`; and the generator
+  alone, `random_outerplanar` at 32,000 vertices; each generator run with
+  the first seed from SEED on that draws a polygon of at least 0.9 n;
 - the ear search (`find_good_ear_or_chain`, embeddings built first): the
   14,296 searches of the ear-search digest in `tests/test_structure.py`
   (every 2-connected non-cycle outerplanar graph of 4 to 10 vertices at
@@ -104,15 +110,18 @@ imports the package from the `src/` beside this file):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib
 import importlib.util
+import io
 import json
 import math
 import platform
 import random
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from functools import partial
@@ -122,6 +131,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import pcfcolor  # noqa: E402
+import pcfcolor.cli  # noqa: E402,F401 (read as pkg.cli, as the baseline's)
 from pcfcolor.families import (  # noqa: E402
     enumerate_connected_outerplanar,
     enumerate_two_connected_outerplanar,
@@ -137,6 +147,8 @@ MAX_ROUNDS = 400
 SEED = 1
 CHI_AT_8 = 12  # evenly spaced 8-vertex graphs, as in the `oracle` workload
 TRACED_GRAPHS = 8  # random_outerplanar(128, seed) for seeds SEED, SEED + 1, ...
+CLI_N = 128
+GEN_N = 32000
 
 
 def instances(ns, draws=1):
@@ -272,7 +284,7 @@ def outerplanar_batches(pkg):
 
 def load_package(src):
     """The pcfcolor package under `src`, imported as `pcfcolor_baseline`
-    beside this tree's own, with its `families` module loaded."""
+    beside this tree's own, with its `families` and `cli` modules loaded."""
     pkg = Path(src).resolve() / "pcfcolor"
     spec = importlib.util.spec_from_file_location(
         "pcfcolor_baseline", pkg / "__init__.py", submodule_search_locations=[str(pkg)]
@@ -281,6 +293,7 @@ def load_package(src):
     sys.modules[spec.name] = mod
     spec.loader.exec_module(mod)
     importlib.import_module(f"{spec.name}.families")
+    importlib.import_module(f"{spec.name}.cli")
     return mod
 
 
@@ -344,6 +357,43 @@ def traced_batches(pkg):
             lines(solve(g, lists).trace)
 
     return {"solve.warm.traced.random128": (batch, len(inst))}
+
+
+def polygon_seed(n):
+    """The first seed from SEED on for which `random_outerplanar(n, seed)`
+    draws a polygon of at least 0.9 n vertices (its first draw)."""
+    seed = SEED
+    while random.Random(seed).choice([1] + list(range(3, n + 1))) < 0.9 * n:
+        seed += 1
+    return seed
+
+
+def cli_files(tmp):
+    """The graph6 file of `random_dense(CLI_N)` and its lists {1, ...,
+    deg(v)+2} as JSON, written under `tmp`: (graph path, lists path)."""
+    g = random_dense(CLI_N)
+    graph, lists = Path(tmp, "graph.g6"), Path(tmp, "lists.json")
+    graph.write_text(write_graph6(g))
+    lists.write_text(json.dumps({"lists": plus2_lists(g)}))
+    return str(graph), str(lists)
+
+
+def cli_batches(files, pkg):
+    """`cli.main` of the package `pkg`, its stdout captured, on `color
+    --trace` of the files `files` and on `gen random CLI_N`, and the
+    generator `random_outerplanar` at GEN_N vertices."""
+    graph, lists = files
+
+    def run(argv, main=pkg.cli.main):
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+
+    gen = ["gen", "random", str(CLI_N), "--seed", str(polygon_seed(CLI_N))]
+    return {
+        f"cli.color_trace.n{CLI_N}": (partial(run, ["color", graph, "--lists", lists, "--trace"]), 1),
+        f"cli.gen_random.n{CLI_N}": (partial(run, gen), 1),
+        f"random_outerplanar.n{GEN_N}": (partial(pkg.families.random_outerplanar, GEN_N, polygon_seed(GEN_N)), 1),
+    }
 
 
 def ear_batches(pkg):
@@ -529,6 +579,8 @@ def measure(baseline=None):
                 results[prefix + name]["tracemalloc_peak_kb"] = traced_peak_kb(batch)
     results |= measure_series(warm_batches, baseline)
     results |= measure_series(traced_batches, baseline)
+    with tempfile.TemporaryDirectory() as tmp:
+        results |= measure_series(partial(cli_batches, cli_files(tmp)), baseline)
     return results
 
 

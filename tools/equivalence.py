@@ -17,7 +17,11 @@ Runs, instance by instance, and hashes what the package returns:
   K1,n-1 (center 0) and a bouquet of at least n vertices (triangles and
   4- to 6-cycles through vertex 0, the other labels shuffled, seeded by
   n): shapes whose end blocks tie on smallest vertex and size, so that
-  the second smallest vertex decides the peel order.
+  the second smallest vertex decides the peel order;
+- the command line, `cli.main` run in this process: the exit code and
+  stdout of `pcfcolor gen random n --seed s`, and of `pcfcolor color
+  --trace` on that graph (as graph6) with degree+2 lists drawn with seed s
+  from 1..2*maxdeg+4, for n = 1, 2, 3, 8, 32, 128 and 500 and seeds 0..24.
 
 Each package builds its own instances, with its own enumerator, list
 generator and `Graph`.  The tool prints one combined sha256 over all
@@ -33,10 +37,15 @@ repository root:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
+import json
 import random
 import sys
+import tempfile
+from pathlib import Path
 
 from bench_layers import fan, load_package, strip  # also puts this tree's src/ on the path
 
@@ -49,6 +58,8 @@ RANDOM_SEEDS = range(40)
 SHAPE_SIZES = range(5, 151)
 SUN_SIZES = range(4, 101)
 HUB_SIZES = range(4, 201)
+CLI_SIZES = (1, 2, 3, 8, 32, 128, 500)
+CLI_SEEDS = range(25)
 
 
 def sun(k):
@@ -102,6 +113,26 @@ def records(pkg):
     for name, make in (("star", star), ("bouquet", bouquet)):
         for n in HUB_SIZES:
             yield f"structure: {name}({n})", repr(solver._structure_pass(pkg.graphs.Graph(*make(n))))
+    yield from cli_records(pkg)
+
+
+def cli_records(pkg):
+    """(label, text) for each command line run: its exit code and stdout."""
+    def run(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = pkg.cli.main(list(argv))
+        return f"{code}\n{out.getvalue()}"
+
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, lists = Path(tmp, "graph.g6"), Path(tmp, "lists.json")
+        for n, seed in itertools.product(CLI_SIZES, CLI_SEEDS):
+            yield f"cli: gen random {n} --seed {seed}", run("gen", "random", str(n), "--seed", str(seed))
+            g = pkg.families.random_outerplanar(n, seed)
+            la = pkg.kernel.degree_plus_k_lists(g, 2, range(1, 2 * g.max_degree() + 5), seed)
+            graph.write_text(pkg.graphs.write_graph6(g))
+            lists.write_text(json.dumps(la.to_json()))
+            yield f"cli: color --trace random({n}, {seed})", run("color", str(graph), "--lists", str(lists), "--trace")
 
 
 def main(argv=None):
