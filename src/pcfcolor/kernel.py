@@ -9,8 +9,9 @@ every violation; it is the single source of truth the rest of the package
 `unique_colors` and `verify` walk each adjacency once and count colors
 with two sets, the colors seen once and the colors seen more than once;
 in `verify` that one walk also finds the clashing and the uncolored
-neighbors.  `unique_colors` runs on coloring steps of the solver and
-`verify` on every coloring either engine returns, so both keep to one walk.
+neighbors, and a vertex of degree 1 or 2 needs no sets.  `unique_colors`
+runs on coloring steps of the solver and `verify` on every coloring
+either engine returns, so both keep to one walk.
 """
 
 from __future__ import annotations
@@ -172,6 +173,13 @@ def verify(
             continue
         if ls is not None and c not in ls[v]:
             violations.append(Violation(v, COLOR_NOT_IN_LIST))
+        if len(nb) <= 2:  # no sets: two neighbors lack a unique color only if they agree
+            for w in nb:
+                if colors[w] == c:
+                    violations.append(Violation(v, NOT_PROPER, other=w))
+            if len(nb) == 2 and colors[nb[0]] == colors[nb[1]] is not None:
+                violations.append(Violation(v, NO_UNIQUE_NEIGHBOR_COLOR))
+            continue
         # one walk: clashes, holes, and the colors seen once / more than once
         hole = False
         once: set[int] = set()

@@ -9,22 +9,22 @@ a pendant edge, an attached cycle, a good ear, a long ear, or an ear
 chain.  It runs as two loops, not as recursion.  The graph-only pass,
 `structure.peel`, screens connectivity and outerplanarity and records
 the case of each end block in turn until at most 3 vertices or a whole
-cycle remain; the coloring pass colors that base and then walks the
-recorded cases backwards over the host graph, filling one coloring
-through `_Pass.put`, its only write, and recording each step through
-`_Pass.close` as a flat record.  So `solve` has no recursion-depth
-limit.  Which end block is peeled, and which case fires, depend on the
-graph alone, so the graph-only pass is cached per graph up to
-`STRUCTURE_CACHE_MAX_N` vertices; a repeated graph pays only for the
-list work: list-size screens, color reservations, the coloring pass and
-the final verification.  The graph-only pass makes one block
-decomposition and embeds each block once, in the screen, then peels over
-a block tree kept up to date in place, each block with its outer cycle
-and, if it has chords, its neighbor sets; a step works in host ids and
-redoes the cycle filter, the embedding's normalization and the ear
-search, in time linear in its end block.  So a graph's first solve takes
-time linear in the number of vertices, apart from the work inside one
-large block, which is quadratic in that block (a fan, a strip
+cycle remain, and `_compile` turns that record into a program: the list
+sizes to screen, the color reservations, and the steps in coloring
+order, each a step function with flat arguments.  The coloring pass runs
+those steps over the host graph, filling one coloring through
+`_Pass.put`, its only write, and recording each step through
+`_Pass.close`.  So `solve` has no recursion-depth limit.  Which end
+block is peeled, and which case fires, depend on the graph alone, so the
+program is cached per graph up to `STRUCTURE_CACHE_MAX_N` vertices; a
+repeated graph pays only for the list work.  The graph-only pass makes
+one block decomposition and embeds each block once, in the screen, then
+peels over a block tree kept up to date in place, each block with its
+outer cycle and, if it has chords, its neighbor sets; a step works in
+host ids and redoes the cycle filter, the embedding's normalization and
+the ear search, in time linear in its end block.  So a graph's first
+solve takes time linear in the number of vertices, apart from the work
+inside one large block, which is quadratic in that block (a fan, a strip
 triangulation or a sun).  The coloring pass takes time linear in each
 step, plus one `unique_colors` walk of the step's anchor adjacency, so it
 is quadratic on a high-degree anchor (the hub of a fan).  The only true
@@ -34,8 +34,9 @@ lists are one identical 4-set.
 Colors are chosen by minimum value at every free choice, so the output is
 deterministic.  A `SolveResult` carries either a verified coloring or an
 `Obstruction`, plus a trace of case steps that replays to the coloring.
-The trace's `TraceStep`s are built on its first read, so a caller that
-never reads it pays only for the flat records.
+The pass records the order it colors the vertices in and each step's end
+in that order, and the trace's `TraceStep`s are built from that record on
+its first read, so a caller that never reads it pays only for the record.
 
 `color_cycle`, `color_constrained_path` and `extend_ear` are the reusable
 pieces of the induction and are exposed for direct use; each enforces its
@@ -47,6 +48,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import lt as _lt
 
 from . import kernel  # kernel.unique_colors is looked up at call time, where the benchmark hooks it
 from .graphs import Graph, cycle_graph, path_graph
@@ -56,7 +58,6 @@ from .structure import (
     KIND_EAR_CHAIN,
     KIND_GOOD_EAR,
     KIND_K2,
-    KIND_LONG_EAR,
     EndBlockCase,
     peel,
 )
@@ -85,30 +86,47 @@ class TraceStep:
     colors: dict[int, int]
 
     def to_json(self) -> dict:
-        return _step_json(self.case, self.removed, self.colors)
+        return _step_json(self.case, self.removed, self.colors, self.colors)
 
 
-def _step_json(case: str, removed, colors: dict) -> dict:
-    """One trace step as a JSON object, the one serializer of both the
-    `TraceStep`s and the flat step records."""
+def _step_json(case: str, removed, vertices, colors) -> dict:
+    """One trace step as a JSON object: the step colored `vertices`, with
+    `colors[v]` for each.  The one serializer of both the `TraceStep`s and
+    the flat step records."""
     return {
         "case": case,
         "removed": list(removed),
-        "colors": {str(v): colors[v] for v in sorted(colors)},
+        "colors": {str(v): colors[v] for v in sorted(vertices)},
     }
+
+
+def _steps(record):
+    """(case, removed, vertices colored, colors) per closed step of a
+    pass's `(steps, order, colors)` record."""
+    steps, order, colors = record
+    start = 0
+    for case, removed, end in steps:
+        yield case, removed, order[start:end], colors
+        start = end
+
+
+def _trace(record) -> "tuple[TraceStep, ...]":
+    return tuple(TraceStep(case, removed, {v: colors[v] for v in vertices})
+                 for case, removed, vertices, colors in _steps(record))
 
 
 @dataclass(frozen=True)
 class SolveResult:
     """A coloring or an obstruction, and the trace of the case steps: the
-    pass's flat `(case, removed, colors)` records, built into `TraceStep`s
-    on the first read of `trace` and kept.  `trace_json` writes the JSON
-    objects straight from the records, with no `TraceStep` built; `pcfcolor
-    color --trace` prints those.  An obstruction has no steps."""
+    pass's record, `_Pass.record`, built into `TraceStep`s on the first read
+    of `trace` and kept.  `trace_json` writes the JSON objects straight from
+    the record, with no `TraceStep` built; `pcfcolor color --trace` prints
+    those.  The record holds its own copy of the colors, so a caller may
+    change `coloring`.  An obstruction has no steps."""
 
     coloring: "Coloring | None"
     obstruction: "Obstruction | None"
-    _steps: tuple = ()
+    _record: tuple = ((), (), ())
 
     @property
     def ok(self) -> bool:
@@ -116,11 +134,11 @@ class SolveResult:
 
     @cached_property
     def trace(self) -> tuple[TraceStep, ...]:
-        return tuple(TraceStep(*step) for step in self._steps)
+        return _trace(self._record)
 
     def trace_json(self) -> list[dict]:
         """`[step.to_json() for step in self.trace]`, without the steps."""
-        return [_step_json(*step) for step in self._steps]
+        return [_step_json(*step) for step in _steps(self._record)]
 
 
 class SolverInternalError(Exception):
@@ -259,10 +277,10 @@ def color_cycle(lists) -> "list[int] | Obstruction":
         for t, v in enumerate(order):
             phi[v] = w[t]
 
-    verdict = verify(_cycle_graph(ell), list(phi), ListAssignment(ls))
+    verdict = verify(_cycle_graph(ell), phi, ls)
     if not verdict.ok:
         raise SolverInternalError("cycle coloring failed verification")
-    return list(phi)
+    return phi
 
 
 def color_constrained_path(lists) -> list[int]:
@@ -293,7 +311,7 @@ def color_constrained_path(lists) -> list[int]:
         work[k - 2] = work[k - 2] - {alpha}
     phi = _path_base(work) + [min(work[k]) for k in range(4, s + 1)]
 
-    verdict = verify(_path_graph(s + 1), phi, ListAssignment(ls))
+    verdict = verify(_path_graph(s + 1), phi, ls)
     if not verdict.ok:
         raise SolverInternalError("path coloring failed verification")
     return phi
@@ -352,29 +370,31 @@ def extend_ear(host: Graph, colors, ear_vertices, lists) -> Coloring:
 
 class _Pass:
     """One coloring pass over the host graph: `put` is its only write into
-    `colors`, `close` records the colors put since the last one as a flat
-    `(case, removed, colors)` step, and `fail` builds every error with the
+    `colors` and appends the vertex to `order`, `close` records a step as
+    `(case, removed, len(order))`, and `fail` builds every error with the
     steps closed so far, as `TraceStep`s.  `pick` and `unique` format their
     error text only when they raise."""
 
-    __slots__ = ("g", "lists", "colors", "trace", "step")
+    __slots__ = ("g", "lists", "colors", "order", "steps")
 
     def __init__(self, g: Graph, lists, colors: Coloring):
         self.g = g
         self.lists = lists
         self.colors = colors
-        self.trace: list[tuple] = []
-        self.step: dict[int, int] = {}
+        self.order: list[int] = []
+        self.steps: list[tuple] = []
 
     def put(self, v: int, c: int) -> None:
         if self.colors[v] is not None:
             raise self.fail(f"vertex {v} is already colored")
         self.colors[v] = c
-        self.step[v] = c
+        self.order.append(v)
 
     def close(self, tag: str, removed: tuple) -> None:
-        self.trace.append((tag, removed, self.step))
-        self.step = {}
+        self.steps.append((tag, removed, len(self.order)))
+
+    def record(self) -> tuple:  # the steps, the put order and the colors, copied
+        return tuple(self.steps), tuple(self.order), tuple(self.colors)
 
     def pick(self, pool: frozenset, forbidden, what: str, v: "int | None" = None) -> int:
         """The smallest color of `pool` not in `forbidden`, for `what`, or
@@ -392,7 +412,7 @@ class _Pass:
         return min(kept)
 
     def fail(self, message: str) -> SolverInternalError:
-        return SolverInternalError(message, [TraceStep(*step) for step in self.trace])
+        return SolverInternalError(message, _trace(self.record()))
 
 
 def _extend_ear(p: _Pass, seq, tag: str, removed: tuple) -> None:
@@ -434,66 +454,59 @@ def solve(g: Graph, lists) -> SolveResult:
     Everything else returns a coloring, verified before it is returned.
     """
     la = lists if isinstance(lists, ListAssignment) else ListAssignment(lists)
-    n, ls, degree = g.n, la.lists, g.degree
+    n, ls = g.n, la.lists
     if len(ls) != n:
         raise ValueError(f"graph has {n} vertices but {len(ls)} lists given")
     if n == 0:
         return SolveResult([], None)
-    structure = _structure if n <= STRUCTURE_CACHE_MAX_N else _structure_pass
-    screened, plan, rest = structure(g)
+    screened, need, c5, reserve, steps = (_structure if n <= STRUCTURE_CACHE_MAX_N else _compile)(g)
     if screened is not None:
         return SolveResult(None, screened)
-    for v in range(n):
-        if len(ls[v]) < degree(v) + 2:
-            return SolveResult(None, Obstruction(
-                REASON_LIST_TOO_SMALL, f"vertex {v} has {len(ls[v])} colors for degree {degree(v)}"
-            ))
-    if n == 5 and all(degree(v) == 2 for v in range(5)):
-        if len(ls[0]) == 4 and all(x == ls[0] for x in ls):
-            return SolveResult(None, Obstruction(
-                REASON_C5_UNIFORM, "5-cycle whose lists are all the same 4-element set"
-            ))
+    if any(map(_lt, map(len, ls), need)):
+        v = next(v for v, k in enumerate(need) if len(ls[v]) < k)
+        return SolveResult(None, Obstruction(
+            REASON_LIST_TOO_SMALL, f"vertex {v} has {len(ls[v])} colors for degree {need[v] - 2}"
+        ))
+    if c5 and len(ls[0]) == 4 and all(x == ls[0] for x in ls):
+        return SolveResult(None, Obstruction(
+            REASON_C5_UNIFORM, "5-cycle whose lists are all the same 4-element set"
+        ))
 
-    work = list(ls)
-    for case in plan:
-        chain = case.chain
-        if chain is not None and len(chain.spine) == 3 and chain.ears[-1].size() == 4:
-            # reserve a color of the first closing-ear interior so the rest
-            # of the graph cannot hand it to either chain endpoint; applied
-            # in peel order, as each step reads only the lists of the
-            # vertices it removes and reservations never change the peel
-            u2, u3 = chain.ears[-1].interior
+    work = ls
+    if reserve:
+        # reserve a color of each s3H4 chain's first closing-ear interior so
+        # the rest of the graph cannot hand it to either chain endpoint;
+        # applied in peel order, as each step reads only the lists of the
+        # vertices it removes and reservations never change the peel
+        work = list(ls)
+        for u2, u3, v1, vs in reserve:
             t2 = frozenset(sorted(work[u2])[:4])
             t3 = frozenset(sorted(work[u3])[:4])
             gamma = min(t2 - t3) if t2 - t3 else min(t2)
-            for v in (chain.spine[0], chain.spine[-1]):
-                work[v] = work[v] - {gamma}
+            work[v1] = work[v1] - {gamma}
+            work[vs] = work[vs] - {gamma}
     p = _Pass(g, work, [None] * n)
-    if len(rest) <= 3:
-        _color_trivial(p, rest)
-    else:
-        _color_whole_cycle(p, rest)
-    for case in reversed(plan):
-        _STEPS[case.kind](p, case)
+    for step, args in steps:
+        step(p, *args)
     verdict = verify(g, p.colors, la)
     if not verdict.ok:
         raise p.fail(
             "constructed coloring fails verification: "
             + "; ".join(v.describe() for v in verdict.violations[:5])
         )
-    return SolveResult(p.colors, None, tuple(p.trace))
+    return SolveResult(p.colors, None, p.record())
 
 
 # Graphs above this many vertices skip the structure cache: repeated graphs
-# are small (the criterion-2 corpus has n <= 8), and the plan of one large
-# graph holds objects in proportion to its size
+# are small (the criterion-2 corpus has n <= 8), and the program of one
+# large graph holds objects in proportion to its size
 STRUCTURE_CACHE_MAX_N = 1024
 
 
 def _structure_pass(g: Graph) -> "tuple[Obstruction | None, tuple[EndBlockCase, ...], tuple[int, ...]]":
     """The graph-only pass of `solve`: `structure.peel`, with the screen
     that failed, if any, as an `Obstruction`.  Everything returned is
-    immutable, so every solve of the graph can share it."""
+    immutable."""
     reason, plan, rest = peel(g)
     if reason is None:
         return None, plan, rest
@@ -501,10 +514,48 @@ def _structure_pass(g: Graph) -> "tuple[Obstruction | None, tuple[EndBlockCase, 
     return Obstruction(reason, f"input graph is {what}"), (), ()
 
 
+def _compile(g: Graph) -> tuple:
+    """The graph-only part of `solve`, as the program its solves run: the
+    screen that failed, if any; each vertex's list-size need, degree+2; the
+    uniform-5-cycle shape flag; the `(u2, u3, v1, vs)` color reservations
+    of the s3H4 chains, in peel order; and the steps, in coloring order,
+    each a step function and its flat arguments.  Everything is immutable,
+    so every solve of the graph shares it."""
+    screened, plan, rest = _structure_pass(g)
+    if screened is not None:
+        return screened, (), False, (), ()
+    need = tuple(len(nb) + 2 for nb in g.adjacency)
+    c5 = len(need) == 5 and all(k == 4 for k in need)
+    reserve = tuple(
+        (*case.chain.ears[-1].interior, case.chain.spine[0], case.chain.spine[-1])
+        for case in plan
+        if case.kind == KIND_EAR_CHAIN and len(case.chain.spine) == 3 and case.chain.ears[-1].size() == 4
+    )
+    steps = [(_color_trivial if len(rest) <= 3 else _color_whole_cycle, (rest,))]
+    steps += map(_step, reversed(plan))
+    return None, need, c5, reserve, tuple(steps)
+
+
+def _step(case: EndBlockCase) -> tuple:
+    """The step function of one end-block case and its flat arguments."""
+    if case.kind == KIND_K2:
+        return _step_pendant, (case.pendant, case.anchor)
+    if case.kind == KIND_CYCLE:
+        return _step_cycle, (case.anchor, case.removed(), len(case.cycle_order))
+    if case.kind == KIND_EAR_CHAIN:
+        spine, ears = case.chain.spine, case.chain.ears
+        firsts = tuple((spine[t], *ear.interior, spine[t + 1]) for t, ear in enumerate(ears[:-1]))
+        return _step_ear_chain, (spine, firsts, ears[-1].interior, case.removed())
+    ear = case.ear
+    if case.kind == KIND_GOOD_EAR:
+        return _extend_ear, (ear.vertices(), "GoodEar", ear.interior)
+    return _step_long_ear, (ear.vertices(), ear.interior)
+
+
 # cached per graph (by value); sized above the 1,016 connected outerplanar
 # graphs on 2..8 vertices, so a pass over that corpus finds every graph it
 # has seen before
-_structure = lru_cache(maxsize=4096)(_structure_pass)
+_structure = lru_cache(maxsize=4096)(_compile)
 
 
 def _color_trivial(p: _Pass, rest) -> None:
@@ -530,20 +581,17 @@ def _color_whole_cycle(p: _Pass, order) -> None:
     p.close("CycleProp", tuple(order))
 
 
-def _step_pendant(p: _Pass, case) -> None:
-    v, x = case.pendant, case.anchor
+def _step_pendant(p: _Pass, v: int, x: int) -> None:
     alpha = p.unique(x, "anchor")
     p.put(v, p.pick(p.lists[v], {p.colors[x], alpha}, "pendant", v))
     p.close("K2", (v,))
 
 
-def _step_cycle(p: _Pass, case) -> None:
-    x = case.anchor
-    body = case.removed()
+def _step_cycle(p: _Pass, x: int, body: tuple, ell: int) -> None:
+    # the attached cycle x, body[0], ..., body[ell - 2]
     lists = p.lists
     c1 = p.colors[x]
     alpha = p.unique(x, "anchor")
-    ell = len(case.cycle_order)
     if ell == 3:
         p0 = p.pick(lists[body[0]], {c1, alpha}, "cycle block")
         p.put(body[0], p0)
@@ -572,14 +620,7 @@ def _step_cycle(p: _Pass, case) -> None:
     p.close(tag, body)
 
 
-def _step_good_ear(p: _Pass, case) -> None:
-    ear = case.ear
-    _extend_ear(p, list(ear.vertices()), "GoodEar", ear.interior)
-
-
-def _step_long_ear(p: _Pass, case) -> None:
-    ear = case.ear
-    seq = list(ear.vertices())
+def _step_long_ear(p: _Pass, seq: tuple, interior: tuple) -> None:
     r = len(seq)
     colors = p.colors
     c1, c2 = colors[seq[0]], colors[seq[-1]]
@@ -590,7 +631,7 @@ def _step_long_ear(p: _Pass, case) -> None:
 
     # positions are 1-based along the ear; interiors work in their 4
     # smallest colors so that the set-difference tests below are decisive
-    l4 = {v: frozenset(sorted(p.lists[v])[:4]) for v in ear.interior}
+    l4 = {v: frozenset(sorted(p.lists[v])[:4]) for v in interior}
 
     def lof(i):
         return l4[seq[i - 1]]
@@ -632,17 +673,15 @@ def _step_long_ear(p: _Pass, case) -> None:
             fill(r - 1, {c2, beta, phi(r - 3), pivot})
         else:
             fill(r - 1, {c2, beta, phi(r - 3)})
-    p.close(tag, ear.interior)
+    p.close(tag, interior)
 
 
-def _step_ear_chain(p: _Pass, case) -> None:
-    chain = case.chain
-    spine = chain.spine
+def _step_ear_chain(p: _Pass, spine: tuple, firsts: tuple, last: tuple, removed: tuple) -> None:
+    # the ears before the closing one as vertex sequences, the closing
+    # ear's interior, and the chain minus its two ends
     s = len(spine)
     v1, vs = spine[0], spine[-1]
-    last = chain.ears[-1]
-    rlast = last.size()
-    removed = case.removed()
+    rlast = len(last) + 2
     lists, colors = p.lists, p.colors
 
     c1, c2 = colors[v1], colors[vs]
@@ -651,11 +690,8 @@ def _step_ear_chain(p: _Pass, case) -> None:
     alpha = p.unique(v1, "chain end")
     beta = p.unique(vs, "chain end")
 
-    def extend(t):
-        _extend_ear(p, [spine[t], *chain.ears[t].interior, spine[t + 1]], "EarExtension", ())
-
     if s >= 4:
-        iv = last.interior  # u_2..u_{r-1} of the closing ear, r = rlast
+        iv = last  # u_2..u_{r-1} of the closing ear, r = rlast
 
         def uphi(j):
             return c2 if j == rlast else colors[iv[j - 2]]
@@ -673,19 +709,19 @@ def _step_ear_chain(p: _Pass, case) -> None:
                 forb |= {c2, colors[spine[s - 2]], u2c}
             p.put(spine[i - 1], p.pick(lists[spine[i - 1]], forb, "chain junction"))
         p.close("EarChain(s>=4)", removed)
-        for t in range(s - 2):
-            extend(t)
+        for seq in firsts:
+            _extend_ear(p, seq, "EarExtension", ())
         return
 
     v2 = spine[1]
     if rlast == 3:
-        u2 = last.interior[0]
+        u2 = last[0]
         p.put(u2, p.pick(lists[u2], {c1, c2, beta}, "chain ear"))
         p.put(v2, p.pick(lists[v2], {c1, c2, alpha, beta, colors[u2]}, "chain junction"))
         p.close("EarChain(s3H3)", removed)
-        extend(0)
+        _extend_ear(p, firsts[0], "EarExtension", ())
     elif rlast == 4:
-        u2, u3 = last.interior
+        u2, u3 = last
         t2 = frozenset(sorted(lists[u2])[:4])
         t3 = frozenset(sorted(lists[u3])[:4])
         if beta == c1:
@@ -702,9 +738,9 @@ def _step_ear_chain(p: _Pass, case) -> None:
             p.put(v2, p.pick(lists[v2], {c1, c2, alpha, beta, chosen}, "chain junction"))
             p.put(u3, p.pick(t3, {c2, beta, chosen, colors[v2]}, "chain ear"))
         p.close("EarChain(s3H4)", removed)
-        extend(0)
+        _extend_ear(p, firsts[0], "EarExtension", ())
     elif rlast == 5:
-        u2, u3, u4 = last.interior
+        u2, u3, u4 = last
         tv2 = frozenset(sorted(lists[v2] - {c1, c2, alpha, beta})[:2])
         tu3 = frozenset(sorted(lists[u3] - {c2})[:3])
         tu4 = frozenset(sorted(lists[u4] - {c2, beta})[:2])
@@ -722,7 +758,7 @@ def _step_ear_chain(p: _Pass, case) -> None:
         if len(tu3 - {pv2, pu4}) < 2:
             raise p.fail("middle list lost too many colors")
         p.close("EarChain(s3H5)", removed)
-        extend(0)
+        _extend_ear(p, firsts[0], "EarExtension", ())
         # u2 and u3 wait for the first ear, whose colors fix v2's unique color
         gmid = p.unique(v2, "junction")
         cu2 = p.pick(lists[u2], {pv2, pu4, gmid}, "chain ear")
@@ -732,11 +768,3 @@ def _step_ear_chain(p: _Pass, case) -> None:
     else:
         raise p.fail(f"closing ear of size {rlast} in chain case")
 
-
-_STEPS = {
-    KIND_K2: _step_pendant,
-    KIND_CYCLE: _step_cycle,
-    KIND_GOOD_EAR: _step_good_ear,
-    KIND_LONG_EAR: _step_long_ear,
-    KIND_EAR_CHAIN: _step_ear_chain,
-}

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import naive_unique_colors, naive_violations, pcf_ok
+from pcfcolor.families import enumerate_connected_outerplanar, random_cactus, random_outerplanar
 from pcfcolor.graphs import Graph, cycle_graph, path_graph
 from pcfcolor.kernel import (
     COLOR_NOT_IN_LIST,
@@ -17,6 +18,7 @@ from pcfcolor.kernel import (
     unique_colors,
     verify,
 )
+from pcfcolor.solver import solve
 
 
 def test_list_assignment_basics():
@@ -152,6 +154,34 @@ def test_verify_agrees_with_naive_predicate(data):
         assert unique_colors(g, colors, v) == naive_unique_colors(g, colors, v)
     if None not in colors:
         assert verify(g, colors).ok == pcf_ok(g, colors)
+
+
+# mostly vertices of degree 1 and 2, which verify decides without its sets
+SOLVED_GRAPHS = [g for n in range(2, 8) for g in enumerate_connected_outerplanar(n)]
+SOLVED_GRAPHS += [path_graph(9), cycle_graph(7), random_cactus(30, 2), random_outerplanar(30, 1)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_verify_reports_corruptions_of_a_solved_coloring(data):
+    # a verified coloring with a few vertices uncolored, given a neighbor's
+    # color, or given a color outside their lists
+    g = data.draw(st.sampled_from(SOLVED_GRAPHS))
+    lists = degree_plus_k_lists(g, 2, range(1, 2 * g.max_degree() + 5), data.draw(st.integers(0, 99)))
+    colors = solve(g, lists).coloring or [min(x) for x in lists]  # or a uniform 5-cycle
+    vertex = st.integers(0, g.n - 1)
+    for v, how, k in data.draw(st.lists(st.tuples(vertex, st.sampled_from("ncx"), st.integers(0, 7)), max_size=4)):
+        nb = g.neighbors(v)
+        if how == "n":
+            colors[v] = None
+        elif how == "c":
+            colors[v] = colors[nb[k % len(nb)]]
+        else:
+            colors[v] = max(lists[v]) + 1
+    verdict = verify(g, colors, lists)
+    got = tuple((x.vertex, x.reason, x.other) for x in verdict.violations)
+    assert got == naive_violations(g, colors, lists)
+    assert verdict.ok == (not got)
 
 
 def test_degree_plus_k_lists_sizes_and_determinism():

@@ -430,11 +430,12 @@ def test_internal_errors_carry_the_partial_trace(monkeypatch):
     # unanimous one at 0 that ear fails, after the first step has closed
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     lists = ListAssignment([[1, 2, 3, 4, 5], [1, 2, 3, 4], [1, 2, 3, 4, 5], [1, 2, 3, 4]])
-    assert [s.case for s in solve(g, lists).trace] == ["Trivial", "GoodEar"]
+    trace = solve(g, lists).trace
+    assert [s.case for s in trace] == ["Trivial", "GoodEar"]
     monkeypatch.setattr(kernel, "unique_colors", lambda g, colors, v: set())
     with pytest.raises(SolverInternalError, match="unique or unanimous") as exc:
         solve(g, lists)
-    assert [s.case for s in exc.value.trace] == ["Trivial"]
+    assert exc.value.trace == trace[:1]  # the closed step with its colors
 
 
 def test_a_failed_pick_and_a_failed_unique_keep_their_messages(monkeypatch):
@@ -442,7 +443,8 @@ def test_a_failed_pick_and_a_failed_unique_keep_their_messages(monkeypatch):
     # and 0, each at the unique color of its anchor
     g = path_graph(5)
     lists = ListAssignment([[1, 2, 3, 4]] * 5)
-    assert [s.case for s in solve(g, lists).trace] == ["Trivial", "K2", "K2"]
+    trace = solve(g, lists).trace
+    assert [s.case for s in trace] == ["Trivial", "K2", "K2"]
     real_init = solver._Pass.__init__
 
     def pendant_1_gets_the_forbidden_colors(p, g, lists, colors):
@@ -454,13 +456,50 @@ def test_a_failed_pick_and_a_failed_unique_keep_their_messages(monkeypatch):
         with pytest.raises(SolverInternalError) as exc:
             solve(g, lists)
     assert str(exc.value) == "no color available for pendant 1"
-    assert [s.case for s in exc.value.trace] == ["Trivial"]
+    assert exc.value.trace == trace[:1]
+    assert exc.value.trace[0].colors == {2: 1, 3: 2, 4: 3}
 
     monkeypatch.setattr(kernel, "unique_colors", lambda g, colors, v: set())
     with pytest.raises(SolverInternalError) as exc:
         solve(g, lists)
     assert str(exc.value) == "no unique neighborhood color at anchor 2"
-    assert [s.case for s in exc.value.trace] == ["Trivial"]
+    assert exc.value.trace == trace[:1]
+
+
+def test_a_failed_final_check_carries_every_step(monkeypatch):
+    # the final verify sees a whole coloring: the error's trace is the
+    # trace of the solve, each step with its colors
+    g = random_outerplanar(40, 2)
+    lists = plus2_lists(g, 2)
+    trace = solve(g, lists).trace
+    real = solver.verify
+
+    def host_fails(h, colors, la=None):
+        if h is g:
+            return kernel.Verdict(False, (kernel.Violation(0, kernel.UNCOLORED),))
+        return real(h, colors, la)
+
+    monkeypatch.setattr(solver, "verify", host_fails)
+    with pytest.raises(SolverInternalError, match="fails verification: vertex 0: uncolored") as exc:
+        solve(g, lists)
+    assert exc.value.trace == trace and len(trace) > 3
+
+
+def test_changing_the_coloring_leaves_the_trace_alone():
+    # the trace is read from the pass's own copy of the colors, so a caller
+    # may reuse the list the result hands out, before or after the first read
+    g = random_outerplanar(40, 2)
+    lists = plus2_lists(g, 2)
+    want = solve(g, lists)
+    want_json, want_trace = want.trace_json(), want.trace
+    for read_first in (False, True):
+        res = solve(g, lists)
+        if read_first:
+            res.trace
+        res.coloring.reverse()
+        res.coloring[:5] = [None] * 5
+        assert res.trace == want_trace and res.trace_json() == want_json
+        assert replay_trace(g.n, res.trace) == want.coloring != res.coloring
 
 
 def test_the_trace_is_built_on_its_first_read(monkeypatch):
@@ -594,7 +633,7 @@ def test_solve_is_deterministic():
 
 def test_structure_cache_keeps_lists_apart():
     # every draw on this graph peels an EarChain(s3H4), the only case that
-    # reserves colors; a cached plan must carry no list of an earlier call
+    # reserves colors; a cached program must carry no list of an earlier call
     g = flower(1, 2, 1)
     a, b = plus2_lists(g, 0), plus2_lists(g, 1)
 
@@ -616,6 +655,44 @@ def test_structure_cache_keeps_lists_apart():
     assert key(solve(twin, b)) == cold["b"]
     after = solver._structure.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_a_repeated_graph_compiles_once(monkeypatch):
+    # the cache holds one step program per graph, found again by value, and
+    # nothing of the peel's plan; a graph above the size limit compiles on
+    # every solve and is never cached
+    peeled = []
+    real = solver.peel
+
+    def counted(g):
+        peeled.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(solver, "peel", counted)
+    solver._structure.cache_clear()
+    g = flower(1, 2, 1)  # an EarChain(s3H4): the program holds a reservation
+    for lists in (plus2_lists(g, 0), plus2_lists(g, 1)):
+        solved_ok(g, lists)
+        solved_ok(Graph(g.n, g.edges()), lists)
+    info = solver._structure.cache_info()
+    assert peeled == [g.n] and (info.hits, info.misses, info.currsize) == (3, 1, 1)
+
+    screened, need, c5, reserve, steps = solver._structure(g)
+    assert screened is None and not c5 and len(reserve) == 1
+    assert need == tuple(g.degree(v) + 2 for v in range(g.n))
+    assert [fn for fn, _ in steps][-1] is solver._step_ear_chain
+
+    def leaves(x):
+        return [y for z in x for y in leaves(z)] if isinstance(x, tuple) else [x]
+
+    kinds = {type(x) for x in leaves(solver._structure(g))}
+    assert kinds <= {type(None), bool, int, str, type(solver._step)}, kinds
+
+    big = path_graph(solver.STRUCTURE_CACHE_MAX_N + 1)
+    peeled.clear()
+    for seed in (0, 1):
+        solved_ok(big, plus2_lists(big, seed))
+    assert peeled == [big.n, big.n] and solver._structure.cache_info().currsize == 1
 
 
 def test_large_graphs_skip_the_structure_cache():
