@@ -6,30 +6,26 @@ vertex sees some color exactly once in its neighborhood.  `solve` builds
 such a coloring the way the induction proves it exists: peel an end
 block, color the rest, then extend the coloring over the block, by case:
 a pendant edge, an attached cycle, a good ear, a long ear, or an ear
-chain.  It runs as two loops, not as recursion.  The graph-only pass,
-`structure.peel`, screens connectivity and outerplanarity and records
-the case of each end block in turn until at most 3 vertices or a whole
-cycle remain, and `_compile` turns that record into a program: the list
-sizes to screen, the color reservations, and the steps in coloring
-order, each a step function with flat arguments.  The coloring pass runs
-those steps over the host graph, filling one coloring through
-`_Pass.put`, its only write, and recording each step through
-`_Pass.close`.  So `solve` has no recursion-depth limit.  Which end
-block is peeled, and which case fires, depend on the graph alone, so the
-program is cached per graph up to `STRUCTURE_CACHE_MAX_N` vertices; a
-repeated graph pays only for the list work.  The graph-only pass makes
-one block decomposition and embeds each block once, in the screen, then
-peels over a block tree kept up to date in place, each block with its
-outer cycle and, if it has chords, its neighbor sets; a step works in
-host ids and redoes the cycle filter, the embedding's normalization and
-the ear search, in time linear in its end block.  So a graph's first
-solve takes time linear in the number of vertices, apart from the work
-inside one large block, which is quadratic in that block (a fan, a strip
-triangulation or a sun).  The coloring pass takes time linear in each
-step, plus one `unique_colors` walk of the step's anchor adjacency, so it
-is quadratic on a high-degree anchor (the hub of a fan).  The only true
-obstruction among connected outerplanar inputs is the 5-cycle whose five
-lists are one identical 4-set.
+chain.  It runs as two passes over one record format, not as recursion.
+The peel, `structure.peel`, screens connectivity and outerplanarity and
+records the step of each end block in turn, until at most 3 vertices or
+a whole cycle remain, as `(kind, anchor, args)`: `args` are the flat
+arguments of the step function `_STEP[kind]`.  The coloring pass runs
+those steps over the host graph, the last one peeled first, filling one
+coloring through `_Pass.put`, its only write, and recording each step
+through `_Pass.close`.  So `solve` has no recursion-depth limit.  Which
+end block is peeled, and which case fires, depend on the graph alone, so
+the steps are cached per graph up to `STRUCTURE_CACHE_MAX_N` vertices,
+with the list sizes to screen and the color reservations, read off the
+records by `_compile`; a repeated graph pays only for the list work.  A
+graph's first solve takes time linear in the number of vertices, apart
+from the work inside one large block, which is quadratic in that block
+(a fan, a strip triangulation or a sun; see `structure.peel`).  The
+coloring pass takes time linear in each step, plus one `unique_colors`
+walk of the step's anchor adjacency, so it is quadratic on a high-degree
+anchor (the hub of a fan).  The only true obstruction among connected
+outerplanar inputs is the 5-cycle whose five lists are one identical
+4-set.
 
 Colors are chosen by minimum value at every free choice, so the output is
 deterministic.  A `SolveResult` carries either a verified coloring or an
@@ -53,14 +49,7 @@ from operator import lt as _lt
 from . import kernel  # kernel.unique_colors is looked up at call time, where the benchmark hooks it
 from .graphs import Graph, cycle_graph, path_graph
 from .kernel import Coloring, ListAssignment, verify
-from .structure import (
-    KIND_CYCLE,
-    KIND_EAR_CHAIN,
-    KIND_GOOD_EAR,
-    KIND_K2,
-    EndBlockCase,
-    peel,
-)
+from .structure import KIND_CYCLE, KIND_EAR_CHAIN, KIND_GOOD_EAR, KIND_K2, KIND_LONG_EAR, peel
 # the screens' reasons, also re-exported so that solver.REASON_* names every obstruction
 from .structure import REASON_DISCONNECTED, REASON_NOT_OUTERPLANAR  # noqa: F401
 # not called here: imported so that the benchmark's hooks on solver.<name> resolve
@@ -350,21 +339,26 @@ def extend_ear(host: Graph, colors, ear_vertices, lists) -> Coloring:
     neighbor, and either some color appears exactly once around u_1 or all
     its colored neighbors agree.  The extension is proper and leaves every
     vertex of the ear except u_r with a unique neighborhood color; interior
-    lists need at least 4 colors.  An uncolored u_1 or u_r, or a shorter
-    interior list, raises ValueError.
+    lists need at least 4 colors.  `colors` or `lists` not of `host.n`
+    entries, an uncolored u_1 or u_r, a colored interior vertex, or a
+    shorter interior list raises ValueError.
     """
     seq = list(ear_vertices)
     if len(seq) < 3:
         raise ValueError("an ear has at least 3 vertices")
     ls = lists.lists if isinstance(lists, ListAssignment) else tuple(frozenset(x) for x in lists)
+    if len(colors) != host.n or len(ls) != host.n:
+        raise ValueError(f"host has {host.n} vertices, {len(colors)} colors and {len(ls)} lists")
     for end in (seq[0], seq[-1]):
         if colors[end] is None:
             raise ValueError(f"ear end {end} must be colored before extension")
     for v in seq[1:-1]:
+        if colors[v] is not None:
+            raise ValueError(f"ear vertex {v} is already colored")
         if len(ls[v]) < 4:
             raise ValueError(f"ear vertex {v} needs 4 colors, has {len(ls[v])}")
     p = _Pass(host, ls, list(colors))
-    _extend_ear(p, seq, "EarExtension", ())
+    _extend_ear(p, seq, ())
     return p.colors
 
 
@@ -415,7 +409,7 @@ class _Pass:
         return SolverInternalError(message, _trace(self.record()))
 
 
-def _extend_ear(p: _Pass, seq, tag: str, removed: tuple) -> None:
+def _extend_ear(p: _Pass, seq, removed: tuple) -> None:
     colors = p.colors
     r = len(seq)
     u1, ur = seq[0], seq[-1]
@@ -439,7 +433,7 @@ def _extend_ear(p: _Pass, seq, tag: str, removed: tuple) -> None:
         if i >= r - 2:
             forb.add(cr)
         p.put(v, p.pick(p.lists[v], forb, "ear vertex", v))
-    p.close(tag, removed)
+    p.close("GoodEar" if removed else "EarExtension", removed)  # only a good ear removes any
 
 
 # -- the coloring pass ---------------------------------------------------------
@@ -503,13 +497,13 @@ def solve(g: Graph, lists) -> SolveResult:
 STRUCTURE_CACHE_MAX_N = 1024
 
 
-def _structure_pass(g: Graph) -> "tuple[Obstruction | None, tuple[EndBlockCase, ...], tuple[int, ...]]":
-    """The graph-only pass of `solve`: `structure.peel`, with the screen
-    that failed, if any, as an `Obstruction`.  Everything returned is
-    immutable."""
-    reason, plan, rest = peel(g)
+def _structure_pass(g: Graph) -> "tuple[Obstruction | None, tuple[tuple, ...], tuple[int, ...]]":
+    """The graph-only pass of `solve`: `structure.peel`, its step records
+    and remaining vertices, with the screen that failed, if any, as an
+    `Obstruction`.  Everything returned is immutable."""
+    reason, records, rest = peel(g)
     if reason is None:
-        return None, plan, rest
+        return None, records, rest
     what = "disconnected" if reason == REASON_DISCONNECTED else "not outerplanar"
     return Obstruction(reason, f"input graph is {what}"), (), ()
 
@@ -519,37 +513,18 @@ def _compile(g: Graph) -> tuple:
     screen that failed, if any; each vertex's list-size need, degree+2; the
     uniform-5-cycle shape flag; the `(u2, u3, v1, vs)` color reservations
     of the s3H4 chains, in peel order; and the steps, in coloring order,
-    each a step function and its flat arguments.  Everything is immutable,
-    so every solve of the graph shares it."""
-    screened, plan, rest = _structure_pass(g)
+    each a peel record's flat arguments with the step function of its
+    kind.  Everything is immutable, so every solve of the graph shares it."""
+    screened, records, rest = _structure_pass(g)
     if screened is not None:
         return screened, (), False, (), ()
     need = tuple(len(nb) + 2 for nb in g.adjacency)
     c5 = len(need) == 5 and all(k == 4 for k in need)
-    reserve = tuple(
-        (*case.chain.ears[-1].interior, case.chain.spine[0], case.chain.spine[-1])
-        for case in plan
-        if case.kind == KIND_EAR_CHAIN and len(case.chain.spine) == 3 and case.chain.ears[-1].size() == 4
-    )
+    reserve = tuple((*args[2], args[0][0], args[0][-1]) for kind, _, args in records
+                    if kind == KIND_EAR_CHAIN and len(args[0]) == 3 and len(args[2]) == 2)
     steps = [(_color_trivial if len(rest) <= 3 else _color_whole_cycle, (rest,))]
-    steps += map(_step, reversed(plan))
+    steps += [(_STEP[kind], args) for kind, _, args in reversed(records)]
     return None, need, c5, reserve, tuple(steps)
-
-
-def _step(case: EndBlockCase) -> tuple:
-    """The step function of one end-block case and its flat arguments."""
-    if case.kind == KIND_K2:
-        return _step_pendant, (case.pendant, case.anchor)
-    if case.kind == KIND_CYCLE:
-        return _step_cycle, (case.anchor, case.removed(), len(case.cycle_order))
-    if case.kind == KIND_EAR_CHAIN:
-        spine, ears = case.chain.spine, case.chain.ears
-        firsts = tuple((spine[t], *ear.interior, spine[t + 1]) for t, ear in enumerate(ears[:-1]))
-        return _step_ear_chain, (spine, firsts, ears[-1].interior, case.removed())
-    ear = case.ear
-    if case.kind == KIND_GOOD_EAR:
-        return _extend_ear, (ear.vertices(), "GoodEar", ear.interior)
-    return _step_long_ear, (ear.vertices(), ear.interior)
 
 
 # cached per graph (by value); sized above the 1,016 connected outerplanar
@@ -587,7 +562,7 @@ def _step_pendant(p: _Pass, v: int, x: int) -> None:
     p.close("K2", (v,))
 
 
-def _step_cycle(p: _Pass, x: int, body: tuple, ell: int) -> None:
+def _step_cycle(p: _Pass, x: int, ell: int, body: tuple) -> None:
     # the attached cycle x, body[0], ..., body[ell - 2]
     lists = p.lists
     c1 = p.colors[x]
@@ -690,6 +665,7 @@ def _step_ear_chain(p: _Pass, spine: tuple, firsts: tuple, last: tuple, removed:
     alpha = p.unique(v1, "chain end")
     beta = p.unique(vs, "chain end")
 
+    v2 = spine[1]
     if s >= 4:
         iv = last  # u_2..u_{r-1} of the closing ear, r = rlast
 
@@ -709,17 +685,11 @@ def _step_ear_chain(p: _Pass, spine: tuple, firsts: tuple, last: tuple, removed:
                 forb |= {c2, colors[spine[s - 2]], u2c}
             p.put(spine[i - 1], p.pick(lists[spine[i - 1]], forb, "chain junction"))
         p.close("EarChain(s>=4)", removed)
-        for seq in firsts:
-            _extend_ear(p, seq, "EarExtension", ())
-        return
-
-    v2 = spine[1]
-    if rlast == 3:
+    elif rlast == 3:
         u2 = last[0]
         p.put(u2, p.pick(lists[u2], {c1, c2, beta}, "chain ear"))
         p.put(v2, p.pick(lists[v2], {c1, c2, alpha, beta, colors[u2]}, "chain junction"))
         p.close("EarChain(s3H3)", removed)
-        _extend_ear(p, firsts[0], "EarExtension", ())
     elif rlast == 4:
         u2, u3 = last
         t2 = frozenset(sorted(lists[u2])[:4])
@@ -738,7 +708,6 @@ def _step_ear_chain(p: _Pass, spine: tuple, firsts: tuple, last: tuple, removed:
             p.put(v2, p.pick(lists[v2], {c1, c2, alpha, beta, chosen}, "chain junction"))
             p.put(u3, p.pick(t3, {c2, beta, chosen, colors[v2]}, "chain ear"))
         p.close("EarChain(s3H4)", removed)
-        _extend_ear(p, firsts[0], "EarExtension", ())
     elif rlast == 5:
         u2, u3, u4 = last
         tv2 = frozenset(sorted(lists[v2] - {c1, c2, alpha, beta})[:2])
@@ -758,13 +727,19 @@ def _step_ear_chain(p: _Pass, spine: tuple, firsts: tuple, last: tuple, removed:
         if len(tu3 - {pv2, pu4}) < 2:
             raise p.fail("middle list lost too many colors")
         p.close("EarChain(s3H5)", removed)
-        _extend_ear(p, firsts[0], "EarExtension", ())
+    else:
+        raise p.fail(f"closing ear of size {rlast} in chain case")
+    for seq in firsts:
+        _extend_ear(p, seq, ())
+    if s == 3 and rlast == 5:
         # u2 and u3 wait for the first ear, whose colors fix v2's unique color
         gmid = p.unique(v2, "junction")
         cu2 = p.pick(lists[u2], {pv2, pu4, gmid}, "chain ear")
         p.put(u2, cu2)
         p.put(u3, p.pick(tu3, {pv2, cu2, pu4}, "chain ear"))
         p.close("EarChain(s3H5)", ())
-    else:
-        raise p.fail(f"closing ear of size {rlast} in chain case")
 
+
+# the step function of each kind of peel record
+_STEP = {KIND_K2: _step_pendant, KIND_CYCLE: _step_cycle, KIND_GOOD_EAR: _extend_ear,
+         KIND_LONG_EAR: _step_long_ear, KIND_EAR_CHAIN: _step_ear_chain}

@@ -15,7 +15,8 @@ Four layers, each feeding the next:
    read from one ear table, built once per search over neighbor sets;
 4. the peel (`peel`): layers 1 and 2 screen connectivity and
    outerplanarity, then end blocks are cut one at a time, each at its
-   anchor and by its inductive case; `classify_end_block` is its first step.
+   anchor and by its inductive case, and recorded as the flat arguments
+   of its coloring step; `classify_end_block` is its first step.
 
 Layers 1-3 take time linear in their input, up to sorting blocks and
 chords.  The peel keeps each block's outer cycle and, for a block with
@@ -329,29 +330,28 @@ class EarChain:
         )
 
 
-def _check_ear(b, ear: Ear) -> None:
-    cycle = ear.vertices()
-    for i in range(len(cycle)):  # i = 0 checks the root edge
-        if cycle[i - 1] not in b[cycle[i]]:
-            raise StructureError(f"ear cycle breaks at {cycle[i - 1]}-{cycle[i]}")
-    for w in ear.interior:
+def _check_ear(b, seq) -> None:  # seq: root[0], interior..., root[1]
+    for i in range(len(seq)):  # i = 0 checks the root edge
+        if seq[i - 1] not in b[seq[i]]:
+            raise StructureError(f"ear cycle breaks at {seq[i - 1]}-{seq[i]}")
+    for w in seq[1:-1]:
         if len(b[w]) != 2:
             raise StructureError(f"ear interior vertex {w} has degree {len(b[w])}")
-    if not ear.interior:
+    if len(seq) < 3:
         raise StructureError("ear must have at least one interior vertex")
 
 
-def _check_chain(b, chain: EarChain) -> None:
-    s = len(chain.spine)
-    if s < 3 or len(chain.ears) != s - 1:
+def _check_chain(b, spine, ears) -> None:
+    s = len(spine)
+    if s < 3 or len(ears) != s - 1:
         raise StructureError("malformed ear chain")
-    if chain.spine[-1] not in b[chain.spine[0]]:
+    if spine[-1] not in b[spine[0]]:
         raise StructureError("ear chain root edge missing")
-    for i, ear in enumerate(chain.ears):
-        if ear.root != (chain.spine[i], chain.spine[i + 1]):
+    for i, seq in enumerate(ears):
+        if (seq[0], seq[-1]) != (spine[i], spine[i + 1]):
             raise StructureError("ear chain root edges do not follow the spine")
-        _check_ear(b, ear)
-    for v in chain.spine[1:-1]:
+        _check_ear(b, seq)
+    for v in spine[1:-1]:
         if len(b[v]) != 4:
             raise StructureError(f"ear chain junction {v} has degree {len(b[v])}")
 
@@ -394,6 +394,17 @@ def find_good_ear_or_chain(b, emb: OuterEmbedding, x: int) -> "Ear | EarChain":
     ear there, the arc inside the span: its other arc passes u or v, which
     have degree 3 or more.
     """
+    spine, ears = _good_ear_or_chain(b, emb, x)
+    return _as_ear(ears[0]) if spine is None else EarChain(spine, tuple(map(_as_ear, ears)))
+
+
+def _as_ear(seq) -> Ear:  # the ear of the vertex sequence root[0], interior..., root[1]
+    return Ear((seq[0], seq[-1]), seq[1:-1])
+
+
+def _good_ear_or_chain(b, emb: OuterEmbedding, x: int):
+    """`find_good_ear_or_chain` with each ear as its vertex sequence root[0],
+    interior..., root[1]: `(None, (ear,))`, or a chain's `(spine, ears)`."""
     order = emb.order
     n = len(order)
     pos = emb.position()
@@ -409,22 +420,21 @@ def find_good_ear_or_chain(b, emb: OuterEmbedding, x: int) -> "Ear | EarChain":
         j = (i + 1) % n
         run[i % n] = run[j] + 1 if len(b[order[j]]) == 2 else 0
 
-    # the ear table: the ears of each root edge (u, v), interiors from u to v
-    ears_by_edge: dict[Edge, list[Ear]] = {}
+    # the ear table: the ears of each root edge (u, v), as sequences from u to v
+    ears_by_edge: dict[Edge, list[tuple[int, ...]]] = {}
     for u, v in chords:
         pu, pv = pos[u], pos[v]
         # the arc from u backward is the arc after v forward
         for step, length, start in ((1, (pv - pu) % n - 1, pu), (-1, (pu - pv) % n - 1, pv)):
             if 0 < length <= run[start]:
-                arc = tuple(_arc(order, pu, step, length))
-                ears_by_edge.setdefault((u, v), []).append(Ear((u, v), arc))
+                ears_by_edge.setdefault((u, v), []).append((u, *_arc(order, pu, step, length), v))
 
-    def _ear(a: int, c: int) -> Ear:
+    def _ear(a: int, c: int) -> tuple[int, ...]:
         # the single ear rooted at a-c, oriented from a to c
         ears = ears_by_edge[normalize_edge(a, c)]
         if len(ears) != 1:
             raise StructureError("chain root edge must have a unique ear")
-        return ears[0] if ears[0].root == (a, c) else ears[0].reversed()
+        return ears[0] if ears[0][0] == a else ears[0][::-1]
 
     adj = _root_graph(ears_by_edge)
     if any(len(nb) > 2 for nb in adj.values()):
@@ -440,7 +450,7 @@ def find_good_ear_or_chain(b, emb: OuterEmbedding, x: int) -> "Ear | EarChain":
         if len(cycle) != len(adj):
             raise StructureError("root-edge cycle is disconnected")
         ell = len(cycle)
-        holders = (i for i in range(ell) if x in _ear(cycle[i], cycle[(i + 1) % ell]).vertices())
+        holders = (i for i in range(ell) if x in _ear(cycle[i], cycle[(i + 1) % ell]))
         j = next(holders, None)
         if j is None:
             raise StructureError("anchor missing from every ear of the tiling")
@@ -502,21 +512,21 @@ def _walk(adj, path: list[int]) -> list[int]:
         path.append(nxt[0])
 
 
-def _chain(b, spine, ear, x) -> EarChain:
-    """The ear chain along `spine`, with the ear `ear(a, c)` on each of its
-    edges, checked and good for x."""
-    chain = EarChain(tuple(spine), tuple(ear(a, c) for a, c in zip(spine, spine[1:])))
-    _check_chain(b, chain)
-    if not chain_is_good(b, chain, x):
+def _chain(b, spine, ear, x):
+    """`(spine, ears)`: the ear chain along `spine`, with the ear `ear(a,
+    c)` on each of its edges, checked and good for x."""
+    ears = tuple(map(ear, spine, spine[1:]))
+    _check_chain(b, spine, ears)
+    if x not in (spine[0], spine[-1]) and any(x in seq for seq in ears):
         raise StructureError("ear chain is not good for the anchor")
-    return chain
+    return tuple(spine), ears
 
 
-def _ear_at_free_endpoint(b, x, adj, ears_by_edge, banned) -> Ear:
+def _ear_at_free_endpoint(b, x, adj, ears_by_edge, banned):
     # a root edge of `adj` with a degree-1 endpoint (not on the enclosing
     # chord) gives a good ear: that endpoint has block degree 3 and becomes
     # the far end u_r, while x may only coincide with the near end u_1
-    candidates: list[Ear] = []
+    candidates = []
     for a, c in sorted((a, c) for a in adj for c in adj[a] if a < c):
         for far, near in ((a, c), (c, a)):
             if len(adj[far]) != 1 or far in banned:
@@ -524,13 +534,13 @@ def _ear_at_free_endpoint(b, x, adj, ears_by_edge, banned) -> Ear:
             if len(b[far]) != 3:
                 raise StructureError(f"free endpoint {far} has degree {len(b[far])}")
             for ear in ears_by_edge[a, c]:
-                oriented = ear if ear.root == (near, far) else ear.reversed()
+                oriented = ear if ear[0] == near else ear[::-1]
                 _check_ear(b, oriented)
-                if ear_is_good(b, oriented, x):
+                if x not in oriented[1:]:  # good, as far has degree 3
                     candidates.append(oriented)
     if not candidates:
         raise StructureError("no good ear at any free endpoint")
-    return min(candidates, key=lambda e: (tuple(sorted(e.root)), len(e.interior), e.interior))
+    return None, (min(candidates, key=lambda e: (sorted((e[0], e[-1])), len(e), e[1:-1])),)
 
 
 # -- end-block classification --------------------------------------------------
@@ -545,7 +555,7 @@ KIND_EAR_CHAIN = "ear_chain"
 @dataclass(frozen=True)
 class EndBlockCase:
     """Which inductive step applies to the chosen end block, with its data,
-    in host-graph vertex ids."""
+    in host-graph vertex ids: a peel record as `end_block_case` reads it."""
 
     kind: str
     anchor: int
@@ -554,24 +564,34 @@ class EndBlockCase:
     ear: "Ear | None" = None  # good_ear / long_ear
     chain: "EarChain | None" = None  # ear_chain
 
-    def removed(self) -> tuple[int, ...]:
-        """The vertices this step deletes from the graph: the pendant, the
-        attached cycle minus its anchor (in cycle order), the ear interior
-        (in ear order), or the chain minus its two ends (sorted)."""
-        if self.kind == KIND_K2:
-            return (self.pendant,)
-        if self.kind == KIND_CYCLE:
-            return self.cycle_order[1:]
-        if self.kind == KIND_EAR_CHAIN:
-            ends = (self.chain.spine[0], self.chain.spine[-1])
-            return tuple(v for v in self.chain.vertices() if v not in ends)
-        return self.ear.interior
+
+def end_block_case(record) -> EndBlockCase:
+    """The `EndBlockCase` of a peel record, the one place that builds one.
+
+    A record is `(kind, anchor, args)`, with `args` the flat arguments of
+    the solver's step for that kind; the step removes `args[-1]`, or the
+    pendant of a pendant edge.  By kind, `args` are: KIND_K2, (pendant,
+    anchor); KIND_CYCLE, (anchor, cycle length, the cycle after the anchor);
+    KIND_GOOD_EAR and KIND_LONG_EAR, (the ear u_1..u_r, its interior);
+    KIND_EAR_CHAIN, (spine, the ears before the closing one as vertex
+    sequences, the closing ear's interior, the chain minus its ends, sorted).
+    """
+    kind, anchor, args = record
+    if kind == KIND_K2:
+        return EndBlockCase(kind, anchor, pendant=args[0])
+    if kind == KIND_CYCLE:
+        return EndBlockCase(kind, anchor, cycle_order=(anchor, *args[-1]))
+    if kind == KIND_EAR_CHAIN:
+        spine, firsts, last, _ = args
+        chain = EarChain(spine, (*map(_as_ear, firsts), Ear(spine[-2:], last)))
+        return EndBlockCase(kind, anchor, chain=chain)
+    return EndBlockCase(kind, anchor, ear=_as_ear(args[0]))
 
 
 @lru_cache(maxsize=65536)
 def classify_end_block(g: Graph) -> EndBlockCase:
-    """The first step of `peel(g)`: the end block it cuts first, at its
-    anchor, and the inductive case that block falls in.
+    """The first record of `peel(g)`, through `end_block_case`: the end
+    block it cuts first, at its anchor, and the inductive case it falls in.
 
     The graph must be connected, outerplanar, and have at least 4 vertices;
     anything else raises ValueError.  A whole-graph cycle, which the peel
@@ -580,14 +600,15 @@ def classify_end_block(g: Graph) -> EndBlockCase:
     """
     if g.n < 4:
         raise ValueError("classification needs at least 4 vertices")
-    reason, plan, rest = peel(g)
+    reason, records, rest = peel(g)
     if reason is not None:
         raise ValueError(f"classification needs a connected outerplanar graph, not {reason}")
-    return plan[0] if plan else EndBlockCase(KIND_CYCLE, rest[0], cycle_order=rest)
+    return end_block_case(records[0] if records else classify_block(None, rest, rest[0]))
 
 
-def classify_block(b, cycle, anchor: int) -> EndBlockCase:
-    """The inductive case of one 2-connected end block peeled at `anchor`.
+def classify_block(b, cycle, anchor: int) -> tuple:
+    """The peel record `(kind, anchor, args)` of one 2-connected end block
+    peeled at `anchor`: its inductive case and the step's flat arguments.
 
     `cycle` is the block's outer cycle, from any vertex either way round,
     and `b` its neighbor sets, or None if it has no chords: all the peel
@@ -599,19 +620,21 @@ def classify_block(b, cycle, anchor: int) -> EndBlockCase:
 
     if not emb.chords:  # the block is a cycle
         i = emb.order.index(anchor)
-        return EndBlockCase(KIND_CYCLE, anchor, cycle_order=emb.order[i:] + emb.order[:i])
+        return KIND_CYCLE, anchor, (anchor, len(emb.order), emb.order[i + 1:] + emb.order[:i])
 
-    found = find_good_ear_or_chain(b, emb, anchor)
-    if isinstance(found, Ear):
-        return EndBlockCase(KIND_GOOD_EAR, anchor, ear=found)
+    spine, ears = _good_ear_or_chain(b, emb, anchor)
+    if spine is None:
+        return KIND_GOOD_EAR, anchor, (ears[0], ears[0][1:-1])
 
-    chain = found.reversed() if anchor == found.spine[-1] else found
-    last = chain.ears[-1]
-    if last.size() >= 6:
+    if anchor == spine[-1]:
+        spine, ears = spine[::-1], tuple(seq[::-1] for seq in reversed(ears))
+    last = ears[-1]
+    if len(last) >= 6:
         # the closing ear is long and free of the anchor: the long-ear
         # recoloring handles it without needing a degree-3 endpoint
-        return EndBlockCase(KIND_LONG_EAR, anchor, ear=last)
-    return EndBlockCase(KIND_EAR_CHAIN, anchor, chain=chain)
+        return KIND_LONG_EAR, anchor, (last, last[1:-1])
+    removed = tuple(sorted((*spine[1:-1], *(v for seq in ears for v in seq[1:-1]))))
+    return KIND_EAR_CHAIN, anchor, (spine, ears[:-1], last[1:-1], removed)
 
 
 # -- the peel ----------------------------------------------------------------
@@ -620,11 +643,12 @@ REASON_DISCONNECTED = "Disconnected"
 REASON_NOT_OUTERPLANAR = "NotOuterplanar"
 
 
-def peel(g: Graph) -> "tuple[str | None, tuple[EndBlockCase, ...], tuple[int, ...]]":
+def peel(g: Graph) -> "tuple[str | None, tuple[tuple, ...], tuple[int, ...]]":
     """Screen a graph, then peel it down to at most 3 vertices or a whole
-    cycle; returns the reason a screen failed (or None), the cases in peel
-    order and the remaining vertices (sorted, or in cycle order), all in
-    host ids and immutable.
+    cycle; returns the reason a screen failed (or None), the step records
+    `(kind, anchor, args)` in peel order, `args` being the solver's step
+    arguments (see `end_block_case`), and the remaining vertices (sorted,
+    or in cycle order), all in host ids and immutable.
 
     One Tarjan search from vertex 0 screens connectivity and yields the
     blocks; the graph is outerplanar iff m <= 2n - 3 and every block
@@ -665,25 +689,26 @@ def peel(g: Graph) -> "tuple[str | None, tuple[EndBlockCase, ...], tuple[int, ..
     adjs: "list[dict[int, set[int]] | None]" = [None] * len(cycles)  # neighbor sets, if chords
     gone = bytearray(n)
     left = n
-    plan = []
+    records = []
     while left > 3:
         first, size, _, i = heappop(heap)
         cycle = cycles[i]
         anchor = next((v for v in cycle if count[v] > 1), first)
         if size == 2:
-            case = EndBlockCase(KIND_K2, anchor, pendant=cycle[0] if cycle[1] == anchor else cycle[1])
+            cut = (cycle[0] if cycle[1] == anchor else cycle[1],)
+            record = KIND_K2, anchor, (cut[0], anchor)
         else:
             if adjs[i] is None and len(edges[i]) > size:  # the first cut into a block with chords
                 adjs[i], edges[i] = _adjacency(edges[i]), None
-            case = classify_block(adjs[i], cycle, anchor)
-            if case.kind == KIND_CYCLE and size == left:
-                return None, tuple(plan), case.cycle_order
-        plan.append(case)
-        cut = case.removed()
+            record = classify_block(adjs[i], cycle, anchor)
+            cut = record[2][-1]
+            if record[0] == KIND_CYCLE and size == left:
+                return None, tuple(records), (anchor, *cut)
+        records.append(record)
         left -= len(cut)
         for v in cut:
             gone[v] = 1
-        if case.kind in (KIND_K2, KIND_CYCLE):
+        if record[0] in (KIND_K2, KIND_CYCLE):
             edges[i] = cycles[i] = adjs[i] = None
             count[anchor] -= 1
             if count[anchor] == 1:
@@ -698,7 +723,7 @@ def peel(g: Graph) -> "tuple[str | None, tuple[EndBlockCase, ...], tuple[int, ..
                         adjs[i][w].discard(v)
             cycles[i] = cycle = [v for v in cycle if not gone[v]]  # the smaller block's outer cycle
             heappush(heap, _key(cycle, i))
-    return None, tuple(plan), tuple(v for v in range(n) if not gone[v])
+    return None, tuple(records), tuple(v for v in range(n) if not gone[v])
 
 
 def _key(cycle, i: int) -> tuple[int, int, int, int]:  # block i's heap entry

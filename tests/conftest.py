@@ -347,6 +347,17 @@ def _renamed_case(case: EndBlockCase, ids) -> EndBlockCase:
     )
 
 
+def _removed(case: EndBlockCase) -> set[int]:
+    """The vertices the case's step deletes from the graph."""
+    if case.kind == KIND_K2:
+        return {case.pendant}
+    if case.kind == KIND_CYCLE:
+        return set(case.cycle_order[1:])
+    if case.kind == KIND_EAR_CHAIN:
+        return set(case.chain.vertices()) - {case.chain.spine[0], case.chain.spine[-1]}
+    return set(case.ear.interior)
+
+
 def reference_structure(g: Graph):
     """(obstruction or None, cases in peel order, remaining vertices), as
     `solver._structure_pass` returns them."""
@@ -361,7 +372,7 @@ def reference_structure(g: Graph):
         if case.kind == KIND_CYCLE and len(case.cycle_order) == sub.n:
             return None, tuple(plan), tuple(ids[v] for v in case.cycle_order)
         plan.append(_renamed_case(case, ids))
-        cut = set(case.removed())
+        cut = _removed(case)
         sub, kept = sub.subgraph(w for w in range(sub.n) if w not in cut)
         ids = tuple(ids[w] for w in kept)
     return None, tuple(plan), ids
@@ -373,7 +384,8 @@ def reference_structure(g: Graph):
 # from the ear table: the span case cut its ears out of the outer cycle,
 # each chain case built and checked its chain on its own, and the root-edge
 # graph was built and walked once per case.  Copied verbatim with its
-# helpers; only the search's name changed.
+# helpers; only the search's name changed, and the package's checks, which
+# read an ear as its vertex sequence, are handed each ear's `vertices()`.
 
 
 def _arc(order: tuple[int, ...], p: int, step: int, length: int) -> list[int]:
@@ -494,10 +506,10 @@ def reference_find_good_ear_or_chain(b: Graph, emb: OuterEmbedding, x: int) -> "
         for i in range(len(spine) - 1):
             interior = tuple(strip[strip_pos[spine[i]] + 1 : strip_pos[spine[i + 1]]])
             ear = Ear((spine[i], spine[i + 1]), interior)
-            _check_ear(b, ear)
+            _check_ear(b, ear.vertices())
             ears.append(ear)
         chain = EarChain(tuple(spine), tuple(ears))
-        _check_chain(b, chain)
+        _check_chain(b, chain.spine, [e.vertices() for e in chain.ears])
         if not chain_is_good(b, chain, x):
             raise StructureError("constructed ear chain is not good for the anchor")
         return chain
@@ -539,7 +551,7 @@ def _chain_from_root_cycle(b, g1_adj, ears_by_edge, x) -> EarChain:
     j = holders[0]
     spine = tuple(order[(j + 1 + t) % ell] for t in range(ell))
     chain = EarChain(spine, tuple(ears[(j + 1 + t) % ell] for t in range(ell - 1)))
-    _check_chain(b, chain)
+    _check_chain(b, chain.spine, [e.vertices() for e in chain.ears])
     if not chain_is_good(b, chain, x):
         raise StructureError("tiling chain is not good for the anchor")
     return chain
@@ -567,7 +579,7 @@ def _ear_at_free_endpoint(
                     continue
                 if b.degree(far) != 3:
                     raise StructureError(f"free endpoint {far} has degree {b.degree(far)}")
-                _check_ear(b, oriented)
+                _check_ear(b, oriented.vertices())
                 if ear_is_good(b, oriented, x):
                     candidates.append(oriented)
     if not candidates:

@@ -191,8 +191,22 @@ def test_extend_ear_keeps_host_coloring():
 def test_extend_ear_rejects_a_colored_interior():
     host = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)])
     lists = ListAssignment([[3], [1], [1, 2, 3, 4], [1, 2, 3, 4], [2]])
-    with pytest.raises(SolverInternalError, match="already colored"):
+    with pytest.raises(ValueError, match="ear vertex 3 is already colored"):
         extend_ear(host, [3, 1, None, 4, 2], (1, 2, 3, 4), lists)
+
+
+def test_extend_ear_rejects_colors_or_lists_of_another_length():
+    # the 4-cycle with the chord 0-2 and the ear 0, 1, 2: a broken
+    # precondition raises ValueError before any vertex is colored
+    host = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    lists = ListAssignment([[1, 2, 3, 4, 5]] * 4)
+    with pytest.raises(ValueError, match="ear vertex 1 is already colored"):
+        extend_ear(host, [1, 2, 3, 4], (0, 1, 2), lists)
+    with pytest.raises(ValueError, match="host has 4 vertices, 3 colors and 4 lists"):
+        extend_ear(host, [1, None, 3], (0, 1, 2), lists)
+    with pytest.raises(ValueError, match="host has 4 vertices, 4 colors and 3 lists"):
+        extend_ear(host, [1, None, 3, 4], (0, 1, 2), lists.lists[:3])
+    assert verify(host, extend_ear(host, [1, None, 3, 2], (0, 1, 2), lists), lists).ok
 
 
 def test_extend_ear_rejects_an_uncolored_end_or_a_short_list():
@@ -614,12 +628,34 @@ def test_a_first_solve_embeds_each_block_once(monkeypatch):
             m.setattr(structure, "outer_embedding", counted("outer_embedding", structure.outer_embedding))
             m.setattr(structure, "_adjacency", adjacency)
             m.setattr(Graph, "__init__", counted("Graph", Graph.__init__))
-            screened, plan, _ = solver._structure_pass(g)
-        assert screened is None and plan
+            screened, records, _ = solver._structure_pass(g)
+        assert screened is None and records
         assert calls["Graph"] == 0 and calls["outer_embedding"] == 0, calls
         assert calls["_outer_cycle"] == len(chorded), calls
         assert built == Counter({b: 1 + (b in chorded) for b in blocks}), built
         assert sum(handed) <= g.m + sum(chorded.values()), handed  # at most g.m without chords
+
+
+def test_a_first_solve_builds_no_end_block_case(monkeypatch):
+    # the peel hands the coloring pass flat step records: an `EndBlockCase`,
+    # `Ear` or `EarChain` is built only for a caller that asks for one
+    graphs = (fan(200), flower(1, 2, 1), flower(1, 4, 1), sun(100), random_cactus(2000, 1))
+    built = Counter()
+    for cls in (structure.EndBlockCase, structure.Ear, structure.EarChain):
+        def init(self, *args, __init=cls.__init__, **kwargs):
+            built[type(self).__name__] += 1
+            __init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+    solver._structure.cache_clear()
+    for seed, g in enumerate(graphs):
+        solved_ok(g, plus2_lists(g, seed))
+    assert built == Counter(), built
+    structure.classify_end_block.cache_clear()
+    cases = [structure.classify_end_block(g) for g in graphs]
+    assert [case.kind for case in cases] == [
+        structure.KIND_GOOD_EAR, structure.KIND_EAR_CHAIN, structure.KIND_LONG_EAR,
+        structure.KIND_GOOD_EAR, structure.KIND_K2]
+    assert built["EndBlockCase"] == len(graphs), built
 
 
 def test_solve_is_deterministic():
@@ -686,7 +722,7 @@ def test_a_repeated_graph_compiles_once(monkeypatch):
         return [y for z in x for y in leaves(z)] if isinstance(x, tuple) else [x]
 
     kinds = {type(x) for x in leaves(solver._structure(g))}
-    assert kinds <= {type(None), bool, int, str, type(solver._step)}, kinds
+    assert kinds <= {type(None), bool, int, str, type(solver._compile)}, kinds
 
     big = path_graph(solver.STRUCTURE_CACHE_MAX_N + 1)
     peeled.clear()
@@ -756,7 +792,13 @@ def peel_inputs(draw):
 @given(peel_inputs())
 def test_peel_matches_the_reference(g):
     # case for case and field for field, screens included
-    assert solver._structure_pass(g) == reference_structure(g)
+    assert converted_structure(g) == reference_structure(g)
+
+
+def converted_structure(g):
+    """`solver._structure_pass(g)` with its records as `EndBlockCase`s."""
+    screened, records, rest = solver._structure_pass(g)
+    return screened, tuple(map(structure.end_block_case, records)), rest
 
 
 def test_peel_matches_the_reference_on_the_corpora():
@@ -764,7 +806,7 @@ def test_peel_matches_the_reference_on_the_corpora():
     graphs += [g for n in range(4, 10) for g in enumerate_two_connected_outerplanar(n)]
     graphs += [flower(a, b, c) for a in (1, 2, 3) for b in range(1, 7) for c in (1, 2, 3)]
     for g in graphs:
-        assert solver._structure_pass(g) == reference_structure(g), g.edges()
+        assert converted_structure(g) == reference_structure(g), g.edges()
 
 
 @settings(max_examples=100, deadline=None)

@@ -558,8 +558,8 @@ def test_a_cycle_block_is_walked_not_eliminated(monkeypatch):
     monkeypatch.setattr(structure, "_outer_cycle", lambda adj: calls.append(len(adj)) or real(adj))
     for seed in range(3):
         g = random_cactus(300, seed)
-        reason, plan, _ = peel(g)
-        assert reason is None and any(case.kind == KIND_CYCLE for case in plan)
+        reason, records, _ = peel(g)
+        assert reason is None and any(kind == KIND_CYCLE for kind, _, _ in records)
     assert peel(cycle_graph(7))[2] == (0, 1, 2, 3, 4, 5, 6)
     assert calls == []
 

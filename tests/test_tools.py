@@ -13,6 +13,8 @@ import bench_layers  # noqa: E402
 import equivalence  # noqa: E402
 
 import pcfcolor  # noqa: E402
+from conftest import reference_structure  # noqa: E402
+from pcfcolor.families import random_outerplanar  # noqa: E402
 
 FIELDS = {"ops", "rounds", "batch_ms", "per_op_us"}
 PAIRED = FIELDS | {"baseline_ratio_median", "baseline_ratio_quartiles"}
@@ -21,6 +23,14 @@ PAIRED = FIELDS | {"baseline_ratio_median", "baseline_ratio_quartiles"}
 def test_equivalence_yields_a_record():
     label, text = next(equivalence.records(pcfcolor))
     assert label.startswith("criterion 2") and text
+
+
+def test_the_structure_records_hash_the_plan_of_cases():
+    # the peel's records, converted, hash as the reference peel's cases
+    label, text = next(equivalence.structure_records(pcfcolor))
+    assert label == "structure: random_outerplanar(10, 0)"
+    assert text == repr(reference_structure(random_outerplanar(10, 0)))
+    assert "EndBlockCase(" in text
 
 
 def test_the_command_line_records_and_series_run(tmp_path):

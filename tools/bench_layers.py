@@ -18,7 +18,8 @@ spend their time in, and the enumeration of the graph corpora:
   degree+2 lists built, then `solve`, above the structure cache's size
   limit) of the path and of `random_cactus(10**5, 1)`, with the garbage
   collector on and, as `.gc_off`, off, each with the `tracemalloc` size
-  of the graph just built (`graph_kb`);
+  of the graph just built (`graph_kb`) and the `tracemalloc` peak of one
+  more solve, its graph and lists built beforehand (`tracemalloc_peak_kb`);
 - the exact oracle: `solve_exact` on the corpus graphs of 6, 7 and 8
   vertices with one degree+2 list draw each, `pcf_chromatic_number` on
   the five 4-vertex corpus graphs and on the twelve evenly spaced
@@ -261,6 +262,13 @@ def graph_kb(pkg, edges):
         return round(tracemalloc.get_traced_memory()[0] / 1e3, 1)
     finally:
         tracemalloc.stop()
+
+
+def solve_peak_kb(pkg, edges):
+    """The `tracemalloc` peak of the package `pkg`'s cold solve on `edges`,
+    the graph and its degree+2 lists built beforehand, in kB."""
+    g = pkg.graphs.Graph(BIG, edges)
+    return traced_peak_kb(partial(pkg.solver.solve, g, pkg.kernel.ListAssignment(plus2_lists(g))))
 
 
 def outerplanar_batches(pkg):
@@ -568,7 +576,9 @@ def measure(baseline=None):
     results |= measure_series(partial(big_solve_batches, big_edges), baseline)
     for pkg, prefix in zip(pkgs, ("", "baseline.")):
         for family, edges in big_edges.items():
-            results[f"{prefix}solve.cold.{family}{BIG}"]["graph_kb"] = graph_kb(pkg, edges)
+            entry = results[f"{prefix}solve.cold.{family}{BIG}"]
+            entry["graph_kb"] = graph_kb(pkg, edges)
+            entry["tracemalloc_peak_kb"] = solve_peak_kb(pkg, edges)
     del big_edges
     results |= measure_series(oracle_batches, baseline)
     results |= measure_series(outerplanar_batches, baseline)

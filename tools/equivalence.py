@@ -7,7 +7,11 @@ Runs, instance by instance, and hashes what the package returns:
   1..2*maxdeg+4, seeded as in `tests/test_acceptance.py` (203,200
   instances); each hashes `repr((coloring, obstruction))` followed by
   `trace_to_json_lines(trace)`;
-- the graph-only pass, `repr(solver._structure_pass(g))`, on
+- the graph-only pass, `solver._structure_pass(g)`, hashed as the `repr`
+  of its plan of `EndBlockCase`s: a package whose peel emits flat step
+  records (one with `structure.end_block_case`) has each record converted
+  by that function, and a package whose pass returns the cases (an
+  earlier tree) is hashed as it is, so both trees hash the same plan; on
   `random_outerplanar(n, seed)` and `random_cactus(n, seed)` for
   n = 10, 20, ..., 160 and seeds 0..39, on fans (vertex 0 joined to the
   path 1..n-1) and strips (edges i,i+1 and i,i+2) for every n from 5 to
@@ -100,20 +104,33 @@ def records(pkg):
                 res = solver.solve(g, kernel.degree_plus_k_lists(g, 2, universe, rng))
                 text = repr((res.coloring, res.obstruction)) + solver.trace_to_json_lines(res.trace)
                 yield f"criterion 2: n={n} graph {gi} trial {t}", text
+    yield from structure_records(pkg)
+    yield from cli_records(pkg)
+
+
+def structure_records(pkg):
+    """(label, text) for each graph-only pass: the `repr` of
+    `(obstruction, plan, rest)` from `solver._structure_pass`, its plan as
+    `EndBlockCase`s (converted by `structure.end_block_case` where the
+    package has it)."""
+    G, convert = pkg.graphs.Graph, getattr(pkg.structure, "end_block_case", None)
+
+    def text(g):
+        screened, plan, rest = pkg.solver._structure_pass(g)
+        return repr((screened, plan if convert is None else tuple(map(convert, plan)), rest))
+
     for name in ("random_outerplanar", "random_cactus"):
-        make = getattr(families, name)
+        make = getattr(pkg.families, name)
         for n, seed in itertools.product(RANDOM_SIZES, RANDOM_SEEDS):
-            yield f"structure: {name}({n}, {seed})", repr(solver._structure_pass(make(n, seed)))
+            yield f"structure: {name}({n}, {seed})", text(make(n, seed))
     for name, make in (("fan", fan), ("strip", strip)):
         for n in SHAPE_SIZES:
-            g = pkg.graphs.Graph(n, make(n).edges())
-            yield f"structure: {name}({n})", repr(solver._structure_pass(g))
+            yield f"structure: {name}({n})", text(G(n, make(n).edges()))
     for k in SUN_SIZES:
-        yield f"structure: sun({k})", repr(solver._structure_pass(pkg.graphs.Graph(*sun(k))))
+        yield f"structure: sun({k})", text(G(*sun(k)))
     for name, make in (("star", star), ("bouquet", bouquet)):
         for n in HUB_SIZES:
-            yield f"structure: {name}({n})", repr(solver._structure_pass(pkg.graphs.Graph(*make(n))))
-    yield from cli_records(pkg)
+            yield f"structure: {name}({n})", text(G(*make(n)))
 
 
 def cli_records(pkg):
