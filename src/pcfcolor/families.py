@@ -131,23 +131,55 @@ def _refined_colors(g: Graph) -> list[int]:
     """Color refinement from the degrees: each vertex's color is the rank
     of (its color, its neighbors' sorted colors), repeated until a round
     splits no class.  Such a round would rank the colors onto themselves,
-    so it ends the loop unapplied.  An automorphism maps every vertex to
-    one of its own color."""
-    nbrs = [g.neighbors(v) for v in range(g.n)]
+    so it ends the loop unapplied.  When every vertex has a color of its
+    own, the loop ends at once: each signature then leads with a color
+    no other has, so the next round could only be that round, and the
+    colors returned are the ones it would have returned.  An automorphism
+    maps every vertex to one of its own color."""
+    n = g.n
+    nbrs = [g.neighbors(v) for v in range(n)]
     colors = [len(nb) for nb in nbrs]
     count = -1
     while True:
-        sig = [(c, tuple(sorted([colors[w] for w in nb]))) for c, nb in zip(colors, nbrs)]
-        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-        if len(rank) == count:
+        get = colors.__getitem__
+        sig = [(c, tuple(sorted(map(get, nb)))) for c, nb in zip(colors, nbrs)]
+        distinct = set(sig)
+        if len(distinct) == count:
             return colors
+        rank = {s: i for i, s in enumerate(sorted(distinct))}
         colors = [rank[s] for s in sig]
         count = len(rank)
+        if count == n:
+            return colors
 
 
 def canonical_form(g: Graph) -> tuple[int, tuple[Edge, ...]]:
     """Isomorphism-invariant normal form: relabel within refinement classes
     to lexicographically minimize the adjacency rows, return the edges.
+
+    Slots are filled class by class in color order; the row of a slot is
+    the bit mask of the earlier slots its vertex is adjacent to.  The
+    edges are those of a slot order with the least rows, relabeled by
+    slot and sorted; two such orders give one edge set, since the rows
+    are the adjacency.  When refinement leaves every vertex a color of
+    its own, each class is one slot and there is one slot order, v at
+    slot colors[v]: it is taken as it is, with no twin pass and no
+    search, and gives the form the search would give, so every key and
+    every order sorted by it stay the same."""
+    n = g.n
+    if n == 0:
+        return (0, ())
+    colors = _refined_colors(g)
+    # colors are ranks from 0, so n of them means one vertex per color
+    slot = colors if max(colors) == n - 1 else _least_slots(g, colors)
+    at = slot.__getitem__
+    edges = [(i, j) for i, nb in zip(slot, g.adjacency) for j in map(at, nb) if i < j]
+    return (n, tuple(sorted(edges)))
+
+
+def _least_slots(g: Graph, colors: list[int]) -> list[int]:
+    """The slot of each vertex in a slot order with the least rows, for
+    `canonical_form`, found by a depth-first search over the orders.
 
     The search tries one vertex per twin class at each slot.  Twins (two
     vertices with the same neighbors besides each other) have one color,
@@ -156,45 +188,45 @@ def canonical_form(g: Graph) -> tuple[int, tuple[Edge, ...]]:
     those that put the other next, with the same rows: skipping the second
     leaves the minimum unchanged."""
     n = g.n
-    if n == 0:
-        return (0, ())
-    colors = _refined_colors(g)
+    adj = g.adjacency
     nbrs = [g.neighbor_set(v) for v in range(n)]
     classes: dict[int, list[int]] = {}
     twin = list(range(n))
     for v in range(n):
         members = classes.setdefault(colors[v], [])
         for u in members:
-            if nbrs[u] - {v} == nbrs[v] - {u}:
+            if nbrs[u] ^ nbrs[v] <= {u, v}:
                 twin[v] = twin[u]
                 break
         members.append(v)
-    slot_class = [c for c in sorted(classes) for _ in classes[c]]
+    slot_class = [classes[c] for c in sorted(classes) for _ in classes[c]]
 
     best: list[int] = []
-    slot_of: dict[int, int] = {}
+    best_slot: list[int] = []
+    slot_of = [-1] * n  # the slot of each placed vertex
     rows: list[int] = []
 
     def descend(i: int, tight: bool) -> bool:
         """Extend `rows` from slot i; `tight` says rows equals the prefix
         of `best` (false before the first leaf).  Returns whether `best`
         was replaced, after which rows is again its prefix."""
-        nonlocal best
+        nonlocal best, best_slot
         if i == n:
             if tight:
                 return False
             best = rows.copy()
+            best_slot = slot_of.copy()
             return True
         replaced = False
         tried = set()
-        for v in classes[slot_class[i]]:
-            if v in slot_of or twin[v] in tried:
+        for v in slot_class[i]:
+            if slot_of[v] >= 0 or twin[v] in tried:
                 continue
             tried.add(twin[v])
             row = 0
-            for w in nbrs[v]:
-                j = slot_of.get(w)
-                if j is not None:
+            for w in adj[v]:
+                j = slot_of[w]
+                if j >= 0:
                     row |= 1 << j
             if tight and row > best[i]:
                 continue
@@ -202,17 +234,12 @@ def canonical_form(g: Graph) -> tuple[int, tuple[Edge, ...]]:
             slot_of[v] = i
             if descend(i + 1, tight and row == best[i]):
                 replaced = tight = True
-            del slot_of[v]
+            slot_of[v] = -1
             rows.pop()
         return replaced
 
     descend(0, False)
-    edges = []
-    for i, row in enumerate(best):
-        for j in range(i):
-            if row >> j & 1:
-                edges.append((j, i))
-    return (n, tuple(sorted(edges)))
+    return best_slot
 
 
 def _automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -254,9 +281,16 @@ def enumerate_connected_outerplanar(n: int) -> tuple[Graph, ...]:
 
     Candidates are taken parent by parent in tuple order, each parent's
     subsets as ascending bit masks; each class keeps the first outerplanar
-    candidate reached, and the result is sorted by `canonical_form`.  A
-    candidate is skipped, with no `Graph` built, when it provably cannot
-    be the first of a new class:
+    candidate reached, and the result is sorted by `canonical_form`.
+
+    Outerplanarity is tested once per class, not once per candidate: each
+    candidate's key comes first, a key already kept has passed and a key
+    in the call's local set of failed keys has failed, since isomorphic
+    graphs are both outerplanar or both not.  Only a new key is tested.
+    So each candidate gets the verdict a test of its own would give, the
+    same candidate is the first outerplanar one of its class, and the
+    same keys sort the result.  A candidate is skipped, with no `Graph`
+    built, when it provably cannot be the first of a new class:
 
     - its edges exceed 2n - 3, which no outerplanar graph on n >= 2
       vertices has;
@@ -278,7 +312,9 @@ def enumerate_connected_outerplanar(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1, ()),)
     k = n - 1
+    verts = [tuple(v for v in range(k) if mask >> v & 1) for mask in range(1 << k)]
     by_key: dict = {}
+    failed = set()  # the keys of the classes found not outerplanar
     for g in enumerate_connected_outerplanar(k):
         adj = [g.neighbors(v) for v in range(k)]
         room = 2 * n - 3 - g.m
@@ -287,12 +323,12 @@ def enumerate_connected_outerplanar(n: int) -> tuple[Graph, ...]:
         passed[0] = 1
         first = [0] * (1 << k)  # the smaller mask in the same orbit, if any
         for mask in range(1, 1 << k):
-            if mask.bit_count() > room:
+            ends = verts[mask]
+            if len(ends) > room:
                 continue
             if first[mask]:
                 passed[mask] = passed[first[mask]]
                 continue
-            ends = [v for v in range(k) if mask >> v & 1]
             if not all(passed[mask ^ 1 << v] for v in ends):
                 continue
             for p in others:
@@ -301,10 +337,15 @@ def enumerate_connected_outerplanar(n: int) -> tuple[Graph, ...]:
                     first[image] = mask
             child = [nb + (k,) if mask >> v & 1 else nb for v, nb in enumerate(adj)]
             h = Graph._trusted(n, child + [ends])  # k tops every old list, so each stays sorted
-            if len(ends) > 1 and not is_outerplanar(h):
-                continue
+            key = canonical_form(h)
+            if key not in by_key:
+                if key in failed:
+                    continue
+                if len(ends) > 1 and not is_outerplanar(h):
+                    failed.add(key)
+                    continue
+                by_key[key] = h
             passed[mask] = 1
-            by_key.setdefault(canonical_form(h), h)
     return tuple(by_key[key] for key in sorted(by_key))
 
 

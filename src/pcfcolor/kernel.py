@@ -210,6 +210,8 @@ def degree_plus_k_lists(
     rng: random.Random | int,
 ) -> ListAssignment:
     """Random list assignment with |L(v)| = deg(v) + k, drawn from universe."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
     if isinstance(rng, int):
         rng = random.Random(rng)
     pool = sorted(set(universe))

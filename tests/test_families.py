@@ -14,6 +14,7 @@ from conftest import (
 )
 from pcfcolor.families import (
     _automorphisms,
+    _refined_colors,
     c5_uniform,
     canonical_form,
     degree_plus_one_gadget,
@@ -144,11 +145,19 @@ def test_canonical_form_matches_the_reference():
     graphs = [g for n in range(1, 9) for g in enumerate_connected_outerplanar(n)]
     graphs += [g for n in range(3, 10) for g in enumerate_two_connected_outerplanar(n)]
     for _ in range(200):
-        n = rng.randrange(1, 8)
+        n = rng.randrange(1, 11)
         pairs = list(itertools.combinations(range(n), 2))
         graphs.append(Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1))))
+    graphs += [random_outerplanar(rng.randrange(8, 11), rng) for _ in range(100)]
     for g in graphs:
         assert canonical_form(g) == reference_canonical_form(g), g.edges()
+    # the enumerator canonicalizes candidates that are not outerplanar too:
+    # on n = 8..10, each side of the outerplanarity test meets both the
+    # discrete shortcut and the slot search
+    kinds = {
+        (is_outerplanar(g), len(set(_refined_colors(g))) == g.n) for g in graphs if g.n >= 8
+    }
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_connected_enumeration_matches_the_reference():
@@ -180,6 +189,18 @@ def test_enumerations_match_the_recorded_digests():
             for g in enumerate_graphs(n):
                 h.update(write_graph6(g).encode() + b"\n")
         assert h.hexdigest() == digest
+
+
+# the same digest of the n = 9 connected enumeration alone, which
+# `pcfcolor gen corpus 9` and `pcfcolor check corpus 9` run
+NINE_DIGEST = "90f9d9a539c97231a6f92aa0ca734a5fb976af05ff385f4f5e57d687e86ef992"
+
+
+def test_connected_enumeration_at_nine_matches_the_recorded_digest():
+    graphs = enumerate_connected_outerplanar(9)
+    assert len(graphs) == 3783
+    lines = b"".join(write_graph6(g).encode() + b"\n" for g in graphs)
+    assert hashlib.sha256(lines).hexdigest() == NINE_DIGEST
 
 
 @st.composite

@@ -193,3 +193,11 @@ def test_degree_plus_k_lists_sizes_and_determinism():
     assert all(c in range(1, 9) for lst in la1 for c in lst)
     with pytest.raises(ValueError):
         degree_plus_k_lists(g, 2, range(1, 4), random.Random(5))
+
+
+@pytest.mark.parametrize("k", [-1, -2])
+def test_degree_plus_k_lists_rejects_negative_k(k):
+    # k = -1 used to hand a leaf an empty list, and k = -2 failed inside
+    # random.sample
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        degree_plus_k_lists(path_graph(4), k, range(1, 9), random.Random(5))

@@ -58,9 +58,11 @@ spend their time in, and the enumeration of the graph corpora:
   (every 2-connected non-cycle outerplanar graph of 4 to 10 vertices at
   every anchor) as one batch, and a fan and a strip of 1,000 vertices at
   every 50th anchor;
-- cold enumeration: `enumerate_connected_outerplanar(8)` and
+- cold enumeration: `enumerate_connected_outerplanar(7)`, `(8)` and
   `enumerate_two_connected_outerplanar(10)`, their caches cleared before
-  each run, so each run also enumerates every smaller size it builds on.
+  each run, so each run also enumerates every smaller size it builds on:
+  the connected ones run n = 1..7 and n = 1..8, the sizes below and at
+  the corpus of criterion 2.
 
 Every series is a batch of `ops` operations, run by a package on graphs
 and lists it built, and every batch is timed one way, by
@@ -494,6 +496,7 @@ def enumeration_batches(pkg):
     cleared first (`clear_enumerations`)."""
     fam = pkg.families
     return {
+        "enumerate.connected.n7": (lambda: fam.enumerate_connected_outerplanar(7), 1),
         "enumerate.connected.n8": (lambda: fam.enumerate_connected_outerplanar(8), 1),
         "enumerate.two_connected.n10": (lambda: fam.enumerate_two_connected_outerplanar(10), 1),
     }
