@@ -351,6 +351,10 @@ def cmd_check(args) -> tuple[int, dict]:
         raise ValueError(f"suite {args.suite} is randomized; pass --seed")
     if args.trials < 0:
         raise ValueError(f"trials must be nonnegative, got {args.trials}")
+    first = {"corpus": 2, "ears": 4}.get(args.suite)  # the smallest n the suite checks
+    if first is not None and args.bound < first:
+        raise ValueError(
+            f"suite {args.suite} starts at n = {first}; bound {args.bound} checks nothing")
     rng_for = functools.partial(_trial_rng, args.seed)
     suites = {
         "c5": lambda: check_c5(trials=args.trials, rng_for=rng_for, budget=args.budget),

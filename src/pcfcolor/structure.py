@@ -19,11 +19,12 @@ Four layers, each feeding the next:
    of its coloring step; `classify_end_block` is its first step.
 
 Layers 1-3 take time linear in their input, up to sorting blocks and
-chords.  The peel keeps each block's outer cycle and, for a block with
-chords, its neighbor sets, but a step still redoes the cycle filter, the
-embedding's normalization and the ear search, in time linear in the
-block.  The ear search follows a constructive proof: every branch ends
-in an assertion, and a `StructureError` is a bug.
+chords.  The peel keeps each block's outer cycle (a bridge's edge) and,
+for a block with chords, its neighbor sets from the first cut into it,
+but a step still redoes the cycle filter, the embedding's normalization
+and the ear search, in time linear in the block.  The ear search
+follows a constructive proof: every branch ends in an assertion, and a
+`StructureError` is a bug.
 """
 
 from __future__ import annotations
@@ -209,6 +210,7 @@ def _outer_cycle(adj) -> "list[int] | None":
     while w != x:
         cycle.append(w)
         w = nxt[w]
+    del work, removed, nxt, prv  # freed before the validation, or the two peak together
     return cycle if _is_outer_cycle(adj, cycle) else None
 
 
@@ -250,29 +252,19 @@ def is_outerplanar(g: Graph) -> bool:
     """Whole-graph outerplanarity: every block of every component embeds.
 
     An outerplanar graph on n >= 2 vertices has at most 2n - 3 edges, so a
-    denser graph is rejected before any block is looked at.  Otherwise one
-    Tarjan search over all components yields the blocks, each tested on its
-    own edges: a bridge, or a block with as many edges as vertices (a
-    cycle), passes as it is, and a block with chords must have an outer
-    cycle, found as `_block_embeds` finds it for the peel.
+    denser graph is rejected at once; otherwise one Tarjan search over all
+    components yields the blocks, each screened by `_block_embeds`.
     """
     n = g.n
     if n >= 2 and g.m > 2 * n - 3:
         return False
-    for edges in _blocks(g, range(n), [-1] * n):
-        if len(edges) > 1:
-            adj = _adjacency(edges)
-            m, nb = len(edges), len(adj)
-            if m > nb and (m > 2 * nb - 3 or _outer_cycle(adj) is None):
-                return False
-    return True
+    return None not in map(_block_embeds, _blocks(g, range(n), [-1] * n))
 
 
 def _block_embeds(edges) -> "list[int] | tuple[int, int] | None":
-    """The block's outer cycle, its one vertex record in the peel (a
-    bridge's edge, a cycle's walk), or None if it is not outerplanar.  The
-    peel adds neighbor sets only to a block with chords; a step redoes the
-    cycle filter, the normalization and the ear search."""
+    """The one per-block screen, of `is_outerplanar` and the peel: the
+    block's outer cycle (a bridge's edge, a cycle's walk), or None if it is
+    not outerplanar.  Only a block with chords runs `_outer_cycle`."""
     if len(edges) == 1:
         return edges[0]
     adj = _adjacency(edges)
@@ -651,42 +643,48 @@ def peel(g: Graph) -> "tuple[str | None, tuple[tuple, ...], tuple[int, ...]]":
     or in cycle order), all in host ids and immutable.
 
     One Tarjan search from vertex 0 screens connectivity and yields the
-    blocks; the graph is outerplanar iff m <= 2n - 3 and every block
-    embeds.  The peel runs over a block tree kept up to date in place.  A
-    block keeps its outer cycle from `_block_embeds` and, if it has chords,
-    its neighbor sets from the first step that cuts into it; a step redoes
-    the cycle filter, the normalization and the ear search.  End blocks
-    wait in a heap, one entry each, keyed (smallest vertex, size, second
-    smallest), the order of `BlockDecomposition.end_blocks()`, as two
-    blocks share at most one vertex.  The anchor is the block's one cut
-    vertex, or its smallest vertex once it is the only block left; no step
-    removes its anchor.  A pendant or cycle step deletes its block, which
-    can only turn the anchor from a cut vertex into an inner vertex of its
-    one other block; an ear or chain step removes vertices of no other
-    block and leaves the rest of its block 2-connected, so only that
-    block's key changes.
+    blocks, each screened by `_block_embeds` as it comes: a connected graph
+    is outerplanar iff every block embeds.  A block is then its outer cycle
+    (a bridge, its edge); a block with chords also keeps its edge list until
+    the first step cuts into it, and from then its neighbor sets, shrunk in
+    place; a step redoes the cycle filter, the normalization and the ear
+    search.  The block tree is flat: per vertex, the number of its live
+    blocks and, for a cut vertex, the sum of their indices, which is the
+    one block left once the number is 1; per block, the number of its cut
+    vertices.  End blocks wait in a heap, one entry each, keyed (smallest
+    vertex, size, second smallest), the order of
+    `BlockDecomposition.end_blocks()`, as two blocks share at most one
+    vertex.  The anchor is the block's one cut vertex, or its smallest
+    vertex once it is the only block left; no step removes its anchor.  A
+    pendant or cycle step deletes its block, which can only turn the anchor
+    into an inner vertex of its one other block; an ear or chain step
+    removes vertices of no other block and leaves the rest of its block
+    2-connected, so only that block's key changes.
     """
     n = g.n
     disc = [-1] * n
-    edges = list(_blocks(g, (0,) if n else (), disc))
+    cycles = []  # each block's outer cycle, or a bridge's edge
+    adjs = []  # a block with chords: its edge list until the first cut, then its neighbor sets
+    for edges in _blocks(g, (0,) if n else (), disc):
+        cycles.append(cycle := _block_embeds(edges))
+        adjs.append(edges if cycle is not None and len(edges) > len(cycle) else None)
     if -1 in disc:
         return REASON_DISCONNECTED, (), ()
-    if (n >= 2 and g.m > 2 * n - 3) or None in (cycles := [_block_embeds(e) for e in edges]):
+    if None in cycles:
         return REASON_NOT_OUTERPLANAR, (), ()
-    count = [0] * n  # blocks containing each vertex
+    count = [0] * n  # live blocks at each vertex
     for cycle in cycles:
         for v in cycle:
             count[v] += 1
-    at: dict[int, list[int]] = {}  # cut vertex -> its blocks
+    within = [0] * n  # the sum of the indices of the live blocks at a cut vertex
     ncut = [0] * len(cycles)  # cut vertices in each block
     for i, cycle in enumerate(cycles):
         for v in cycle:
             if count[v] > 1:
-                at.setdefault(v, []).append(i)
+                within[v] += i
                 ncut[i] += 1
     heap = [_key(cycle, i) for i, cycle in enumerate(cycles) if ncut[i] <= 1]
     heapify(heap)
-    adjs: "list[dict[int, set[int]] | None]" = [None] * len(cycles)  # neighbor sets, if chords
     gone = bytearray(n)
     left = n
     records = []
@@ -698,8 +696,8 @@ def peel(g: Graph) -> "tuple[str | None, tuple[tuple, ...], tuple[int, ...]]":
             cut = (cycle[0] if cycle[1] == anchor else cycle[1],)
             record = KIND_K2, anchor, (cut[0], anchor)
         else:
-            if adjs[i] is None and len(edges[i]) > size:  # the first cut into a block with chords
-                adjs[i], edges[i] = _adjacency(edges[i]), None
+            if isinstance(adjs[i], list):  # the first cut into a block with chords
+                adjs[i] = _adjacency(adjs[i])
             record = classify_block(adjs[i], cycle, anchor)
             cut = record[2][-1]
             if record[0] == KIND_CYCLE and size == left:
@@ -709,10 +707,11 @@ def peel(g: Graph) -> "tuple[str | None, tuple[tuple, ...], tuple[int, ...]]":
         for v in cut:
             gone[v] = 1
         if record[0] in (KIND_K2, KIND_CYCLE):
-            edges[i] = cycles[i] = adjs[i] = None
+            cycles[i] = adjs[i] = None
             count[anchor] -= 1
+            within[anchor] -= i
             if count[anchor] == 1:
-                j = next(j for j in at[anchor] if cycles[j] is not None)
+                j = within[anchor]  # the one block left at the anchor
                 ncut[j] -= 1
                 if ncut[j] == 1:  # it has just become an end block
                     heappush(heap, _key(cycles[j], j))

@@ -345,6 +345,21 @@ def test_check_ears_counts(run):
     assert code == 0 and doc["status"] == "pass" and doc["counts"] == {"checked": 62}
 
 
+def test_check_rejects_a_bound_below_the_first_size(run):
+    # a bound below the suite's first size would check nothing and pass
+    for argv, first in (
+        (("check", "corpus", "1", "--seed", "1"), 2),
+        (("check", "ears", "3"), 4),
+    ):
+        code, doc = run(*argv)
+        message = f"suite {argv[1]} starts at n = {first}; bound {first - 1} checks nothing"
+        assert (code, doc) == (2, {"status": "error", "message": message})
+    code, doc = run("check", "corpus", "2", "--trials", "1", "--seed", "1")
+    assert code == 0 and doc["counts"] == {"oracle_checked": 1, "solved": 1}
+    code, doc = run("check", "ears", "4")
+    assert code == 0 and doc["counts"]["checked"] > 0
+
+
 def test_check_bound_defaults_to_seven(run):
     assert run("check", "ears") == run("check", "ears", "7")
 

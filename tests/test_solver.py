@@ -754,12 +754,36 @@ def _relabeled(g, rng):
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def hub(blocks, seed):
+    """A star or bouquet at vertex 0: `blocks` blocks through it, each a
+    bridge, a cycle of 3 to 6 vertices or a fan of 4 to 6 vertices with 0
+    as its apex or at one end of its path, drawn by `seed`."""
+    rng = random.Random(seed)
+    edges, n = [], 1
+    for _ in range(blocks):
+        shape = rng.choice(("bridge", "cycle", "fan"))
+        if shape == "bridge":
+            edges.append((0, n))
+            n += 1
+        elif shape == "cycle":
+            ring = [0, *range(n, n + rng.randint(2, 5))]
+            edges += [*zip(ring, ring[1:]), (ring[-1], 0)]
+            n = ring[-1] + 1
+        else:
+            apex, *path = fan = [0, *range(n, n + rng.randint(3, 5))]
+            if rng.random() < 0.5:  # 0 at one end of the path, not the apex
+                apex, path[0] = path[0], apex
+            edges += [*zip(path, path[1:]), *((apex, w) for w in path)]
+            n = fan[-1] + 1
+    return Graph(n, edges)
+
+
 @st.composite
 def peel_inputs(draw):
     """Graphs of every block shape, in random vertex order half the time,
     plus disconnected and (often) non-outerplanar ones."""
     kind = draw(st.sampled_from(
-        ["random", "path", "cactus", "fan", "strip", "flower", "extra_edge", "union"]
+        ["random", "path", "cactus", "fan", "strip", "flower", "hub", "extra_edge", "union"]
     ))
     seed = draw(st.integers(0, 10**6))
     if kind == "random":
@@ -774,6 +798,8 @@ def peel_inputs(draw):
         g = zigzag_triangulation(draw(st.integers(3, 120)))
     elif kind == "flower":
         g = flower(*(draw(st.integers(1, 7)) for _ in range(3)))
+    elif kind == "hub":
+        g = hub(draw(st.integers(1, 40)), seed)
     elif kind == "extra_edge":
         g = random_outerplanar(draw(st.integers(4, 60)), seed)
         u, v = random.Random(seed).sample(range(g.n), 2)

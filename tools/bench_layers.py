@@ -33,13 +33,14 @@ spend their time in, and the enumeration of the graph corpora:
   tests about 4,900 of them), and on fans (vertex 0 joined to the path
   1..n-1) of 1,000 and 4,000 vertices;
 - the graph-only pass of a first solve (`solver._structure_pass`, which
-  the structure cache wraps) on paths and cactus graphs
-  (`families.random_cactus`) of 1,000, 2,000, 4,000 and 8,000 vertices,
-  and on `random_outerplanar` graphs (re-seeded until m >= n), fans and
-  strip triangulations (edges i,i+1 and i,i+2) of 200, 400 and 800
-  vertices; each with the garbage collector on and, as `.gc_off`, off,
-  and each with the `tracemalloc` peak of one more run
-  (`tracemalloc_peak_kb`, the graph built beforehand);
+  the structure cache wraps) on paths, cactus graphs
+  (`families.random_cactus`) and diamonds (4-cycles with one chord, each
+  hung on a random earlier vertex) of 1,000, 2,000, 4,000 and 8,000
+  vertices, and on `random_outerplanar` graphs (re-seeded until m >= n),
+  fans and strip triangulations (edges i,i+1 and i,i+2) of 200, 400 and
+  800 vertices; each with the garbage collector on and, as `.gc_off`,
+  off, and each but those in UNTRACED with the `tracemalloc` peak of one
+  more run (`tracemalloc_peak_kb`, the graph built beforehand);
 - warm `solve` (the structure cached, so only the list work and the
   coloring pass run) on paths, fans and strips of 200, 400 and 800
   vertices, with the lists {1, ..., deg(v)+2};
@@ -172,6 +173,20 @@ def strip(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)])
 
 
+def diamonds(n):
+    """Diamonds hung on random earlier vertices (seeded): each takes three
+    new vertices b, c, d and an earlier vertex a, with the 4-cycle a-b-c-d
+    and the chord a-c; the n - 1 mod 3 vertices left over form a path.
+    Each block has chords, so the peel builds its neighbor sets."""
+    rng = random.Random(SEED)
+    edges, v = [], 1
+    while v + 3 <= n:
+        a = rng.randrange(v)
+        edges += [(a, v), (v, v + 1), (v + 1, v + 2), (a, v + 2), (a, v + 1)]
+        v += 3
+    return Graph(n, edges + [(w - 1, w) for w in range(v, n)])
+
+
 def random_dense(n):
     """`random_outerplanar(n, seed)` for the first seed from SEED on that
     gives at least n edges: a polygon with chords, not a tree."""
@@ -187,7 +202,11 @@ FIRST_SOLVES = {
     "random": (random_dense, (200, 400, 800)),
     "fan": (fan, (200, 400, 800)),
     "strip": (strip, (200, 400, 800)),
+    "diamonds": (diamonds, (1000, 2000, 4000, 8000)),
 }
+# first solves that get no `tracemalloc_peak_kb`: their quadratic pass makes
+# so many allocations that one traced run takes about 30 times the pass
+UNTRACED = {"structure.cold.fan800", "structure.cold.strip800"}
 
 WARM_SOLVES = {
     "path": (path_graph, (200, 400, 800)),
@@ -588,7 +607,7 @@ def measure(baseline=None):
     results |= measure_series(cold_batches, baseline)
     for pkg, prefix in zip(pkgs, ("", "baseline.")):
         for name, (batch, _) in cold_batches(pkg).items():
-            if not name.endswith(".gc_off"):
+            if not name.endswith(".gc_off") and name not in UNTRACED:
                 results[prefix + name]["tracemalloc_peak_kb"] = traced_peak_kb(batch)
     results |= measure_series(warm_batches, baseline)
     results |= measure_series(traced_batches, baseline)
