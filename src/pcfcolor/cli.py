@@ -351,10 +351,14 @@ def cmd_check(args) -> tuple[int, dict]:
         raise ValueError(f"suite {args.suite} is randomized; pass --seed")
     if args.trials < 0:
         raise ValueError(f"trials must be nonnegative, got {args.trials}")
-    first = {"corpus": 2, "ears": 4}.get(args.suite)  # the smallest n the suite checks
+    # the sizes the suite checks: from its first size up to its enumerator's cap
+    sizes = {"corpus": (2, families.CONNECTED_MAX_N), "ears": (4, families.TWO_CONNECTED_MAX_N)}
+    first, last = sizes.get(args.suite, (None, None))
     if first is not None and args.bound < first:
         raise ValueError(
             f"suite {args.suite} starts at n = {first}; bound {args.bound} checks nothing")
+    if last is not None and args.bound > last:
+        raise ValueError(f"suite {args.suite} stops at n = {last}; bound {args.bound} is above it")
     rng_for = functools.partial(_trial_rng, args.seed)
     suites = {
         "c5": lambda: check_c5(trials=args.trials, rng_for=rng_for, budget=args.budget),

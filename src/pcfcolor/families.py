@@ -272,6 +272,11 @@ def _automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(found)
 
 
+# the largest n each enumerator takes: both are exponential in n
+CONNECTED_MAX_N = 9
+TWO_CONNECTED_MAX_N = 12
+
+
 @lru_cache(maxsize=None)
 def enumerate_connected_outerplanar(n: int) -> tuple[Graph, ...]:
     """All connected outerplanar graphs on n vertices, one per isomorphism
@@ -307,8 +312,8 @@ def enumerate_connected_outerplanar(n: int) -> tuple[Graph, ...]:
     so it is counted without a test."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    if n > 9:
-        raise ValueError("enumeration is exponential; capped at 9 vertices")
+    if n > CONNECTED_MAX_N:
+        raise ValueError(f"enumeration is exponential; capped at {CONNECTED_MAX_N} vertices")
     if n == 1:
         return (Graph(1, ()),)
     k = n - 1
@@ -365,8 +370,8 @@ def enumerate_two_connected_outerplanar(n: int) -> tuple[Graph, ...]:
     once per class."""
     if n < 3:
         raise ValueError("2-connected graphs need at least 3 vertices")
-    if n > 12:
-        raise ValueError("dissection enumeration capped at 12 vertices")
+    if n > TWO_CONNECTED_MAX_N:
+        raise ValueError(f"dissection enumeration capped at {TWO_CONNECTED_MAX_N} vertices")
     rim = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     chords = [
         (i, j)

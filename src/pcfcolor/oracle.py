@@ -272,13 +272,10 @@ def refute_choosability(
     nodes = 0
     checked = 0
 
-    # runs: the lengths of the runs that split colors 1..used, in order,
-    # each run the colors held by the same vertices before v
-    def assignments(v: int, used: int, runs: list[int], prefix: list[tuple[int, ...]]):
-        if v == g.n:
-            yield list(prefix)
-            return
-        s = sizes[v]
+    def options(s: int, used: int, runs: list[int]):
+        # each list of s colors after colors 1..used, split into runs of
+        # the colors held by the same vertices so far: the list, the colors
+        # used after it, and the runs after it
         for fresh in range(max(0, s - used), min(s, cap - used) + 1):
             for take in _takes(runs, s - fresh):
                 lst: list[int] = []
@@ -294,11 +291,30 @@ def refute_choosability(
                 lst.extend(range(used + 1, used + fresh + 1))
                 if fresh:
                     split.append(fresh)
-                prefix.append(tuple(lst))
-                yield from assignments(v + 1, used + fresh, split, prefix)
-                prefix.pop()
+                yield tuple(lst), used + fresh, split
 
-    for lists in assignments(0, 0, [], []):
+    def assignments():
+        # depth first, with no recursion: stack[v] yields vertex v's lists
+        # after the lists of `prefix`, vertices 0..v-1
+        if not g.n:
+            yield []
+            return
+        stack = [options(sizes[0], 0, [])]
+        prefix: list[tuple[int, ...]] = []
+        while stack:
+            for lst, used, runs in stack[-1]:
+                prefix.append(lst)
+                if len(prefix) < g.n:
+                    stack.append(options(sizes[len(prefix)], used, runs))
+                    break
+                yield list(prefix)
+                prefix.pop()
+            else:
+                stack.pop()
+                if prefix:
+                    prefix.pop()
+
+    for lists in assignments():
         assignment = ListAssignment(lists)
         try:
             result = solve_exact(g, assignment, budget - nodes)

@@ -198,9 +198,14 @@ def _min_excluding(pool: frozenset, forbidden, what: str) -> int:
 
 
 # the self-checks of color_cycle and color_constrained_path share one graph
-# per length instead of building it on every call
-_cycle_graph = lru_cache(maxsize=64)(cycle_graph)
-_path_graph = lru_cache(maxsize=64)(path_graph)
+# per length instead of building it on every call, up to the structure
+# cache's size limit; a longer one is built per call and not kept
+_cycle_graphs = lru_cache(maxsize=64)(cycle_graph)
+_path_graphs = lru_cache(maxsize=64)(path_graph)
+
+
+def _shared(graphs, n: int) -> Graph:
+    return graphs(n) if n <= STRUCTURE_CACHE_MAX_N else graphs.__wrapped__(n)
 
 
 def color_cycle(lists) -> "list[int] | Obstruction":
@@ -266,7 +271,7 @@ def color_cycle(lists) -> "list[int] | Obstruction":
         for t, v in enumerate(order):
             phi[v] = w[t]
 
-    verdict = verify(_cycle_graph(ell), phi, ls)
+    verdict = verify(_shared(_cycle_graphs, ell), phi, ls)
     if not verdict.ok:
         raise SolverInternalError("cycle coloring failed verification")
     return phi
@@ -300,7 +305,7 @@ def color_constrained_path(lists) -> list[int]:
         work[k - 2] = work[k - 2] - {alpha}
     phi = _path_base(work) + [min(work[k]) for k in range(4, s + 1)]
 
-    verdict = verify(_path_graph(s + 1), phi, ls)
+    verdict = verify(_shared(_path_graphs, s + 1), phi, ls)
     if not verdict.ok:
         raise SolverInternalError("path coloring failed verification")
     return phi

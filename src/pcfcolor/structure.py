@@ -370,13 +370,16 @@ def find_good_ear_or_chain(b, emb: OuterEmbedding, x: int) -> "Ear | EarChain":
 
     b maps each vertex to its neighbor set (a `Graph` qualifies) and must
     be 2-connected outerplanar and not a cycle.  Follows the existence
-    proof: collect the root edges of ears (E1); if every chord is such a
-    root edge, the graph they induce (G1) is a single cycle (yield the
-    chain missing the ear containing x) or a forest of paths (yield the ear
-    at a degree-1 endpoint avoiding x); otherwise pick the non-root chord
-    uv spanning the fewest vertices on the side avoiding x and recurse into
-    that span, where the root edges either form a u-v path (yield it as a
-    chain) or again have a free endpoint (yield its ear).
+    proof, in two steps:
+
+    1. *Pick the region.*  If every chord is the root edge of an ear, it is
+       the whole block and nothing is banned; otherwise it is the span of
+       the non-root chord uv spanning the fewest vertices on the side
+       avoiding x, and u and v are banned.
+    2. *Decide on the region's root edges.*  An unbanned free endpoint
+       (degree 1 among them) gives a good ear there.  Otherwise they are a
+       u-v path across the span, or, in the whole block, a cycle whose ears
+       tile the outer cycle, rotated to close on the ear holding x: a chain.
 
     Each arc of a chord is judged from cycle positions alone: it is an ear
     arc iff its interior fits in the run of degree-2 vertices after its
@@ -432,24 +435,9 @@ def _good_ear_or_chain(b, emb: OuterEmbedding, x: int):
     if any(len(nb) > 2 for nb in adj.values()):
         raise StructureError("ear root edges meet 3+ times at a vertex")
 
-    if len(ears_by_edge) == len(chords):  # every chord roots an ear
-        if any(len(nb) == 1 for nb in adj.values()):
-            return _ear_at_free_endpoint(b, x, adj, ears_by_edge, banned=())
-        # the root edges close a cycle and their ears tile the outer cycle:
-        # drop the ear holding x and chain the rest
-        start = min(adj)
-        cycle = _walk(adj, [start, min(adj[start])])
-        if len(cycle) != len(adj):
-            raise StructureError("root-edge cycle is disconnected")
-        ell = len(cycle)
-        holders = (i for i in range(ell) if x in _ear(cycle[i], cycle[(i + 1) % ell]))
-        j = next(holders, None)
-        if j is None:
-            raise StructureError("anchor missing from every ear of the tiling")
-        return _chain(b, cycle[j + 1 :] + cycle[: j + 1], _ear, x)
-
-    # some chord roots no ear: shrink to the smallest span avoiding x.
-    # Chords differ, so (span, chord) decides; only the winner's arcs are built
+    # 1. the region: the whole block, or the smallest span avoiding x of a
+    # chord that roots no ear.  Chords differ, so (span, chord) decides; only
+    # the winner's arcs are built
     px = pos[x]
     best: "tuple[tuple[int, Edge], list[tuple[int, int]]] | None" = None
     for u, v in (e for e in chords if e not in ears_by_edge):
@@ -464,24 +452,45 @@ def _good_ear_or_chain(b, emb: OuterEmbedding, x: int):
         key = (min(sides)[0] + 2, (u, v))
         if best is None or key < best[0]:
             best = (key, sides)
-    (_, (u, v)), sides = best
-    arc = min(
-        (_arc(order, pos[u], step, length) for length, step in sides),
-        key=lambda a: (len(a), a),
-    )
-    span = {u, v, *arc}
-    inner = [e for e in chords if e != (u, v) and e[0] in span and e[1] in span]
-    if any(e not in ears_by_edge for e in inner):
-        raise StructureError("minimal span contains a non-root chord")
-    if not inner:
-        raise StructureError("non-root chord spans no root edges")
+    banned: "tuple[int, ...]" = ()
+    if best is not None:
+        (_, banned), sides = best
+        u, v = banned
+        arc = min(
+            (_arc(order, pos[u], step, length) for length, step in sides),
+            key=lambda a: (len(a), a),
+        )
+        span = {u, v, *arc}
+        inner = [e for e in chords if e != banned and e[0] in span and e[1] in span]
+        if any(e not in ears_by_edge for e in inner):
+            raise StructureError("minimal span contains a non-root chord")
+        if not inner:
+            raise StructureError("non-root chord spans no root edges")
+        adj = _root_graph(inner)
 
-    adj = _root_graph(inner)
-    if len(adj.get(u, ())) == 1:
-        spine = _walk(adj, [u, adj[u][0]])
-        if spine[-1] == v and len(spine) == len(adj):  # a u-v path through the span
-            return _chain(b, spine, _ear, x)
-    return _ear_at_free_endpoint(b, x, adj, ears_by_edge, banned=(u, v))
+    # 2. the decision on the region's root edges
+    free = [w for w, nb in adj.items() if len(nb) == 1 and w not in banned]
+    if free:
+        return _ear_at_free_endpoint(b, x, adj, free, ears_by_edge)
+    # no free endpoint: a walk from u must be the path to v across the span
+    # (u-v is not a root edge, so no cycle through u ends at v), or, in the
+    # whole block, the cycle, rotated past the ear holding x to close on it
+    start = banned[0] if banned else min(adj)
+    spine = _walk(adj, [start, min(adj[start])]) if start in adj else [start]
+    if len(spine) != len(adj) or (banned and spine[-1] != banned[1]):
+        raise StructureError("root edges are neither a u-v path nor one cycle")
+    if not banned:
+        ell = len(spine)
+        holders = (i for i in range(ell) if x in _ear(spine[i], spine[(i + 1) % ell]))
+        j = next(holders, None)
+        if j is None:
+            raise StructureError("anchor missing from every ear of the tiling")
+        spine = spine[j + 1 :] + spine[: j + 1]
+    ears = tuple(map(_ear, spine, spine[1:]))
+    _check_chain(b, spine, ears)
+    if x not in (spine[0], spine[-1]) and any(x in seq for seq in ears):
+        raise StructureError("ear chain is not good for the anchor")
+    return tuple(spine), ears
 
 
 def _root_graph(edges) -> dict[int, list[int]]:
@@ -504,35 +513,24 @@ def _walk(adj, path: list[int]) -> list[int]:
         path.append(nxt[0])
 
 
-def _chain(b, spine, ear, x):
-    """`(spine, ears)`: the ear chain along `spine`, with the ear `ear(a,
-    c)` on each of its edges, checked and good for x."""
-    ears = tuple(map(ear, spine, spine[1:]))
-    _check_chain(b, spine, ears)
-    if x not in (spine[0], spine[-1]) and any(x in seq for seq in ears):
-        raise StructureError("ear chain is not good for the anchor")
-    return tuple(spine), ears
-
-
-def _ear_at_free_endpoint(b, x, adj, ears_by_edge, banned):
-    # a root edge of `adj` with a degree-1 endpoint (not on the enclosing
-    # chord) gives a good ear: that endpoint has block degree 3 and becomes
-    # the far end u_r, while x may only coincide with the near end u_1
+def _ear_at_free_endpoint(b, x, adj, free, ears_by_edge):
+    """`(None, (ear,))`: the least good ear, by (sorted root, size, interior,
+    far end), at `free`, the unbanned degree-1 vertices of the root graph
+    `adj`.  Such a vertex has block degree 3 and becomes the far end u_r of
+    the ear on its one root edge; x may only be the near end u_1."""
     candidates = []
-    for a, c in sorted((a, c) for a in adj for c in adj[a] if a < c):
-        for far, near in ((a, c), (c, a)):
-            if len(adj[far]) != 1 or far in banned:
-                continue
-            if len(b[far]) != 3:
-                raise StructureError(f"free endpoint {far} has degree {len(b[far])}")
-            for ear in ears_by_edge[a, c]:
-                oriented = ear if ear[0] == near else ear[::-1]
-                _check_ear(b, oriented)
-                if x not in oriented[1:]:  # good, as far has degree 3
-                    candidates.append(oriented)
+    for far in free:
+        if len(b[far]) != 3:
+            raise StructureError(f"free endpoint {far} has degree {len(b[far])}")
+        near = adj[far][0]
+        for ear in ears_by_edge[normalize_edge(far, near)]:
+            oriented = ear if ear[0] == near else ear[::-1]
+            _check_ear(b, oriented)
+            if x not in oriented[1:]:  # good, as far has degree 3
+                candidates.append(oriented)
     if not candidates:
         raise StructureError("no good ear at any free endpoint")
-    return None, (min(candidates, key=lambda e: (sorted((e[0], e[-1])), len(e), e[1:-1])),)
+    return None, (min(candidates, key=lambda e: (sorted((e[0], e[-1])), len(e), e[1:-1], e[-1])),)
 
 
 # -- end-block classification --------------------------------------------------

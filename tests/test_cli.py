@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from pcfcolor import cli, oracle, solver
+from pcfcolor import cli, families, oracle, solver
 from pcfcolor.cli import main
 from pcfcolor.graphs import Graph, cycle_graph, parse_graph6, path_graph, write_edge_list, write_graph6
 from pcfcolor.families import random_outerplanar
@@ -360,6 +360,23 @@ def test_check_rejects_a_bound_below_the_first_size(run):
     assert code == 0 and doc["counts"]["checked"] > 0
 
 
+def test_check_rejects_a_bound_above_the_enumerators_cap(run, monkeypatch):
+    # the enumerator would raise only after every smaller size had run
+    def refuse(n):
+        raise AssertionError(f"enumerated n = {n}")
+
+    monkeypatch.setattr(families, "enumerate_connected_outerplanar", refuse)
+    monkeypatch.setattr(families, "enumerate_two_connected_outerplanar", refuse)
+    for argv, last in (
+        (("check", "corpus", "10", "--seed", "1", "--trials", "1"), families.CONNECTED_MAX_N),
+        (("check", "ears", "13"), families.TWO_CONNECTED_MAX_N),
+    ):
+        code, doc = run(*argv)
+        message = f"suite {argv[1]} stops at n = {last}; bound {last + 1} is above it"
+        assert (code, doc) == (2, {"status": "error", "message": message})
+    assert (families.CONNECTED_MAX_N, families.TWO_CONNECTED_MAX_N) == (9, 12)
+
+
 def test_check_bound_defaults_to_seven(run):
     assert run("check", "ears") == run("check", "ears", "7")
 
@@ -415,3 +432,13 @@ def test_refute_inconclusive_exit_3(run, tmp_path):
     p.write_text(write_graph6(cycle_graph(6)))
     code, doc = run("refute", str(p), "--k", "1", "--budget", "2")
     assert code == 3 and doc["status"] == "inconclusive"
+
+
+def test_refute_walks_a_long_path_without_recursion(run, tmp_path):
+    # the list assignments come depth first from an explicit stack, so a
+    # graph deeper than the recursion limit needs no frame per vertex
+    p = tmp_path / "p2000.g6"
+    p.write_text(write_graph6(path_graph(2000)))
+    code, doc = run("refute", str(p), "--k", "2", "--budget", "100000")
+    assert code == 3 and doc["status"] == "inconclusive"
+    assert doc["assignments_checked"] == 25 and doc["nodes"] == 100001

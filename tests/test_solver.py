@@ -740,6 +740,48 @@ def test_large_graphs_skip_the_structure_cache():
         assert solver._structure.cache_info().currsize == cached
 
 
+def test_the_lemma_self_checks_share_no_graph_above_the_cache_limit():
+    # color_cycle and color_constrained_path verify on one shared cycle or
+    # path per length up to STRUCTURE_CACHE_MAX_N vertices; a longer one is
+    # built for the call and dropped with it
+    limit = solver.STRUCTURE_CACHE_MAX_N
+    solver._cycle_graphs.cache_clear()
+    for n, kept in ((limit + 1, 0), (limit, 1)):
+        whole = cycle_graph(n)
+        solved_ok(whole, [range(1, 5)] * n)
+        assert solver._cycle_graphs.cache_info().currsize == kept
+    # a cycle of ell vertices hung on a pendant edge: its step colors the
+    # ell - 1 vertices after the anchor by the path lemma
+    solver._path_graphs.cache_clear()
+    for ell, kept in ((limit + 1, 1), (limit + 2, 1)):
+        g = Graph(ell + 1, [*cycle_graph(ell).edges(), (ell - 1, ell)])
+        res = solved_ok(g, plus2_lists(g, ell))
+        assert res.trace[-1].case == "PathLemma" and len(res.trace[-1].removed) == ell - 1
+        assert solver._path_graphs.cache_info().currsize == kept
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: unique colors walk a hub's whole adjacency per step")
+def test_the_unique_colors_work_on_stars_is_linear(monkeypatch):
+    # the neighbors `kernel.unique_colors` walks during `solve` on the star
+    # K1,n-1 with the lists {1, ..., deg(v)+2}; 64,515, 260,099 and
+    # 1,044,483 at n = 256, 512 and 1,024 while every step walks the center
+    real = kernel.unique_colors
+    walked = [0]
+
+    def counted(g, colors, v):
+        walked[0] += g.degree(v)
+        return real(g, colors, v)
+
+    monkeypatch.setattr(kernel, "unique_colors", counted)
+    work = {}
+    for n in (256, 512, 1024):
+        g = Graph(n, [(0, i) for i in range(1, n)])
+        walked[0] = 0
+        solved_ok(g, [range(1, g.degree(v) + 3) for v in range(n)])
+        work[n] = walked[0]
+    assert work[512] <= 2.2 * work[256] and work[1024] <= 2.2 * work[512], work
+
+
 def test_large_path_and_cactus_solve_cold():
     # one peel step per block over the block tree, no recursion
     for g in (path_graph(10_000), random_cactus(10_000, 3)):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -297,6 +298,38 @@ def test_ear_search_matches_the_recorded_digest():
                 searches += 1
     assert searches == 14296
     assert h.hexdigest() == EAR_DIGEST
+
+
+def test_the_ear_search_reaches_every_region_and_outcome():
+    # the search picks a region, the whole block when every chord roots an
+    # ear and otherwise the span of a chord that roots none, then reads an
+    # ear or a chain off the region's root edges.  A chain in the whole
+    # block closes on the root edge of the ear it drops (a tiling), and one
+    # in a span closes on the chord that roots no ear (a path across it);
+    # over the digest's blocks and anchors all four pairs occur
+    seen = Counter()
+    for n in range(4, 11):
+        for g in enumerate_two_connected_outerplanar(n):
+            if g.m == g.n:
+                continue
+            emb = outer_embedding(g)
+            order, pos = emb.order, emb.position()
+
+            def roots_an_ear(u, v):
+                i, j = sorted((pos[u], pos[v]))
+                arcs = (order[i + 1 : j], order[j + 1 :] + order[:i])
+                return any(all(g.degree(w) == 2 for w in arc) for arc in arcs)
+
+            region = "whole" if all(roots_an_ear(u, v) for u, v in emb.chords) else "span"
+            for x in range(n):
+                found = find_good_ear_or_chain(g, emb, x)
+                if isinstance(found, Ear):
+                    outcome = "ear"
+                else:
+                    outcome = "tiling" if roots_an_ear(found.spine[0], found.spine[-1]) else "path"
+                seen[region, outcome] += 1
+    assert set(seen) == {("whole", "ear"), ("whole", "tiling"), ("span", "ear"), ("span", "path")}, seen
+    assert sum(seen.values()) == 14296
 
 
 def random_polygon(n, rng, stop):

@@ -57,8 +57,10 @@ spend their time in, and the enumeration of the graph corpora:
 - the ear search (`find_good_ear_or_chain`, embeddings built first): the
   14,296 searches of the ear-search digest in `tests/test_structure.py`
   (every 2-connected non-cycle outerplanar graph of 4 to 10 vertices at
-  every anchor) as one batch, and a fan and a strip of 1,000 vertices at
-  every 50th anchor;
+  every anchor) as one batch, a fan and a strip of 1,000 vertices, and a
+  sun (the 1,000-gon with a triangle on every other side, 1,500
+  vertices, whose every ear search takes an ear at a free endpoint), each
+  at every 50th anchor;
 - cold enumeration: `enumerate_connected_outerplanar(7)`, `(8)` and
   `enumerate_two_connected_outerplanar(10)`, their caches cleared before
   each run, so each run also enumerates every smaller size it builds on:
@@ -171,6 +173,14 @@ def fan(n):
 
 def strip(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)])
+
+
+def sun(k):
+    """The k-gon 0..k-1 with a triangle on every other side: vertex k + i // 2
+    is joined to i and i + 1 for each even i < k - 1."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(v, k + i // 2) for i in range(0, k - 1, 2) for v in (i, i + 1)]
+    return Graph(k + k // 2, edges)
 
 
 def diamonds(n):
@@ -436,10 +446,11 @@ def ear_batches(pkg):
                 emb = pkg.structure.outer_embedding(h)
                 digest.extend((h, emb, x) for x in range(n))
     searches = {"digest": digest}
-    for name, make in (("fan", fan), ("strip", strip)):
-        h = pkg.graphs.Graph(1000, make(1000).edges())
+    for name, make in (("fan", fan), ("strip", strip), ("sun", sun)):
+        g = make(1000)
+        h = pkg.graphs.Graph(g.n, g.edges())
         emb = pkg.structure.outer_embedding(h)
-        searches[f"{name}1000"] = [(h, emb, x) for x in range(0, 1000, 50)]
+        searches[f"{name}1000"] = [(h, emb, x) for x in range(0, g.n, 50)]
 
     def batch(todo, find=pkg.structure.find_good_ear_or_chain):
         for h, emb, x in todo:

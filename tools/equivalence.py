@@ -51,7 +51,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_layers import fan, load_package, strip  # also puts this tree's src/ on the path
+from bench_layers import fan, load_package, strip, sun  # also puts this tree's src/ on the path
 
 import pcfcolor  # noqa: E402
 
@@ -64,14 +64,6 @@ SUN_SIZES = range(4, 101)
 HUB_SIZES = range(4, 201)
 CLI_SIZES = (1, 2, 3, 8, 32, 128, 500)
 CLI_SEEDS = range(25)
-
-
-def sun(k):
-    """The k-gon 0..k-1 with a triangle on every other side: vertex k + i // 2
-    is joined to i and i + 1 for each even i < k - 1."""
-    edges = [(i, (i + 1) % k) for i in range(k)]
-    edges += [(v, k + i // 2) for i in range(0, k - 1, 2) for v in (i, i + 1)]
-    return k + k // 2, edges
 
 
 def star(n):
@@ -123,11 +115,11 @@ def structure_records(pkg):
         make = getattr(pkg.families, name)
         for n, seed in itertools.product(RANDOM_SIZES, RANDOM_SEEDS):
             yield f"structure: {name}({n}, {seed})", text(make(n, seed))
-    for name, make in (("fan", fan), ("strip", strip)):
-        for n in SHAPE_SIZES:
-            yield f"structure: {name}({n})", text(G(n, make(n).edges()))
-    for k in SUN_SIZES:
-        yield f"structure: sun({k})", text(G(*sun(k)))
+    shapes = (("fan", fan, SHAPE_SIZES), ("strip", strip, SHAPE_SIZES), ("sun", sun, SUN_SIZES))
+    for name, make, sizes in shapes:
+        for n in sizes:
+            g = make(n)
+            yield f"structure: {name}({n})", text(G(g.n, g.edges()))
     for name, make in (("star", star), ("bouquet", bouquet)):
         for n in HUB_SIZES:
             yield f"structure: {name}({n})", text(G(*make(n)))
