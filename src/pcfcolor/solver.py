@@ -10,22 +10,24 @@ chain.  It runs as two passes over one record format, not as recursion.
 The peel, `structure.peel`, screens connectivity and outerplanarity and
 records the step of each end block in turn, until at most 3 vertices or
 a whole cycle remain, as `(kind, anchor, args)`: `args` are the flat
-arguments of the step function `_STEP[kind]`.  The coloring pass runs
-those steps over the host graph, the last one peeled first, filling one
-coloring through `_Pass.put`, its only write, and recording each step
-through `_Pass.close`.  So `solve` has no recursion-depth limit.  Which
-end block is peeled, and which case fires, depend on the graph alone, so
-the steps are cached per graph up to `STRUCTURE_CACHE_MAX_N` vertices,
-with the list sizes to screen and the color reservations, read off the
-records by `_compile`; a repeated graph pays only for the list work.  A
-graph's first solve takes time linear in the number of vertices, apart
-from the work inside one large block, which is quadratic in that block
-(a fan, a strip triangulation or a sun; see `structure.peel`).  The
-coloring pass takes time linear in each step, plus one `unique_colors`
-walk of the step's anchor adjacency, so it is quadratic on a high-degree
-anchor (the hub of a fan).  The only true obstruction among connected
+arguments of the step function `_STEP[kind]`.  The coloring pass colors
+the remaining vertices, then runs `_STEP[kind](p, *args)` for each
+record, the last one peeled first, filling one coloring through
+`_Pass.put`, its only write, and recording each step through
+`_Pass.close`.  So `solve` has no recursion-depth limit.  Which end block
+is peeled, and which case fires, depend on the graph alone, so the
+records are cached per graph up to `structure.STRUCTURE_CACHE_MAX_N`
+vertices, as the peel made them, with the list sizes to screen and the
+color reservations read off them by `_compile`; nothing is compiled from
+them, and a repeated graph pays only for the list work.  A graph's first
+solve takes time linear in the number of vertices, apart from the work
+inside one large block, which is quadratic in that block (a fan, a strip
+triangulation or a sun; see `structure.peel`).  The coloring pass takes
+time linear in each step, plus one `unique_colors` walk of the step's
+anchor adjacency, so it is quadratic on a high-degree anchor (the hub of
+a fan).  The only true obstruction among connected
 outerplanar inputs is the 5-cycle whose five lists are one identical
-4-set.
+4-set, the one cycle `color_cycle` refuses: `solve` returns its refusal.
 
 Colors are chosen by minimum value at every free choice, so the output is
 deterministic.  A `SolveResult` carries either a verified coloring or an
@@ -49,7 +51,7 @@ from operator import lt as _lt
 from . import kernel  # kernel.unique_colors is looked up at call time, where the benchmark hooks it
 from .graphs import Graph, cycle_graph, path_graph
 from .kernel import Coloring, ListAssignment, verify
-from .structure import KIND_CYCLE, KIND_EAR_CHAIN, KIND_GOOD_EAR, KIND_K2, KIND_LONG_EAR, peel
+from .structure import KIND_CYCLE, KIND_EAR_CHAIN, KIND_GOOD_EAR, KIND_K2, KIND_LONG_EAR, cached, peel
 # the screens' reasons, also re-exported so that solver.REASON_* names every obstruction
 from .structure import REASON_DISCONNECTED, REASON_NOT_OUTERPLANAR  # noqa: F401
 # not called here: imported so that the benchmark's hooks on solver.<name> resolve
@@ -198,14 +200,10 @@ def _min_excluding(pool: frozenset, forbidden, what: str) -> int:
 
 
 # the self-checks of color_cycle and color_constrained_path share one graph
-# per length instead of building it on every call, up to the structure
-# cache's size limit; a longer one is built per call and not kept
+# per length instead of building it on every call, through
+# `structure.cached`: a longer one is built per call and not kept
 _cycle_graphs = lru_cache(maxsize=64)(cycle_graph)
 _path_graphs = lru_cache(maxsize=64)(path_graph)
-
-
-def _shared(graphs, n: int) -> Graph:
-    return graphs(n) if n <= STRUCTURE_CACHE_MAX_N else graphs.__wrapped__(n)
 
 
 def color_cycle(lists) -> "list[int] | Obstruction":
@@ -213,7 +211,8 @@ def color_cycle(lists) -> "list[int] | Obstruction":
 
     Every list must have at least 4 colors.  Returns an Obstruction exactly
     when the cycle has length 5 and all five lists are the same 4-set; that
-    single family admits no such coloring.
+    single family admits no such coloring, and `solve` returns this
+    Obstruction for it as it is.
     """
     ls = [frozenset(x) for x in lists]
     ell = len(ls)
@@ -233,7 +232,7 @@ def color_cycle(lists) -> "list[int] | Obstruction":
             if len(pal) == 4:
                 return Obstruction(
                     REASON_C5_UNIFORM,
-                    "5-cycle with all lists equal to one 4-element set",
+                    "5-cycle whose lists are all the same 4-element set",
                 )
             phi = pal[:5]
         else:
@@ -271,7 +270,7 @@ def color_cycle(lists) -> "list[int] | Obstruction":
         for t, v in enumerate(order):
             phi[v] = w[t]
 
-    verdict = verify(_shared(_cycle_graphs, ell), phi, ls)
+    verdict = verify(cached(_cycle_graphs, ell)(ell), phi, ls)
     if not verdict.ok:
         raise SolverInternalError("cycle coloring failed verification")
     return phi
@@ -305,7 +304,7 @@ def color_constrained_path(lists) -> list[int]:
         work[k - 2] = work[k - 2] - {alpha}
     phi = _path_base(work) + [min(work[k]) for k in range(4, s + 1)]
 
-    verdict = verify(_shared(_path_graphs, s + 1), phi, ls)
+    verdict = verify(cached(_path_graphs, s + 1)(s + 1), phi, ls)
     if not verdict.ok:
         raise SolverInternalError("path coloring failed verification")
     return phi
@@ -392,8 +391,8 @@ class _Pass:
     def close(self, tag: str, removed: tuple) -> None:
         self.steps.append((tag, removed, len(self.order)))
 
-    def record(self) -> tuple:  # the steps, the put order and the colors, copied
-        return tuple(self.steps), tuple(self.order), tuple(self.colors)
+    def record(self) -> tuple:  # the steps and the put order as they are, the colors copied
+        return self.steps, self.order, tuple(self.colors)
 
     def pick(self, pool: frozenset, forbidden, what: str, v: "int | None" = None) -> int:
         """The smallest color of `pool` not in `forbidden`, for `what`, or
@@ -458,17 +457,13 @@ def solve(g: Graph, lists) -> SolveResult:
         raise ValueError(f"graph has {n} vertices but {len(ls)} lists given")
     if n == 0:
         return SolveResult([], None)
-    screened, need, c5, reserve, steps = (_structure if n <= STRUCTURE_CACHE_MAX_N else _compile)(g)
+    screened, need, reserve, rest, records = cached(_structure, n)(g)
     if screened is not None:
         return SolveResult(None, screened)
     if any(map(_lt, map(len, ls), need)):
         v = next(v for v, k in enumerate(need) if len(ls[v]) < k)
         return SolveResult(None, Obstruction(
             REASON_LIST_TOO_SMALL, f"vertex {v} has {len(ls[v])} colors for degree {need[v] - 2}"
-        ))
-    if c5 and len(ls[0]) == 4 and all(x == ls[0] for x in ls):
-        return SolveResult(None, Obstruction(
-            REASON_C5_UNIFORM, "5-cycle whose lists are all the same 4-element set"
         ))
 
     work = ls
@@ -485,8 +480,19 @@ def solve(g: Graph, lists) -> SolveResult:
             work[v1] = work[v1] - {gamma}
             work[vs] = work[vs] - {gamma}
     p = _Pass(g, work, [None] * n)
-    for step, args in steps:
-        step(p, *args)
+    if len(rest) <= 3:
+        _color_trivial(p, rest)
+    else:
+        # the rest is a whole cycle; only the uniform 5-cycle, which is the
+        # whole graph, is refused
+        res = color_cycle([work[v] for v in rest])
+        if isinstance(res, Obstruction):
+            return SolveResult(None, res)
+        for v, c in zip(rest, res):
+            p.put(v, c)
+        p.close("CycleProp", rest)
+    for kind, _, args in records:
+        _STEP[kind](p, *args)
     verdict = verify(g, p.colors, la)
     if not verdict.ok:
         raise p.fail(
@@ -494,12 +500,6 @@ def solve(g: Graph, lists) -> SolveResult:
             + "; ".join(v.describe() for v in verdict.violations[:5])
         )
     return SolveResult(p.colors, None, p.record())
-
-
-# Graphs above this many vertices skip the structure cache: repeated graphs
-# are small (the criterion-2 corpus has n <= 8), and the program of one
-# large graph holds objects in proportion to its size
-STRUCTURE_CACHE_MAX_N = 1024
 
 
 def _structure_pass(g: Graph) -> "tuple[Obstruction | None, tuple[tuple, ...], tuple[int, ...]]":
@@ -514,22 +514,18 @@ def _structure_pass(g: Graph) -> "tuple[Obstruction | None, tuple[tuple, ...], t
 
 
 def _compile(g: Graph) -> tuple:
-    """The graph-only part of `solve`, as the program its solves run: the
-    screen that failed, if any; each vertex's list-size need, degree+2; the
-    uniform-5-cycle shape flag; the `(u2, u3, v1, vs)` color reservations
-    of the s3H4 chains, in peel order; and the steps, in coloring order,
-    each a peel record's flat arguments with the step function of its
-    kind.  Everything is immutable, so every solve of the graph shares it."""
+    """The graph-only part of `solve`: the screen that failed, if any; each
+    vertex's list-size need, degree+2; the `(u2, u3, v1, vs)` color
+    reservations of the s3H4 chains, in peel order; the remaining vertices;
+    and the peel's records, in coloring order.  Everything is immutable, so
+    every solve of the graph shares it."""
     screened, records, rest = _structure_pass(g)
     if screened is not None:
-        return screened, (), False, (), ()
+        return screened, (), (), (), ()
     need = tuple(len(nb) + 2 for nb in g.adjacency)
-    c5 = len(need) == 5 and all(k == 4 for k in need)
     reserve = tuple((*args[2], args[0][0], args[0][-1]) for kind, _, args in records
                     if kind == KIND_EAR_CHAIN and len(args[0]) == 3 and len(args[2]) == 2)
-    steps = [(_color_trivial if len(rest) <= 3 else _color_whole_cycle, (rest,))]
-    steps += [(_STEP[kind], args) for kind, _, args in reversed(records)]
-    return None, need, c5, reserve, tuple(steps)
+    return None, need, reserve, rest, records[::-1]
 
 
 # cached per graph (by value); sized above the 1,016 connected outerplanar
@@ -549,16 +545,6 @@ def _color_trivial(p: _Pass, rest) -> None:
         p.put(v, c)
         used.add(c)
     p.close("Trivial", tuple(rest))
-
-
-def _color_whole_cycle(p: _Pass, order) -> None:
-    res = color_cycle([p.lists[v] for v in order])
-    if isinstance(res, Obstruction):
-        # reachable only if the top-level uniform-C5 screen were skipped
-        raise p.fail("uniform 5-cycle reached the cycle case")
-    for v, c in zip(order, res):
-        p.put(v, c)
-    p.close("CycleProp", tuple(order))
 
 
 def _step_pendant(p: _Pass, v: int, x: int) -> None:

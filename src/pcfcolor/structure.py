@@ -12,7 +12,8 @@ Four layers, each feeding the next:
    an *ear chain* (ears whose root edges form a path v_1..v_s closed by the
    edge v_1 v_s, junction degrees 4), found "good" for a given anchor vertex
    x, meaning x avoids the part that gets recolored.  Every ear and chain is
-   read from one ear table, built once per search over neighbor sets;
+   read from one ear table, built once per search over neighbor sets, off
+   the outer cycle from any start and either way round;
 4. the peel (`peel`): layers 1 and 2 screen connectivity and
    outerplanarity, then end blocks are cut one at a time, each at its
    anchor and by its inductive case, and recorded as the flat arguments
@@ -20,11 +21,12 @@ Four layers, each feeding the next:
 
 Layers 1-3 take time linear in their input, up to sorting blocks and
 chords.  The peel keeps each block's outer cycle (a bridge's edge) and,
-for a block with chords, its neighbor sets from the first cut into it,
-but a step still redoes the cycle filter, the embedding's normalization
-and the ear search, in time linear in the block.  The ear search
-follows a constructive proof: every branch ends in an assertion, and a
-`StructureError` is a bug.
+for a block with chords, its neighbor sets from the first cut into it.
+A step searches the live cycle as the peel holds it, normalizing it only
+for a cycle step, but still redoes the chord filter and the ear search,
+in time linear in the block.  The ear search follows a constructive
+proof: every branch ends in an assertion, and a `StructureError` is a
+bug.
 """
 
 from __future__ import annotations
@@ -39,6 +41,18 @@ from .graphs import Edge, Graph, normalize_edge
 
 class StructureError(Exception):
     """An internal structural invariant failed."""
+
+
+# Graphs above this many vertices skip the per-graph caches: repeated graphs
+# are small (the criterion-2 corpus has n <= 8), and an entry for one large
+# graph holds objects in proportion to its size
+STRUCTURE_CACHE_MAX_N = 1024
+
+
+def cached(f, n: int):
+    """The `lru_cache` `f` for a graph of `n` vertices, or above
+    `STRUCTURE_CACHE_MAX_N` the function it wraps, which keeps nothing."""
+    return f if n <= STRUCTURE_CACHE_MAX_N else f.__wrapped__
 
 
 # -- blocks and cut vertices -------------------------------------------------
@@ -237,15 +251,20 @@ def outer_embedding(block: Graph) -> "OuterEmbedding | None":
 def _embedding(cycle: list[int], adj) -> OuterEmbedding:
     """`cycle` from its smallest vertex toward that vertex's smaller
     neighbor, with the chords (normalized, sorted) of `adj`, if not None."""
-    n = len(cycle)
     i0 = cycle.index(min(cycle))
     cyc = cycle[i0:] + cycle[:i0]
     if cyc[1] > cyc[-1]:
         cyc = [cyc[0]] + cyc[:0:-1]
-    chords = () if adj is None else sorted(
-        (u, v) for i, u in enumerate(cyc) if len(adj[u]) > 2
-        for v in adj[u] - {cyc[i - 1], cyc[(i + 1) % n]} if u < v)
-    return OuterEmbedding(tuple(cyc), tuple(chords))
+    return OuterEmbedding(tuple(cyc), tuple(sorted(_chords(cyc, adj))))
+
+
+def _chords(cycle, adj) -> list[Edge]:
+    """The chords of the block `adj` (vertex -> neighbor set, or None for
+    none) with outer cycle `cycle`, each normalized, in no set order."""
+    if adj is None:
+        return []
+    return [(u, v) for i, u in enumerate(cycle) if len(adj[u]) > 2
+            for v in adj[u] - {cycle[i - 1], cycle[i + 1 - len(cycle)]} if u < v]
 
 
 def is_outerplanar(g: Graph) -> bool:
@@ -359,7 +378,7 @@ def chain_is_good(b, chain: EarChain, x: int) -> bool:
     return x in (chain.spine[0], chain.spine[-1]) or x not in chain.vertices()
 
 
-def _arc(order: tuple[int, ...], p: int, step: int, length: int) -> list[int]:
+def _arc(order, p: int, step: int, length: int) -> list[int]:
     """The `length` outer-cycle vertices after position p, walking by step."""
     n = len(order)
     return [order[(p + step * t) % n] for t in range(1, length + 1)]
@@ -389,7 +408,9 @@ def find_good_ear_or_chain(b, emb: OuterEmbedding, x: int) -> "Ear | EarChain":
     ear there, the arc inside the span: its other arc passes u or v, which
     have degree 3 or more.
     """
-    spine, ears = _good_ear_or_chain(b, emb, x)
+    if not emb.chords:
+        raise ValueError("cycle blocks have no ears; handle them separately")
+    spine, ears = _good_ear_or_chain(b, emb.order, emb.chords, x)
     return _as_ear(ears[0]) if spine is None else EarChain(spine, tuple(map(_as_ear, ears)))
 
 
@@ -397,15 +418,13 @@ def _as_ear(seq) -> Ear:  # the ear of the vertex sequence root[0], interior...,
     return Ear((seq[0], seq[-1]), seq[1:-1])
 
 
-def _good_ear_or_chain(b, emb: OuterEmbedding, x: int):
-    """`find_good_ear_or_chain` with each ear as its vertex sequence root[0],
+def _good_ear_or_chain(b, order, chords, x: int):
+    """`find_good_ear_or_chain` on the outer cycle `order`, from any start
+    and either way round, and the normalized `chords`, in any order, none
+    of which decides a tie-break.  Each ear is its vertex sequence root[0],
     interior..., root[1]: `(None, (ear,))`, or a chain's `(spine, ears)`."""
-    order = emb.order
     n = len(order)
-    pos = emb.position()
-    chords = emb.chords
-    if not chords:
-        raise ValueError("cycle blocks have no ears; handle them separately")
+    pos = {v: i for i, v in enumerate(order)}
 
     # run[i]: how many degree-2 vertices follow position i on the cycle;
     # a chord has an endpoint of degree 3 or more, where the count restarts
@@ -578,7 +597,6 @@ def end_block_case(record) -> EndBlockCase:
     return EndBlockCase(kind, anchor, ear=_as_ear(args[0]))
 
 
-@lru_cache(maxsize=65536)
 def classify_end_block(g: Graph) -> EndBlockCase:
     """The first record of `peel(g)`, through `end_block_case`: the end
     block it cuts first, at its anchor, and the inductive case it falls in.
@@ -586,8 +604,14 @@ def classify_end_block(g: Graph) -> EndBlockCase:
     The graph must be connected, outerplanar, and have at least 4 vertices;
     anything else raises ValueError.  A whole-graph cycle, which the peel
     does not cut, gives its cycle case anchored at vertex 0.  The result
-    depends only on the graph, so it is cached.
+    depends only on the graph, so it is cached, up to
+    `STRUCTURE_CACHE_MAX_N` vertices.
     """
+    return cached(_classify_end_block, g.n)(g)
+
+
+@lru_cache(maxsize=65536)
+def _classify_end_block(g: Graph) -> EndBlockCase:
     if g.n < 4:
         raise ValueError("classification needs at least 4 vertices")
     reason, records, rest = peel(g)
@@ -596,23 +620,30 @@ def classify_end_block(g: Graph) -> EndBlockCase:
     return end_block_case(records[0] if records else classify_block(None, rest, rest[0]))
 
 
+# the cache's own controls, as on any lru_cache: the benchmark reads its hit ratio
+classify_end_block.cache_info = _classify_end_block.cache_info
+classify_end_block.cache_clear = _classify_end_block.cache_clear
+
+
 def classify_block(b, cycle, anchor: int) -> tuple:
     """The peel record `(kind, anchor, args)` of one 2-connected end block
     peeled at `anchor`: its inductive case and the step's flat arguments.
 
     `cycle` is the block's outer cycle, from any vertex either way round,
     and `b` its neighbor sets, or None if it has no chords: all the peel
-    keeps of a block, in host ids.  A call redoes the normalization, the
-    chord filter and the ear search, in time linear in the block, and its
-    tie-breaks follow the order of the ids, so it needs no renaming.
+    keeps of a block, in host ids.  The ear search reads them as they are;
+    only a cycle step normalizes the cycle, whose direction it records.  A
+    call redoes the chord filter and the ear search, in time linear in the
+    block, and its tie-breaks follow the order of the ids, so it needs no
+    renaming.
     """
-    emb = _embedding(cycle, b)
+    chords = _chords(cycle, b)
+    if not chords:  # the block is a cycle
+        order = _embedding(cycle, None).order
+        i = order.index(anchor)
+        return KIND_CYCLE, anchor, (anchor, len(order), order[i + 1:] + order[:i])
 
-    if not emb.chords:  # the block is a cycle
-        i = emb.order.index(anchor)
-        return KIND_CYCLE, anchor, (anchor, len(emb.order), emb.order[i + 1:] + emb.order[:i])
-
-    spine, ears = _good_ear_or_chain(b, emb, anchor)
+    spine, ears = _good_ear_or_chain(b, cycle, chords, anchor)
     if spine is None:
         return KIND_GOOD_EAR, anchor, (ears[0], ears[0][1:-1])
 
@@ -645,14 +676,14 @@ def peel(g: Graph) -> "tuple[str | None, tuple[tuple, ...], tuple[int, ...]]":
     is outerplanar iff every block embeds.  A block is then its outer cycle
     (a bridge, its edge); a block with chords also keeps its edge list until
     the first step cuts into it, and from then its neighbor sets, shrunk in
-    place; a step redoes the cycle filter, the normalization and the ear
-    search.  The block tree is flat: per vertex, the number of its live
-    blocks and, for a cut vertex, the sum of their indices, which is the
-    one block left once the number is 1; per block, the number of its cut
-    vertices.  End blocks wait in a heap, one entry each, keyed (smallest
-    vertex, size, second smallest), the order of
-    `BlockDecomposition.end_blocks()`, as two blocks share at most one
-    vertex.  The anchor is the block's one cut vertex, or its smallest
+    place.  A step searches the live cycle as it is, normalizing it only
+    for a cycle step, but redoes the chord filter and the ear search.  The
+    block tree is flat: per vertex, the number of its live blocks and, for
+    a cut vertex, the sum of their indices, which is the one block left
+    once the number is 1; per block, the number of its cut vertices.  End
+    blocks wait in a heap, one entry each, keyed (smallest vertex, size,
+    second smallest), the order of `BlockDecomposition.end_blocks()`, as
+    two blocks share at most one vertex.  The anchor is the block's one cut vertex, or its smallest
     vertex once it is the only block left; no step removes its anchor.  A
     pendant or cycle step deletes its block, which can only turn the anchor
     into an inner vertex of its one other block; an ear or chain step

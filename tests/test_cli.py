@@ -45,6 +45,7 @@ def test_color_obstruction_exit_1(run, c5_path, write_json):
     code, doc = run("color", c5_path, "--lists", lists)
     assert code == 1
     assert doc["status"] == "obstruction" and doc["reason"] == "IsC5Uniform"
+    assert doc["detail"] == "5-cycle whose lists are all the same 4-element set"
 
 
 def test_color_sat_exit_0_with_trace(run, c5_path, write_json):

@@ -14,7 +14,7 @@ from pcfcolor.families import (
     random_cactus,
     random_outerplanar,
 )
-from pcfcolor.graphs import Graph, cycle_graph, path_graph
+from pcfcolor.graphs import Graph, cycle_graph, parse_graph6, path_graph
 from pcfcolor.kernel import ListAssignment, degree_plus_k_lists, verify
 from pcfcolor.oracle import SAT, solve_exact
 from pcfcolor.solver import (
@@ -34,6 +34,7 @@ from pcfcolor.solver import (
     trace_to_json_lines,
     trim_lists,
 )
+from pcfcolor.structure import STRUCTURE_CACHE_MAX_N
 from test_structure import fan, flower, sun, zigzag_triangulation
 
 
@@ -345,6 +346,22 @@ def test_ear_chain_long_spine():
     assert hit
 
 
+@pytest.mark.parametrize("text, closing", [("I|CGgEB_G", 4), ("J|CGGc@_[?_", 5)])
+def test_ear_chain_long_spine_with_a_long_closing_ear(text, closing):
+    # the smallest graphs whose peel records an s >= 4 chain closed by an
+    # ear of 4 or 5 vertices: the step colors that ear's interior from the
+    # far end inward before the junctions
+    g = parse_graph6(text)
+    _, records, _ = structure.peel(g)
+    kind, _, (spine, _, last, _) = records[-1]
+    assert kind == structure.KIND_EAR_CHAIN and len(spine) == 4 and len(last) + 2 == closing
+    universe = range(1, 2 * g.max_degree() + 5)
+    for seed in range(50):
+        lists = degree_plus_k_lists(g, 2, universe, random.Random(seed))
+        res = solved_ok(g, lists)
+        assert "EarChain(s>=4)" in [step.case for step in res.trace]
+
+
 # -- obstructions ---------------------------------------------------------------
 
 
@@ -636,6 +653,32 @@ def test_a_first_solve_embeds_each_block_once(monkeypatch):
         assert sum(handed) <= g.m + sum(chorded.values()), handed  # at most g.m without chords
 
 
+def test_a_first_solve_normalizes_only_cycle_steps(monkeypatch):
+    # the ear search reads a block's live outer cycle as the peel holds it:
+    # `_embedding` runs once per cycle step, the whole-cycle rest included,
+    # and on no block with chords
+    calls = [0]
+    real = structure._embedding
+
+    def counted(cycle, adj):
+        calls[0] += 1
+        return real(cycle, adj)
+
+    monkeypatch.setattr(structure, "_embedding", counted)
+    graphs = (fan(200), zigzag_triangulation(200), flower(3, 4, 2), sun(100),
+              random_outerplanar(500, 1), random_cactus(500, 1), cycle_graph(9))
+    seen = []
+    for seed, g in enumerate(graphs):
+        _, records, rest = structure.peel(g)
+        cycles = sum(kind == structure.KIND_CYCLE for kind, _, _ in records) + (len(rest) > 3)
+        solver._structure.cache_clear()
+        calls[0] = 0
+        solved_ok(g, plus2_lists(g, seed))
+        assert calls[0] == cycles, (g.n, calls, cycles)
+        seen.append(cycles)
+    assert seen[0] == 0 and seen[-2] > 0 and seen[-1] == 1, seen
+
+
 def test_a_first_solve_builds_no_end_block_case(monkeypatch):
     # the peel hands the coloring pass flat step records: an `EndBlockCase`,
     # `Ear` or `EarChain` is built only for a caller that asks for one
@@ -694,9 +737,9 @@ def test_structure_cache_keeps_lists_apart():
 
 
 def test_a_repeated_graph_compiles_once(monkeypatch):
-    # the cache holds one step program per graph, found again by value, and
-    # nothing of the peel's plan; a graph above the size limit compiles on
-    # every solve and is never cached
+    # the cache holds the peel's records per graph, as the peel made them,
+    # found again by value; a graph above the size limit compiles on every
+    # solve and is never cached
     peeled = []
     real = solver.peel
 
@@ -713,18 +756,20 @@ def test_a_repeated_graph_compiles_once(monkeypatch):
     info = solver._structure.cache_info()
     assert peeled == [g.n] and (info.hits, info.misses, info.currsize) == (3, 1, 1)
 
-    screened, need, c5, reserve, steps = solver._structure(g)
-    assert screened is None and not c5 and len(reserve) == 1
+    screened, need, reserve, rest, records = solver._structure(g)
+    assert screened is None and len(reserve) == 1
     assert need == tuple(g.degree(v) + 2 for v in range(g.n))
-    assert [fn for fn, _ in steps][-1] is solver._step_ear_chain
+    _, peeled_records, peeled_rest = structure.peel(g)
+    assert rest == peeled_rest and records == peeled_records[::-1]
+    assert records[-1][0] == structure.KIND_EAR_CHAIN
 
     def leaves(x):
         return [y for z in x for y in leaves(z)] if isinstance(x, tuple) else [x]
 
     kinds = {type(x) for x in leaves(solver._structure(g))}
-    assert kinds <= {type(None), bool, int, str, type(solver._compile)}, kinds
+    assert kinds <= {type(None), int, str}, kinds
 
-    big = path_graph(solver.STRUCTURE_CACHE_MAX_N + 1)
+    big = path_graph(STRUCTURE_CACHE_MAX_N + 1)
     peeled.clear()
     for seed in (0, 1):
         solved_ok(big, plus2_lists(big, seed))
@@ -732,7 +777,7 @@ def test_a_repeated_graph_compiles_once(monkeypatch):
 
 
 def test_large_graphs_skip_the_structure_cache():
-    limit = solver.STRUCTURE_CACHE_MAX_N
+    limit = STRUCTURE_CACHE_MAX_N
     solver._structure.cache_clear()
     for n, cached in ((limit + 1, 0), (limit, 1)):
         g = path_graph(n)
@@ -744,7 +789,7 @@ def test_the_lemma_self_checks_share_no_graph_above_the_cache_limit():
     # color_cycle and color_constrained_path verify on one shared cycle or
     # path per length up to STRUCTURE_CACHE_MAX_N vertices; a longer one is
     # built for the call and dropped with it
-    limit = solver.STRUCTURE_CACHE_MAX_N
+    limit = STRUCTURE_CACHE_MAX_N
     solver._cycle_graphs.cache_clear()
     for n, kept in ((limit + 1, 0), (limit, 1)):
         whole = cycle_graph(n)
@@ -785,7 +830,7 @@ def test_the_unique_colors_work_on_stars_is_linear(monkeypatch):
 def test_large_path_and_cactus_solve_cold():
     # one peel step per block over the block tree, no recursion
     for g in (path_graph(10_000), random_cactus(10_000, 3)):
-        assert g.n > solver.STRUCTURE_CACHE_MAX_N  # never cached: every solve is cold
+        assert g.n > STRUCTURE_CACHE_MAX_N  # never cached: every solve is cold
         res = solved_ok(g, plus2_lists(g, 10))
         assert replay_trace(g.n, res.trace) == res.coloring
 

@@ -558,6 +558,18 @@ def test_classify_is_cached():
     assert classify_end_block(g) is classify_end_block(g)
 
 
+def test_classify_caches_only_graphs_up_to_the_size_limit():
+    # a cached case keeps its graph alive, so a larger graph is classified
+    # afresh on every call and leaves nothing behind
+    limit = structure.STRUCTURE_CACHE_MAX_N
+    classify_end_block.cache_clear()
+    cases = []
+    for n, cached in ((limit + 1, 0), (limit, 1)):
+        cases.append(classify_end_block(path_graph(n)))
+        assert classify_end_block.cache_info().currsize == cached
+    assert cases[0] == cases[1]
+
+
 def test_classify_needs_four_vertices():
     with pytest.raises(ValueError):
         classify_end_block(cycle_graph(3))

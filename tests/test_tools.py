@@ -1,6 +1,8 @@
 """The scripts under tools/ stay runnable: they import, yield their first
-record, and time a trivial batch.  No timing is asserted."""
+record, time a trivial batch, and trace the coloring steps' tests.  No
+timing is asserted."""
 
+import ast
 import sys
 from pathlib import Path
 
@@ -11,6 +13,7 @@ sys.path.insert(0, str(TOOLS))
 
 import bench_layers  # noqa: E402
 import equivalence  # noqa: E402
+import line_coverage  # noqa: E402
 
 import pcfcolor  # noqa: E402
 from conftest import reference_structure  # noqa: E402
@@ -71,3 +74,39 @@ def test_measure_series_against_a_baseline(baseline):
     assert len(setups) == 2 * (1 + out["noop"]["rounds"])
     q1, q3 = out["noop"]["baseline_ratio_quartiles"]
     assert q1 <= q3
+
+
+def test_every_statement_of_the_coloring_steps_runs():
+    # the step tests of tests/test_solver.py, traced in this process, run
+    # every statement of the step functions, the ear extension, and
+    # `solve`, the rest coloring included; only the raises that guard
+    # invariants stay unrun
+    import test_solver as t
+
+    def steps():
+        t.test_tiny_graphs()
+        t.test_trees_use_pendant_case()
+        t.test_whole_cycle_case()
+        t.test_attached_triangle_and_square_cases()
+        t.test_attached_big_cycle_uses_path_lemma()
+        t.test_good_ear_case()
+        t.test_long_ear_case()
+        t.test_long_ear_subcases_over_sizes()
+        t.test_long_ear_identical_interior_lists_hit_the_equal_list_subcase()
+        t.test_ear_chain_three_spine_cases()
+        t.test_ear_chain_long_spine()
+        t.test_ear_chain_long_spine_with_a_long_closing_ear("I|CGgEB_G", 4)
+        t.test_ear_chain_long_spine_with_a_long_closing_ear("J|CGGc@_[?_", 5)
+        t.test_extend_ear_unanimous_neighborhood_branch()
+        t.test_obstruction_disconnected()
+        t.test_obstruction_short_lists()
+        t.test_obstruction_uniform_c5()
+        t.solve(t.Graph(0), [])
+
+    ran = line_coverage.trace(steps)
+    path = Path(pcfcolor.__file__).with_name("solver.py")
+    owners = {step.__name__ for step in t.solver._STEP.values()} | {"_color_trivial", "solve"}
+    assert owners <= {owner for owner, _ in line_coverage.statements(path).values()}
+    unrun = [(line, owner) for line, owner, stmt in line_coverage.unrun(ran, path)
+             if owner in owners and not isinstance(stmt, ast.Raise)]
+    assert unrun == []

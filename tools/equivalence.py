@@ -8,20 +8,21 @@ Runs, instance by instance, and hashes what the package returns:
   instances); each hashes `repr((coloring, obstruction))` followed by
   `trace_to_json_lines(trace)`;
 - the graph-only pass, `solver._structure_pass(g)`, hashed as the `repr`
-  of its plan of `EndBlockCase`s: a package whose peel emits flat step
-  records (one with `structure.end_block_case`) has each record converted
-  by that function, and a package whose pass returns the cases (an
-  earlier tree) is hashed as it is, so both trees hash the same plan; on
-  `random_outerplanar(n, seed)` and `random_cactus(n, seed)` for
-  n = 10, 20, ..., 160 and seeds 0..39, on fans (vertex 0 joined to the
-  path 1..n-1) and strips (edges i,i+1 and i,i+2) for every n from 5 to
-  150, on suns (a k-gon with a triangle on every other side, the one
-  large-block shape whose every step takes the ear at a free endpoint)
-  for every k from 4 to 100, and, for every n from 4 to 200, on the star
-  K1,n-1 (center 0) and a bouquet of at least n vertices (triangles and
-  4- to 6-cycles through vertex 0, the other labels shuffled, seeded by
-  n): shapes whose end blocks tie on smallest vertex and size, so that
-  the second smallest vertex decides the peel order;
+  of its plan, each peel record converted to an `EndBlockCase` by
+  `structure.end_block_case`; on `random_outerplanar(n, seed)` and
+  `random_cactus(n, seed)` for n = 10, 20, ..., 160 and seeds 0..39, on
+  fans (vertex 0 joined to the path 1..n-1) and strips (edges i,i+1 and
+  i,i+2) for every n from 5 to 150 and for n = 1,000 and 2,000, on suns
+  (a k-gon with a triangle on every other side, the one large-block shape
+  whose every step takes the ear at a free endpoint) for every k from 4
+  to 100 and for k = 1,000 and 1,334, and, for every n from 4 to 200, on
+  the star K1,n-1 (center 0) and a bouquet of at least n vertices
+  (triangles and 4- to 6-cycles through vertex 0, the other labels
+  shuffled, seeded by n): shapes whose end blocks tie on smallest vertex
+  and size, so that the second smallest vertex decides the peel order;
+  and on `random_outerplanar(n, seed)` for n = 5,000, 10,000 and 20,000
+  and seeds 0..3.  The large graphs, where a block's steps add up, take
+  about 24 s per tree on a 2-vCPU x86-64 VM;
 - the command line, `cli.main` run in this process: the exit code and
   stdout of `pcfcolor gen random n --seed s`, and of `pcfcolor color
   --trace` on that graph (as graph6) with degree+2 lists drawn with seed s
@@ -59,9 +60,10 @@ SEED = 20260814  # the acceptance suite's seed
 TRIALS = 200
 RANDOM_SIZES = range(10, 161, 10)
 RANDOM_SEEDS = range(40)
-SHAPE_SIZES = range(5, 151)
-SUN_SIZES = range(4, 101)
+SHAPE_SIZES = (*range(5, 151), 1000, 2000)
+SUN_SIZES = (*range(4, 101), 1000, 1334)
 HUB_SIZES = range(4, 201)
+LARGE_RANDOM = tuple(itertools.product((5000, 10000, 20000), range(4)))  # (n, seed)
 CLI_SIZES = (1, 2, 3, 8, 32, 128, 500)
 CLI_SEEDS = range(25)
 
@@ -103,13 +105,12 @@ def records(pkg):
 def structure_records(pkg):
     """(label, text) for each graph-only pass: the `repr` of
     `(obstruction, plan, rest)` from `solver._structure_pass`, its plan as
-    `EndBlockCase`s (converted by `structure.end_block_case` where the
-    package has it)."""
-    G, convert = pkg.graphs.Graph, getattr(pkg.structure, "end_block_case", None)
+    `EndBlockCase`s (converted by `structure.end_block_case`)."""
+    G, convert = pkg.graphs.Graph, pkg.structure.end_block_case
 
     def text(g):
         screened, plan, rest = pkg.solver._structure_pass(g)
-        return repr((screened, plan if convert is None else tuple(map(convert, plan)), rest))
+        return repr((screened, tuple(map(convert, plan)), rest))
 
     for name in ("random_outerplanar", "random_cactus"):
         make = getattr(pkg.families, name)
@@ -123,6 +124,8 @@ def structure_records(pkg):
     for name, make in (("star", star), ("bouquet", bouquet)):
         for n in HUB_SIZES:
             yield f"structure: {name}({n})", text(G(*make(n)))
+    for n, seed in LARGE_RANDOM:
+        yield f"structure: random_outerplanar({n}, {seed})", text(pkg.families.random_outerplanar(n, seed))
 
 
 def cli_records(pkg):
